@@ -193,13 +193,15 @@ class ResampleConfig:
                 raise BootstrapError(f"class prior sums to {total!r}, not 1")
 
 
-def _prior(config: ResampleConfig, y: np.ndarray, classes) -> dict[int, float]:
+def _class_sizes(config: ResampleConfig, y: np.ndarray, classes) -> dict[int, int]:
+    """Rows to draw per class: the number labelled c, or floor(N p_c)
+    under an explicit class prior."""
     if config.class_prior is None:
-        return {c: float((y == c).mean()) for c in classes}
+        return {c: int((y == c).sum()) for c in classes}
     missing = [c for c in classes if c not in config.class_prior]
     if missing:
         raise BootstrapError(f"class prior lacks classes {missing}")
-    return {c: float(config.class_prior[c]) for c in classes}
+    return {c: int(len(y) * float(config.class_prior[c])) for c in classes}
 
 
 def cb_resample(
@@ -207,7 +209,8 @@ def cb_resample(
 ) -> Dataset:
     """Draw the debiased training set.
 
-    For each class c, floor(N p_c) rows are drawn with replacement with
+    For each class c, as many rows as are labelled c (floor(N p_c)
+    under an explicit class prior p) are drawn with replacement with
     probability proportional to that class's weight column, then
     relabeled to c.  Features are copied as-is (delta kernel) or get
     Gaussian jitter (smoothing kernel).  Every input column, observed or
@@ -217,7 +220,7 @@ def cb_resample(
     n = data.n
     if len(table.weights) != n:
         raise BootstrapError("weight table and dataset sizes differ")
-    prior = _prior(config, data.y, table.classes)
+    sizes = _class_sizes(config, data.y, table.classes)
 
     jitter = None
     if config.kernel.kind == "gaussian":
@@ -236,7 +239,7 @@ def cb_resample(
             raise ZeroSupportError(
                 f"no samples carry weight for class {c}; cannot resample"
             )
-        count = int(n * prior[c])
+        count = sizes[c]
         rng = stream(config.seed, "resample", c)
         idx = rng.choice(n, size=count, replace=True, p=w / total)
         x = data.x[idx]

@@ -133,6 +133,9 @@ def _read_dataset(path: str) -> Dataset:
                 cols[name][i] = int(record[index[name]])
     except ValueError as exc:
         raise EstimateError(f"row {i + 2}: {exc}") from None
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if bad.size:
+        raise EstimateError(f"row {bad[0] + 2}: features must be finite")
 
     y = cols.pop("y")
     return Dataset(x=x, y=y, columns=cols, shadow={}, regime="conf", seed=0)

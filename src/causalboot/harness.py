@@ -289,6 +289,9 @@ def _run_cell(spec: ExperimentSpec, scenario, method, level, seed):
 
 
 def _worker_count() -> int:
+    """Threads for the grid: CAUSAL_BOOT_WORKERS, or 1 when unset.  A
+    cell is mostly interpreter-bound work, so threads contend for the
+    interpreter lock and a pool gains little over one thread."""
     raw = os.environ.get("CAUSAL_BOOT_WORKERS", "")
     if raw:
         try:
@@ -300,7 +303,7 @@ def _worker_count() -> int:
         if value < 1:
             raise HarnessError("CAUSAL_BOOT_WORKERS must be at least 1")
         return value
-    return min(8, os.cpu_count() or 1)
+    return 1
 
 
 def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:

@@ -70,12 +70,8 @@ class TrainConfig:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def predict_proba(model: Model, x: np.ndarray) -> np.ndarray:
@@ -99,47 +95,54 @@ def _check_labels(y: np.ndarray, n: int) -> np.ndarray:
     return y.astype(float)
 
 
+def _params(model: Model) -> tuple:
+    """The model's fields in declaration order: (weights, bias) or
+    (w1, b1, w2, b2); ``type(model)(*params)`` rebuilds it."""
+    if isinstance(model, LinearModel):
+        return (model.weights, model.bias)
+    return (model.w1, model.b1, model.w2, model.b2)
+
+
+def _grad(params: tuple, x: np.ndarray, y: np.ndarray, l2: float):
+    """Logits and the gradient, laid out like ``params``, of the mean
+    logistic loss plus L2 on weights.  Inputs are trusted: ``x`` is a
+    2-D float array and ``y`` a float array of 0/1, one per row."""
+    n = len(x)
+    if len(params) == 2:
+        weights, bias = params
+        z = x @ weights + bias
+        dz = (_sigmoid(z) - y) / n
+        return z, (x.T @ dz + 2.0 * l2 * weights, float(dz.sum()))
+    w1, b1, w2, b2 = params
+    hidden = np.tanh(x @ w1 + b1)
+    z = hidden @ w2 + b2
+    dz = (_sigmoid(z) - y) / n
+    d_hidden = dz[:, None] * w2 * (1.0 - hidden * hidden)
+    return z, (
+        x.T @ d_hidden + 2.0 * l2 * w1,
+        d_hidden.sum(axis=0),
+        hidden.T @ dz + 2.0 * l2 * w2,
+        float(dz.sum()),
+    )
+
+
 def loss_and_grad(model: Model, x: np.ndarray, y: np.ndarray, l2: float):
     """Mean logistic loss with L2 on weights; gradient has the model's
     own shape so parameters and gradients stay aligned."""
     x = _check_features(x)
     y = _check_labels(y, len(x))
-    n = len(x)
-    sign = 2.0 * y - 1.0
-
+    params = _params(model)
+    z, grads = _grad(params, x, y, l2)
+    loss = float(np.logaddexp(0.0, -(2.0 * y - 1.0) * z).mean())
     if isinstance(model, LinearModel):
-        z = model.logits(x)
-        loss = float(np.logaddexp(0.0, -sign * z).mean())
         loss += l2 * float(model.weights @ model.weights)
-        dz = (_sigmoid(z) - y) / n
-        grad = LinearModel(
-            weights=x.T @ dz + 2.0 * l2 * model.weights,
-            bias=float(dz.sum()),
-        )
-        return loss, grad
-
-    a1 = x @ model.w1 + model.b1
-    hidden = np.tanh(a1)
-    z = hidden @ model.w2 + model.b2
-    loss = float(np.logaddexp(0.0, -sign * z).mean())
-    loss += l2 * float((model.w1 * model.w1).sum() + model.w2 @ model.w2)
-    dz = (_sigmoid(z) - y) / n
-    d_hidden = dz[:, None] * model.w2 * (1.0 - hidden * hidden)
-    grad = MlpModel(
-        w1=x.T @ d_hidden + 2.0 * l2 * model.w1,
-        b1=d_hidden.sum(axis=0),
-        w2=hidden.T @ dz + 2.0 * l2 * model.w2,
-        b2=float(dz.sum()),
-    )
-    return loss, grad
+    else:
+        loss += l2 * float((model.w1 * model.w1).sum() + model.w2 @ model.w2)
+    return loss, type(model)(*grads)
 
 
 def params_vector(model: Model) -> np.ndarray:
-    if isinstance(model, LinearModel):
-        return np.concatenate([model.weights, [model.bias]])
-    return np.concatenate(
-        [model.w1.ravel(), model.b1, model.w2, [model.b2]]
-    )
+    return np.concatenate([np.ravel(p) for p in _params(model)])
 
 
 def replace_params(model: Model, vector: np.ndarray) -> Model:
@@ -175,33 +178,21 @@ def _initial_model(kind: str, dim: int, width: int, rng) -> Model:
     )
 
 
-def _step(model: Model, grad: Model, lr: float) -> Model:
-    if isinstance(model, LinearModel):
-        return LinearModel(
-            weights=model.weights - lr * grad.weights,
-            bias=model.bias - lr * grad.bias,
-        )
-    return MlpModel(
-        w1=model.w1 - lr * grad.w1,
-        b1=model.b1 - lr * grad.b1,
-        w2=model.w2 - lr * grad.w2,
-        b2=model.b2 - lr * grad.b2,
-    )
-
-
 def train(x: np.ndarray, y: np.ndarray, config: TrainConfig) -> Model:
     x = _check_features(x)
     y = _check_labels(y, len(x))
     n = len(x)
     rng = stream(config.seed, "train")
     model = _initial_model(config.kind, x.shape[1], config.width, rng)
+    params = _params(model)
+    lr, l2 = config.lr, config.l2
     for _ in range(config.epochs):
         perm = rng.permutation(n)
         for start in range(0, n, config.batch):
             idx = perm[start : start + config.batch]
-            _, grad = loss_and_grad(model, x[idx], y[idx], config.l2)
-            model = _step(model, grad, config.lr)
-    return model
+            _, grads = _grad(params, x[idx], y[idx], l2)
+            params = tuple(p - lr * g for p, g in zip(params, grads))
+    return type(model)(*params)
 
 
 def auc(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -221,14 +212,12 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
     if n_pos == 0 or n_neg == 0:
         raise ModelError("both classes must appear to rank them")
     order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores))
     sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    starts = np.flatnonzero(
+        np.concatenate(([True], sorted_scores[1:] != sorted_scores[:-1]))
+    )
+    ends = np.append(starts[1:], len(scores)) - 1
+    ranks = np.empty(len(scores))
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     rank_sum = float(ranks[labels == 1].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from causalboot.bootstrap import (
@@ -156,12 +156,43 @@ def test_resample_sizes_follow_empirical_prior():
     table = cb_weights(data.weight_columns(), "a")
     out = cb_resample(data, table, ResampleConfig(seed=1))
     for c in (0, 1):
-        want = int(data.n * (data.y == c).mean())
-        assert (out.y == c).sum() == want
+        assert (out.y == c).sum() == (data.y == c).sum()
     assert out.columns == {}
     assert set(out.shadow) == {"u"}
     assert out.regime == "conf"
     assert out.seed == 1
+
+
+def test_resample_keeps_row_count_where_shares_round_down():
+    # 162/313 held as a double gives int(313 * 162/313) == 161
+    data = simulate(SimConfig(scenario="c", n=313), "conf", seed=0)
+    assert [(data.y == c).sum() for c in (0, 1)] == [162, 151]
+    table = cb_weights(data.weight_columns(), "c")
+    out = cb_resample(data, table, ResampleConfig(seed=0))
+    assert out.n == 313
+    assert [(out.y == c).sum() for c in (0, 1)] == [162, 151]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=st.integers(2, 3000).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(1, n - 1))
+    ),
+    seed=st.integers(0, 999),
+)
+@example(sizes=(313, 162), seed=0)
+@example(sizes=(50_000, 25_003), seed=0)
+def test_resample_draws_every_label_count(sizes, seed):
+    n, ones = sizes
+    rng = np.random.default_rng(seed)
+    y = np.zeros(n, dtype=np.int64)
+    y[rng.permutation(n)[:ones]] = 1
+    u = rng.integers(0, 2, n)
+    data = dataset_from(np.column_stack([y, u]), y, columns={"u": u})
+    table = cb_weights(data.weight_columns(), "a")
+    out = cb_resample(data, table, ResampleConfig(seed=seed))
+    assert out.n == n
+    assert (out.y == 1).sum() == ones
 
 
 def test_resample_explicit_prior_and_relabeling():

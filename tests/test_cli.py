@@ -202,6 +202,29 @@ def test_bootstrap_input_validation_exit_code(tmp_path):
     assert "unknown columns" in out.stderr
 
 
+@pytest.mark.parametrize("method", ["cb", "da"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_bootstrap_rejects_non_finite_features(tmp_path, method, value):
+    src = simulate_csv(tmp_path, "train.csv")
+    lines = src.read_text().splitlines()
+    fields = lines[10].split(",")
+    fields[3] = value
+    lines[10] = ",".join(fields)
+    src.write_text("\n".join(lines) + "\n")
+    out_path = tmp_path / "out.csv"
+    out = run_cli(
+        "bootstrap",
+        "--scenario", "a",
+        "--method", method,
+        "--in", src,
+        "--out", out_path,
+        "--seed", 1,
+    )
+    assert out.returncode == 1
+    assert "row 11: features must be finite" in out.stderr
+    assert not out_path.exists()
+
+
 def test_simulate_output_feeds_bootstrap(tmp_path):
     path = tmp_path / "c.csv"
     out = run_cli(

@@ -8,6 +8,7 @@ from causalboot.harness import (
     ExperimentSpec,
     HarnessError,
     ResultRow,
+    _worker_count,
     parse_spec_text,
     read_results,
     resolved_spec_text,
@@ -263,3 +264,10 @@ def test_worker_env_validation(monkeypatch):
     monkeypatch.setenv("CAUSAL_BOOT_WORKERS", "0")
     with pytest.raises(HarnessError, match="at least 1"):
         run_experiment(small_spec(seeds=(0,)))
+
+
+def test_worker_count_defaults_to_serial(monkeypatch):
+    monkeypatch.delenv("CAUSAL_BOOT_WORKERS", raising=False)
+    assert _worker_count() == 1
+    monkeypatch.setenv("CAUSAL_BOOT_WORKERS", "3")
+    assert _worker_count() == 3

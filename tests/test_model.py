@@ -10,6 +10,8 @@ from causalboot.model import (
     MlpModel,
     ModelError,
     TrainConfig,
+    _initial_model,
+    _sigmoid,
     auc,
     loss_and_grad,
     params_vector,
@@ -17,6 +19,7 @@ from causalboot.model import (
     replace_params,
     train,
 )
+from causalboot.rng import stream
 
 # --- ranking metric ---------------------------------------------------------
 
@@ -60,6 +63,44 @@ def test_auc_invariant_under_increasing_transform(seed, scale, shift):
     base = auc(scores, labels)
     assert auc(scale * scores + shift, labels) == pytest.approx(base)
     assert auc(scores, labels) + auc(-scores, labels) == pytest.approx(1.0)
+
+
+def while_loop_auc(scores, labels):
+    """Midranks walked tie group by tie group, one Python step per row:
+    the reference the vectorised midranks must reproduce exactly."""
+    scores = np.asarray(scores, dtype=float)
+    n_pos = int((labels == 1).sum())
+    n_neg = int((labels == 0).sum())
+    order = np.argsort(scores, kind="stable")
+    ranks = np.empty(len(scores))
+    sorted_scores = scores[order]
+    i = 0
+    while i < len(scores):
+        j = i
+        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    rank_sum = float(ranks[labels == 1].sum())
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def test_auc_equals_while_loop_on_heavy_ties():
+    rng = np.random.default_rng(11)
+    scores = np.round(rng.standard_normal(100_000), 2)
+    labels = (rng.random(100_000) < 1.0 / (1.0 + np.exp(-scores))).astype(np.int64)
+    assert np.unique(scores).size < 1_000
+    assert auc(scores, labels) == while_loop_auc(scores, labels)
+
+
+def test_auc_equals_while_loop_on_edge_tie_groups():
+    labels = np.array([0, 1, 1, 0, 1, 0, 0])
+    all_equal = np.full(7, 0.3)
+    assert auc(all_equal, labels) == while_loop_auc(all_equal, labels) == 0.5
+    low_group = np.array([0.1, 0.1, 0.1, 0.4, 0.5, 0.6, 0.7])
+    high_group = np.array([0.1, 0.2, 0.3, 0.4, 0.9, 0.9, 0.9])
+    for scores in (low_group, high_group, low_group[::-1], high_group[::-1]):
+        assert auc(scores, labels) == while_loop_auc(scores, labels)
 
 
 def test_auc_validation():
@@ -157,6 +198,90 @@ def test_training_is_deterministic():
     np.testing.assert_array_equal(params_vector(a), params_vector(b))
     c = train(x, y, TrainConfig(kind="mlp", epochs=5, seed=4))
     assert not np.array_equal(params_vector(a), params_vector(c))
+
+
+def masked_sigmoid(z):
+    out = np.empty_like(z, dtype=float)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_equals_masked_form():
+    z = np.concatenate(
+        [np.linspace(-800.0, 800.0, 20_001), [0.0, -0.0, 1e-300, -1e-300]]
+    )
+    with np.errstate(over="raise"):
+        got = _sigmoid(z)
+    assert got.tobytes() == masked_sigmoid(z).tobytes()
+
+
+def oracle_grad(model, x, y, l2):
+    """The per-batch gradient as a standalone model-shaped value, with
+    the arithmetic of the training loop spelled out once more."""
+    n = len(x)
+    if isinstance(model, LinearModel):
+        dz = (masked_sigmoid(x @ model.weights + model.bias) - y) / n
+        return LinearModel(
+            weights=x.T @ dz + 2.0 * l2 * model.weights, bias=float(dz.sum())
+        )
+    hidden = np.tanh(x @ model.w1 + model.b1)
+    dz = (masked_sigmoid(hidden @ model.w2 + model.b2) - y) / n
+    d_hidden = dz[:, None] * model.w2 * (1.0 - hidden * hidden)
+    return MlpModel(
+        w1=x.T @ d_hidden + 2.0 * l2 * model.w1,
+        b1=d_hidden.sum(axis=0),
+        w2=hidden.T @ dz + 2.0 * l2 * model.w2,
+        b2=float(dz.sum()),
+    )
+
+
+def oracle_step(model, grad, lr):
+    if isinstance(model, LinearModel):
+        return LinearModel(
+            weights=model.weights - lr * grad.weights,
+            bias=model.bias - lr * grad.bias,
+        )
+    return MlpModel(
+        w1=model.w1 - lr * grad.w1,
+        b1=model.b1 - lr * grad.b1,
+        w2=model.w2 - lr * grad.w2,
+        b2=model.b2 - lr * grad.b2,
+    )
+
+
+def oracle_train(x, y, config):
+    """One model object per batch: gradient, then step."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y).astype(float)
+    rng = stream(config.seed, "train")
+    model = _initial_model(config.kind, x.shape[1], config.width, rng)
+    for _ in range(config.epochs):
+        perm = rng.permutation(len(x))
+        for start in range(0, len(x), config.batch):
+            idx = perm[start : start + config.batch]
+            grad = oracle_grad(model, x[idx], y[idx], config.l2)
+            model = oracle_step(model, grad, config.lr)
+    return model
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("batch,lr", [(64, 0.1), (23, 0.3), (500, 0.1), (7, 0.0)])
+def test_training_equals_per_batch_oracle(kind, seed, batch, lr):
+    rng = np.random.default_rng(100 + seed)
+    x, y = blobs(229, rng)
+    cfg = TrainConfig(kind=kind, lr=lr, epochs=4, batch=batch, seed=seed, width=5)
+    got = train(x, y, cfg)
+    want = oracle_train(x, y, cfg)
+    assert type(got) is type(want)
+    assert params_vector(got).tobytes() == params_vector(want).tobytes()
+    if kind == "linear":
+        assert type(got.bias) is float
+    else:
+        assert type(got.b2) is float
 
 
 def test_linear_starts_at_zero():
