@@ -2,20 +2,29 @@
 
 Each scenario admits per-sample weights w_n(c) such that resampling row n
 with probability proportional to w_n(c), then relabeling it to c, draws
-from the interventional feature law for class c:
+from the interventional feature law for class c.  Every scenario's weight
+has one shape,
 
-* observed confounder:            1[y_n = c] / (N P(y=c | u_n))
-* observed confounder + mediator: P(z_n | y=c) / (N P(z_n | u_n))
-* partially observed confounder:  P(z_n | y=c) / (N P(z_n | y_n, u_n))
-* unobserved confounder:          P(z_n | y=c) / (N P(z_n | y_n))
-* biased care level:              the care factors cancel exactly, so the
-  weights reduce to the observed-confounder case; the reduction is
-  asserted numerically at estimation time.
+    w_n(c) = P(t_n | y=c) / (N P(t_n | G_n)),
 
-All conditionals are plug-in frequency tables (optionally smoothed).
-Class weight columns sum to 1 exactly when every cell the formula
-touches has samples; missing cells leave mass unclaimed and clear the
-normalized flag.
+where t is the label or the mediator and G is the set of columns the
+formula conditions on:
+
+    scenario                             t    G
+    a  observed confounder               y    u
+    b  observed confounder + mediator    z    u
+    c  partially observed confounder     z    y, u
+    d  unobserved confounder             z    y
+    e  biased care level                 y    u
+
+With t = y the numerator is the indicator 1[y_n = c].  In scenario e the
+care factors P(d | y, u) of numerator and denominator agree on every row
+that carries weight, so they cancel and the care column is never read.
+
+All conditionals are plug-in frequency tables (optionally smoothed); the
+indicator numerator is exact and never smoothed.  Class weight columns
+sum to 1 exactly when every cell the formula touches has samples; missing
+cells leave mass unclaimed and clear the normalized flag.
 
 Also here: stratified upsampling to balance an observed confounder
 within each label (the classical alternative), and the feature
@@ -37,7 +46,7 @@ from .estimate import (
     fit_conditional,
     silverman_bandwidth,
 )
-from .graph import ScenarioId
+from .graph import X_ANCESTOR_COLUMNS, ScenarioId
 from .rng import stream
 from .simulate import Dataset
 
@@ -64,22 +73,13 @@ class MethodId(Enum):
         raise BootstrapError(f"unknown method {value!r}")
 
 
-_REQUIRED_COLS = {
-    ScenarioId.OBSERVED_CONF: ("y", "u"),
-    ScenarioId.OBSERVED_CONF_MEDIATOR: ("y", "u", "z"),
-    ScenarioId.PARTIAL_CONF_MEDIATOR: ("y", "u", "z"),
-    ScenarioId.UNOBSERVED_CONF_MEDIATOR: ("y", "z"),
-    ScenarioId.BIASED_CARE: ("y", "u", "d"),
-}
-
-# Observed columns a model may use alongside X when told to condition on
-# everything in sight.
-_IF_COLS = {
-    ScenarioId.OBSERVED_CONF: ("u",),
-    ScenarioId.OBSERVED_CONF_MEDIATOR: ("u", "z"),
-    ScenarioId.PARTIAL_CONF_MEDIATOR: ("u", "z"),
-    ScenarioId.UNOBSERVED_CONF_MEDIATOR: ("z",),
-    ScenarioId.BIASED_CARE: ("u",),
+# (t, G) of each scenario's weight formula; see the module docstring.
+_WEIGHT_FORMS = {
+    ScenarioId.OBSERVED_CONF: ("y", ("u",)),
+    ScenarioId.OBSERVED_CONF_MEDIATOR: ("z", ("u",)),
+    ScenarioId.PARTIAL_CONF_MEDIATOR: ("z", ("y", "u")),
+    ScenarioId.UNOBSERVED_CONF_MEDIATOR: ("z", ("y",)),
+    ScenarioId.BIASED_CARE: ("y", ("u",)),
 }
 
 
@@ -111,16 +111,6 @@ class WeightTable:
         return self.weights[:, k]
 
 
-def _pull(columns: Mapping[str, np.ndarray], scenario: ScenarioId) -> dict:
-    missing = [c for c in _REQUIRED_COLS[scenario] if c not in columns]
-    if missing:
-        raise EstimateError(
-            f"scenario {scenario.value!r} needs columns "
-            f"{', '.join(_REQUIRED_COLS[scenario])}; missing {', '.join(missing)}"
-        )
-    return {name: np.asarray(columns[name]) for name in _REQUIRED_COLS[scenario]}
-
-
 def cb_weights(
     columns: Mapping[str, np.ndarray],
     scenario,
@@ -128,50 +118,32 @@ def cb_weights(
 ) -> WeightTable:
     """Importance weights for every class, from observed columns only."""
     scenario = ScenarioId.coerce(scenario)
-    cols = _pull(columns, scenario)
-    y = cols["y"]
+    target, given = _WEIGHT_FORMS[scenario]
+    needed = tuple(dict.fromkeys(("y", *given, target)))
+    missing = [name for name in needed if name not in columns]
+    if missing:
+        raise EstimateError(
+            f"scenario {scenario.value!r} needs columns "
+            f"{', '.join(needed)}; missing {', '.join(missing)}"
+        )
+    cols = {name: np.asarray(columns[name]) for name in needed}
+    y, t = cols["y"], cols[target]
     n = len(y)
     classes = tuple(int(c) for c in np.unique(y))
-    out = np.zeros((n, len(classes)))
 
-    if scenario in (ScenarioId.OBSERVED_CONF, ScenarioId.BIASED_CARE):
-        u = cols["u"]
-        t_y = fit_conditional({"y": y, "u": u}, "y", ("u",), alpha=alpha)
-        for k, c in enumerate(classes):
-            mask = y == c
-            den = t_y.prob_rows(np.full(mask.sum(), c), (u[mask],))
-            out[mask, k] = 1.0 / (n * den)
-        if scenario is ScenarioId.BIASED_CARE:
-            d = cols["d"]
-            t_d = fit_conditional(
-                {"d": d, "y": y, "u": u}, "d", ("y", "u"), alpha=alpha
-            )
-            for k, c in enumerate(classes):
-                mask = y == c
-                num = t_d.prob_rows(d[mask], (np.full(mask.sum(), c), u[mask]))
-                den = t_d.prob_rows(d[mask], (y[mask], u[mask]))
-                # forced and observed labels agree on these rows, so the
-                # care factors cancel and the weights match the plain
-                # observed-confounder case
-                assert np.allclose(num, den, atol=1e-12)
-    else:
-        z = cols["z"]
-        t_zy = fit_conditional({"z": z, "y": y}, "z", ("y",), alpha=alpha)
-        if scenario is ScenarioId.OBSERVED_CONF_MEDIATOR:
-            u = cols["u"]
-            t_den = fit_conditional({"z": z, "u": u}, "z", ("u",), alpha=alpha)
-            den = t_den.prob_rows(z, (u,))
-        elif scenario is ScenarioId.PARTIAL_CONF_MEDIATOR:
-            u = cols["u"]
-            t_den = fit_conditional(
-                {"z": z, "y": y, "u": u}, "z", ("y", "u"), alpha=alpha
-            )
-            den = t_den.prob_rows(z, (y, u))
-        else:
-            den = t_zy.prob_rows(z, (y,))
-        for k, c in enumerate(classes):
-            num = t_zy.prob_rows(z, (np.full(n, c),))
-            out[:, k] = num / (n * den)
+    # P(t | y) for the numerator, none when t is the label itself; where
+    # G is the label alone the denominator reads the same table
+    t_num = None
+    if target != "y":
+        t_num = fit_conditional(cols, target, ("y",), alpha=alpha)
+    t_den = t_num
+    if given != ("y",):
+        t_den = fit_conditional(cols, target, given, alpha=alpha)
+    den = n * t_den.prob_rows(t, [cols[name] for name in given])
+    out = np.zeros((n, len(classes)))
+    for k, c in enumerate(classes):
+        num = y == c if t_num is None else t_num.prob_rows(t, (np.full(n, c),))
+        out[:, k] = num / den
 
     sums = out.sum(axis=0)
     normalized = bool(np.allclose(sums, 1.0, atol=1e-9))
@@ -182,26 +154,6 @@ def cb_weights(
 class ResampleConfig:
     seed: int
     kernel: KernelSpec = field(default_factory=KernelSpec.delta)
-    class_prior: Mapping[int, float] | None = None
-
-    def __post_init__(self):
-        if self.class_prior is not None:
-            total = sum(self.class_prior.values())
-            if any(p < 0 for p in self.class_prior.values()):
-                raise BootstrapError("class prior must be nonnegative")
-            if abs(total - 1.0) > 1e-9:
-                raise BootstrapError(f"class prior sums to {total!r}, not 1")
-
-
-def _class_sizes(config: ResampleConfig, y: np.ndarray, classes) -> dict[int, int]:
-    """Rows to draw per class: the number labelled c, or floor(N p_c)
-    under an explicit class prior."""
-    if config.class_prior is None:
-        return {c: int((y == c).sum()) for c in classes}
-    missing = [c for c in classes if c not in config.class_prior]
-    if missing:
-        raise BootstrapError(f"class prior lacks classes {missing}")
-    return {c: int(len(y) * float(config.class_prior[c])) for c in classes}
 
 
 def cb_resample(
@@ -209,18 +161,17 @@ def cb_resample(
 ) -> Dataset:
     """Draw the debiased training set.
 
-    For each class c, as many rows as are labelled c (floor(N p_c)
-    under an explicit class prior p) are drawn with replacement with
-    probability proportional to that class's weight column, then
-    relabeled to c.  Features are copied as-is (delta kernel) or get
-    Gaussian jitter (smoothing kernel).  Every input column, observed or
-    hidden, is carried into the output as a shadow column: the resampled
-    set exposes only features and labels for training.
+    For each class c, as many rows as are labelled c are drawn with
+    replacement with probability proportional to that class's weight
+    column, then relabeled to c.  Features are copied as-is (delta
+    kernel) or get Gaussian jitter (smoothing kernel).  Every input
+    column, observed or hidden, is carried into the output as a shadow
+    column: the resampled set exposes only features and labels for
+    training.
     """
     n = data.n
     if len(table.weights) != n:
         raise BootstrapError("weight table and dataset sizes differ")
-    sizes = _class_sizes(config, data.y, table.classes)
 
     jitter = None
     if config.kernel.kind == "gaussian":
@@ -239,7 +190,7 @@ def cb_resample(
             raise ZeroSupportError(
                 f"no samples carry weight for class {c}; cannot resample"
             )
-        count = sizes[c]
+        count = int((data.y == c).sum())
         rng = stream(config.seed, "resample", c)
         idx = rng.choice(n, size=count, replace=True, p=w / total)
         x = data.x[idx]
@@ -265,6 +216,8 @@ def da_resample(data: Dataset, seed: int) -> Dataset:
     every (y, u) stratum to its label's largest stratum."""
     if "u" not in data.columns:
         raise EstimateError("balancing needs an observed confounder column 'u'")
+    if data.n == 0:
+        raise EstimateError("empty dataset")
     y, u = data.y, data.columns["u"]
     y_values = [int(v) for v in np.unique(y)]
     u_values = [int(v) for v in np.unique(u)]
@@ -311,7 +264,7 @@ def select_features(data: Dataset, method, scenario) -> np.ndarray:
     if method is not MethodId.IF:
         return x
     extras = []
-    for name in _IF_COLS[scenario]:
+    for name in X_ANCESTOR_COLUMNS[scenario]:
         if name not in data.columns:
             raise EstimateError(
                 f"conditioning features need observed column {name!r}"

@@ -40,8 +40,10 @@ from .harness import (
     write_results,
 )
 from .model import ModelError
-from .simulate import Dataset, SimConfig, SimulateError, simulate
+from .simulate import _SIM_KEYS, Dataset, SimConfig, SimulateError, simulate
 
+# Bad input: the package's own errors, plus files that cannot be opened or
+# are not text.  Anything else is a fault and keeps its traceback.
 _USER_ERRORS = (
     BootstrapError,
     EstimateError,
@@ -50,10 +52,13 @@ _USER_ERRORS = (
     ModelError,
     SimulateError,
     OSError,
-    ValueError,
+    UnicodeDecodeError,
 )
 
 _DISCRETE_COLS = ("y", "u", "z", "d")
+
+# SimConfig's offset vectors, each a --delta-* flag of comma-separated floats.
+_DELTA_KEYS = ("delta_y", "delta_u", "delta_z", "delta_v", "delta_u2")
 
 
 def _names(raw: str) -> tuple[str, ...]:
@@ -186,27 +191,21 @@ def _cmd_bootstrap(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    kw = {}
-    for name in (
-        "p",
-        "q_c",
-        "qp_c",
-        "r0",
-        "r1",
-        "f10",
-        "f11",
-        "feature_dim",
-        "sigma",
-        "x_mode",
-        "x_support",
-    ):
-        value = getattr(args, name)
-        if value is not None:
-            kw[name] = value
-    for name in ("delta_y", "delta_u", "delta_z", "delta_v", "delta_u2"):
+    kw = {
+        name: getattr(args, name)
+        for name in _SIM_KEYS
+        if getattr(args, name) is not None
+    }
+    for name in _DELTA_KEYS:
         raw = getattr(args, name)
         if raw is not None:
-            kw[name] = np.array([float(v) for v in raw.split(",")])
+            try:
+                kw[name] = np.array([float(v) for v in raw.split(",")])
+            except ValueError:
+                raise SimulateError(
+                    f"--{name.replace('_', '-')} needs comma-separated floats, "
+                    f"got {raw!r}"
+                ) from None
     cfg = SimConfig(scenario=args.scenario, n=args.n, **kw)
     data = simulate(cfg, args.regime, args.seed)
     _write_dataset(args.out, data, with_extras=True)
@@ -284,12 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=None)
     p.add_argument("--x-mode", dest="x_mode", default=None, choices=["gaussian", "discrete"])
     p.add_argument("--x-support", dest="x_support", type=int, default=None)
-    for name in ("delta-y", "delta-u", "delta-z", "delta-v", "delta-u2"):
+    for name in _DELTA_KEYS:
         p.add_argument(
-            f"--{name}",
-            dest=name.replace("-", "_"),
-            default=None,
-            help="comma-separated floats",
+            "--" + name.replace("_", "-"), dest=name, help="comma-separated floats"
         )
     p.set_defaults(func=_cmd_simulate)
 

@@ -1,9 +1,9 @@
 """Plug-in probability estimation from finite samples.
 
 Categorical conditional tables supply every discrete P(.|.) term the
-resampling weight formulas need; Gaussian kernel density estimation
-covers continuous columns.  Tables are immutable after fitting and safe
-to share across threads.
+resampling weight formula needs; the resampling kernel and its
+normal-reference bandwidth cover continuous features.  Tables are
+immutable after fitting and safe to share across threads.
 
 Smoothing follows the pseudo-count convention: with smoothing ``alpha``,
 a cell's probability is (count + alpha) / (group + alpha * |domain|).
@@ -184,8 +184,10 @@ def fit_conditional(
 ) -> CategoricalTable:
     """Fit the empirical conditional P(target | given) with pseudo-count
     smoothing ``alpha``; domains are the sorted values observed per column."""
-    if alpha < 0:
-        raise EstimateError(f"smoothing must be nonnegative, got {alpha!r}")
+    if not 0.0 <= alpha < math.inf:
+        raise EstimateError(
+            f"smoothing must be finite and nonnegative, got {alpha!r}"
+        )
     given = tuple(given)
     t = _discrete_column(columns, target)
     gs = [_discrete_column(columns, name) for name in given]
@@ -223,22 +225,3 @@ def silverman_bandwidth(samples: np.ndarray) -> float:
     if sigma == 0.0:
         raise EstimateError("degenerate samples: zero variance in every dimension")
     return sigma * (4.0 / ((d + 2) * n)) ** (1.0 / (d + 4))
-
-
-def kde_density(samples: np.ndarray, kernel: KernelSpec, point: np.ndarray) -> float:
-    """Gaussian kernel density (1/N) sum_n K_h(point - x_n) at one point."""
-    if kernel.kind != "gaussian":
-        raise EstimateError("densities are undefined for the delta kernel")
-    x = np.asarray(samples, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    p = np.atleast_1d(np.asarray(point, dtype=float))
-    n, d = x.shape
-    if n == 0:
-        raise EstimateError("empty dataset")
-    if p.shape != (d,):
-        raise EstimateError(f"point has dimension {p.shape}, samples have {d}")
-    h = kernel.bandwidth if kernel.bandwidth is not None else silverman_bandwidth(x)
-    sq = np.sum((x - p) ** 2, axis=1)
-    norm = (2.0 * math.pi * h * h) ** (-d / 2.0)
-    return float(norm * np.mean(np.exp(-sq / (2.0 * h * h))))

@@ -388,3 +388,23 @@ _SCENARIO_TEXT = {
 def scenario_graph(scenario: ScenarioId | str) -> CausalGraph:
     """Return the causal graph of one of the five acquisition scenarios."""
     return parse_graph(_SCENARIO_TEXT[ScenarioId.coerce(scenario)])
+
+
+def _columns(g: CausalGraph, keep: NodeSet) -> tuple[str, ...]:
+    """Observed nodes of ``g`` in ``keep`` other than X and Y, lower-cased,
+    in declaration order."""
+    return tuple(
+        v.lower()
+        for v in g.nodes
+        if v in keep and v not in g.latent and v not in ("X", "Y")
+    )
+
+
+_GRAPHS = {s: scenario_graph(s) for s in ScenarioId}
+
+# Per scenario: the columns a dataset exposes besides the features and the
+# label, and those of them that are ancestors of X.
+OBSERVED_COLUMNS = {s: _columns(g, g.observed) for s, g in _GRAPHS.items()}
+X_ANCESTOR_COLUMNS = {
+    s: _columns(g, ancestors(g, ("X",))) for s, g in _GRAPHS.items()
+}

@@ -47,11 +47,11 @@ from .bootstrap import (
     select_features,
 )
 from .estimate import EstimateError
-from .graph import GraphError, ScenarioId, scenario_graph
+from .graph import OBSERVED_COLUMNS, GraphError, ScenarioId, scenario_graph
 from .identify import EstimandError, Unidentifiable, identify
 from .model import ModelError, TrainConfig, auc, predict_proba, train
 from .rng import derive_key
-from .simulate import SimConfig, SimulateError, TestRegime, simulate
+from .simulate import _SIM_KEYS, SimConfig, SimulateError, TestRegime, simulate
 
 
 class HarnessError(ValueError):
@@ -64,21 +64,6 @@ CSV_HEADER = (
 
 _REGIME_ORDER = {r: i for i, r in enumerate(TestRegime)}
 
-# Scalar generator knobs settable as overrides and materialized into the
-# resolved spec.
-_SIM_KEYS = {
-    "p": float,
-    "q_c": float,
-    "qp_c": float,
-    "r0": float,
-    "r1": float,
-    "f10": float,
-    "f11": float,
-    "feature_dim": int,
-    "sigma": float,
-    "x_mode": str,
-    "x_support": int,
-}
 _TRAIN_KEYS = {
     "kind": str,
     "lr": float,
@@ -218,7 +203,7 @@ _PIPELINE_ERRORS = (
 
 def _run_cell(spec: ExperimentSpec, scenario, method, level, seed):
     """Train once, score on all four regimes."""
-    if method is MethodId.DA and scenario is ScenarioId.UNOBSERVED_CONF_MEDIATOR:
+    if method is MethodId.DA and "u" not in OBSERVED_COLUMNS[scenario]:
         return [
             _na_row(scenario, method, level, regime, seed, spec.n_train)
             for regime in TestRegime
@@ -404,6 +389,13 @@ def parse_spec_text(text: str) -> ExperimentSpec:
             raise HarnessError(f"line {lineno}: duplicate key {key!r}")
         values[key] = value
 
+    def pop_value(key, kind):
+        raw = values.pop(key)
+        try:
+            return kind(raw)
+        except ValueError:
+            raise HarnessError(f"spec key {key!r}: bad value {raw!r}") from None
+
     def pop_list(key):
         raw = values.pop(key, None)
         if raw is None:
@@ -421,7 +413,7 @@ def parse_spec_text(text: str) -> ExperimentSpec:
             kwargs[key] = items
     for key in ("n_train", "n_test"):
         if key in values:
-            kwargs[key] = int(values.pop(key))
+            kwargs[key] = pop_value(key, int)
 
     sim: dict[str, object] = {}
     train_kw: dict[str, object] = {}
@@ -430,12 +422,12 @@ def parse_spec_text(text: str) -> ExperimentSpec:
             name = key[4:]
             if name not in _SIM_KEYS:
                 raise HarnessError(f"unknown spec key {key!r}")
-            sim[name] = _SIM_KEYS[name](values.pop(key))
+            sim[name] = pop_value(key, _SIM_KEYS[name])
         elif key.startswith("train."):
             name = key[6:]
             if name not in _TRAIN_KEYS:
                 raise HarnessError(f"unknown spec key {key!r}")
-            train_kw[name] = _TRAIN_KEYS[name](values.pop(key))
+            train_kw[name] = pop_value(key, _TRAIN_KEYS[name])
     if values:
         raise HarnessError(f"unknown spec keys {sorted(values)}")
 

@@ -3,7 +3,7 @@
 :func:`identify` decides whether P(outcome | do(intervention)) can be
 written purely in terms of the observational joint, and if so returns a
 symbolic estimand: an expression tree of sums, products, conditionals,
-marginals, indicator bindings and (rarely) quotients of partial sums.
+marginals and (rarely) quotients of partial sums.
 The recursion factorises the graph into districts (components connected
 by bidirected edges) and reduces each district's contribution to
 conditionals of the observational distribution; it fails exactly on
@@ -95,15 +95,7 @@ class Quotient:
     den: "Expr"
 
 
-@dataclass(frozen=True)
-class IndicatorBinding:
-    """1 when the referenced variable equals ``value``, else 0."""
-
-    ref: Ref
-    value: object
-
-
-Expr = Union[Marginal, Cond, Product, Sum, Quotient, IndicatorBinding]
+Expr = Union[Marginal, Cond, Product, Sum, Quotient]
 
 
 @dataclass(frozen=True)
@@ -172,8 +164,6 @@ def _render(expr: Expr, inside_product: bool = False) -> str:
             ",".join(str(r) for r in expr.targets),
             ",".join(str(r) for r in expr.given),
         )
-    if isinstance(expr, IndicatorBinding):
-        return f"1[{expr.ref}={expr.value}]"
     if isinstance(expr, Product):
         return " ".join(_render(f, inside_product=True) for f in expr.factors)
     if isinstance(expr, Sum):
@@ -198,8 +188,6 @@ def _refs(expr: Expr) -> frozenset[Ref]:
         return frozenset(expr.targets)
     if isinstance(expr, Cond):
         return frozenset(expr.targets) | frozenset(expr.given)
-    if isinstance(expr, IndicatorBinding):
-        return frozenset([expr.ref])
     if isinstance(expr, Product):
         out: frozenset[Ref] = frozenset()
         for f in expr.factors:
@@ -223,8 +211,6 @@ def _substitute(expr: Expr, mapping: dict[Ref, str]) -> Expr:
         return Marginal(tuple(fix(r) for r in expr.targets))
     if isinstance(expr, Cond):
         return Cond(tuple(fix(r) for r in expr.targets), tuple(fix(r) for r in expr.given))
-    if isinstance(expr, IndicatorBinding):
-        return IndicatorBinding(fix(expr.ref), expr.value)
     if isinstance(expr, Product):
         return Product(tuple(_substitute(f, mapping) for f in expr.factors))
     if isinstance(expr, Sum):
@@ -761,8 +747,6 @@ class _Evaluator:
                 binding = ",".join(f"{r.alias}={self._lookup(r, env)!r}" for r in expr.given)
                 raise EstimandError(f"conditioning on zero-mass event ({binding})")
             return self.prob(expr.targets + expr.given, env) / denom
-        if isinstance(expr, IndicatorBinding):
-            return 1.0 if self._lookup(expr.ref, env) == expr.value else 0.0
         if isinstance(expr, Product):
             out = 1.0
             for f in expr.factors:

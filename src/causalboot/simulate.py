@@ -30,7 +30,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .graph import ScenarioId
+from .graph import OBSERVED_COLUMNS, ScenarioId
 from .rng import stream
 
 
@@ -62,20 +62,14 @@ class TestRegime(Enum):
 # and tested without confounding sits near 0.85 AUC at the defaults.
 DELTA_SCALE = 1.4657
 
-# Which variables feed X, which are exposed, and which stay hidden.
+# Which variables feed X and which stay hidden; the exposed ones come from
+# the scenario graphs.
 _X_PARENTS = {
     ScenarioId.OBSERVED_CONF: ("y", "u"),
     ScenarioId.OBSERVED_CONF_MEDIATOR: ("u", "z"),
     ScenarioId.PARTIAL_CONF_MEDIATOR: ("u", "z", "v"),
     ScenarioId.UNOBSERVED_CONF_MEDIATOR: ("z", "u"),
     ScenarioId.BIASED_CARE: ("y", "u"),
-}
-_OBSERVED_COLS = {
-    ScenarioId.OBSERVED_CONF: ("u",),
-    ScenarioId.OBSERVED_CONF_MEDIATOR: ("u", "z"),
-    ScenarioId.PARTIAL_CONF_MEDIATOR: ("u", "z"),
-    ScenarioId.UNOBSERVED_CONF_MEDIATOR: ("z",),
-    ScenarioId.BIASED_CARE: ("u", "d"),
 }
 _SHADOW_COLS = {
     ScenarioId.PARTIAL_CONF_MEDIATOR: ("v",),
@@ -95,6 +89,23 @@ def _check_prob(name: str, value: float) -> float:
     if not 0.0 <= value <= 1.0:
         raise SimulateError(f"{name} must lie in [0,1], got {value!r}")
     return float(value)
+
+
+# The scalar knobs of SimConfig, with their types: what a spec file's
+# sim.* keys and the simulate command's flags may set.
+_SIM_KEYS = {
+    "p": float,
+    "q_c": float,
+    "qp_c": float,
+    "r0": float,
+    "r1": float,
+    "f10": float,
+    "f11": float,
+    "feature_dim": int,
+    "sigma": float,
+    "x_mode": str,
+    "x_support": int,
+}
 
 
 @dataclass(frozen=True)
@@ -344,7 +355,7 @@ def simulate(cfg: SimConfig, regime, seed: int) -> Dataset:
         cum = np.cumsum(prob_rows, axis=1)
         x = (rng.random((n, 1)) < cum).argmax(axis=1).astype(np.int64)
 
-    columns = {name: drawn[name] for name in _OBSERVED_COLS[cfg.scenario]}
+    columns = {name: drawn[name] for name in OBSERVED_COLUMNS[cfg.scenario]}
     shadow = {name: drawn[name] for name in _SHADOW_COLS.get(cfg.scenario, ())}
     return Dataset(
         x=x, y=y, columns=columns, shadow=shadow, regime=regime.value, seed=seed

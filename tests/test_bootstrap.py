@@ -77,6 +77,24 @@ def test_mediator_weights_by_hand():
     assert table.normalized
 
 
+def test_partial_confounder_weights_by_hand():
+    # P(z=1|y): 3/4 at y=1, 1/4 at y=0.  P(z=1|y,u): 1/2 at (1,1) and
+    # (0,0), 1 at (1,0), 0 at (0,1), so two (y,u) groups lack a z value
+    # and each class leaves a quarter of its mass unclaimed.
+    y = np.array([1, 1, 1, 0, 0, 0, 1, 0])
+    u = np.array([1, 1, 0, 0, 0, 1, 0, 1])
+    z = np.array([1, 0, 1, 0, 1, 0, 1, 0])
+    table = cb_weights({"y": y, "u": u, "z": z}, "c")
+    assert table.classes == (0, 1)
+    np.testing.assert_allclose(
+        table.column(1), [6, 2, 3, 2, 6, 1, 3, 1] / np.float64(32)
+    )
+    np.testing.assert_allclose(
+        table.column(0), [2, 6, 1, 6, 2, 3, 1, 3] / np.float64(32)
+    )
+    assert not table.normalized
+
+
 def test_care_level_weights_collapse():
     rng = np.random.default_rng(0)
     y = rng.integers(0, 2, 300)
@@ -85,6 +103,9 @@ def test_care_level_weights_collapse():
     with_care = cb_weights({"y": y, "u": u, "d": d}, "e")
     without = cb_weights({"y": y, "u": u}, "a")
     np.testing.assert_array_equal(with_care.weights, without.weights)
+    # the care factors cancel, so the care column is never needed
+    no_care_column = cb_weights({"y": y, "u": u}, "e")
+    np.testing.assert_array_equal(no_care_column.weights, without.weights)
 
 
 def full_support_columns(rng, scenario, n=400):
@@ -195,15 +216,6 @@ def test_resample_draws_every_label_count(sizes, seed):
     assert (out.y == 1).sum() == ones
 
 
-def test_resample_explicit_prior_and_relabeling():
-    data = toy_dataset()
-    table = cb_weights(data.weight_columns(), "a")
-    cfg = ResampleConfig(seed=2, class_prior={0: 0.25, 1: 0.75})
-    out = cb_resample(data, table, cfg)
-    assert (out.y == 0).sum() == int(data.n * 0.25)
-    assert (out.y == 1).sum() == int(data.n * 0.75)
-
-
 def test_delta_kernel_copies_rows():
     data = toy_dataset(n=100)
     table = cb_weights(data.weight_columns(), "a")
@@ -250,17 +262,6 @@ def test_resample_zero_support_class():
         cb_resample(data, table, ResampleConfig(seed=0))
 
 
-def test_resample_config_validation():
-    with pytest.raises(BootstrapError, match="sums to"):
-        ResampleConfig(seed=0, class_prior={0: 0.3, 1: 0.3})
-    with pytest.raises(BootstrapError, match="nonnegative"):
-        ResampleConfig(seed=0, class_prior={0: -0.5, 1: 1.5})
-    data = toy_dataset(n=20)
-    table = cb_weights(data.weight_columns(), "a")
-    with pytest.raises(BootstrapError, match="lacks classes"):
-        cb_resample(data, table, ResampleConfig(seed=0, class_prior={1: 1.0}))
-
-
 # --- balancing --------------------------------------------------------------
 
 def test_balancing_upsamples_minority_strata():
@@ -294,6 +295,9 @@ def test_balancing_errors():
     data = dataset_from(np.zeros((4, 1)), y, columns={})
     with pytest.raises(EstimateError, match="confounder column"):
         da_resample(data, seed=0)
+    data = dataset_from(np.zeros((0, 1)), [], columns={"u": []})
+    with pytest.raises(EstimateError, match="empty dataset"):
+        da_resample(data, seed=0)
 
 
 def test_balancing_deterministic():
@@ -320,6 +324,12 @@ def test_conditioning_features_per_scenario(scenario, extra):
     data = simulate(SimConfig(scenario=scenario, n=30), "conf", seed=2)
     feats = select_features(data, MethodId.IF, scenario)
     assert feats.shape == (30, 10 + extra)
+    # the observed ancestors of X, in graph order: never the care level
+    names = {"a": "u", "b": "uz", "c": "uz", "d": "z", "e": "u"}[scenario]
+    np.testing.assert_array_equal(feats[:, :10], data.x)
+    np.testing.assert_array_equal(
+        feats[:, 10:], np.column_stack([data.columns[name] for name in names])
+    )
 
 
 def test_hidden_columns_never_selected():

@@ -58,6 +58,29 @@ def test_missing_graph_file_is_input_error(tmp_path):
     assert "error:" in out.stderr
 
 
+def test_unreadable_graph_file_is_input_error(tmp_path):
+    path = tmp_path / "binary.txt"
+    path.write_bytes(b"\xff\xfe U->X")
+    out = run_cli("dsep", "--graph", path, "--a", "U", "--b", "X")
+    assert out.returncode == 1
+    assert "error:" in out.stderr and "Traceback" not in out.stderr
+
+
+def test_internal_value_errors_are_not_reported_as_bad_input(
+    confounder_graph, monkeypatch
+):
+    from causalboot import cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(cli, "d_separated", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        cli.main(
+            ["dsep", "--graph", str(confounder_graph), "--a", "X", "--b", "Y"]
+        )
+
+
 def simulate_csv(tmp_path, name, *extra):
     path = tmp_path / name
     out = run_cli(
@@ -115,6 +138,39 @@ def test_simulate_discrete_mode(tmp_path):
     assert lines[0] == "x0,y,u"
     codes = {int(line.split(",")[0]) for line in lines[1:]}
     assert codes <= {0, 1, 2, 3}
+
+
+def test_simulate_rejects_malformed_offsets(tmp_path):
+    out = run_cli(
+        "simulate", "--scenario", "a", "--n", 10, "--seed", 1,
+        "--out", tmp_path / "o.csv", "--delta-y", "1,x",
+    )
+    assert out.returncode == 1
+    assert "error: --delta-y needs comma-separated floats" in out.stderr
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_simulate_offset_flags_reach_the_generator(tmp_path):
+    offsets = ",".join(["3.0"] + ["0.0"] * 9)
+    plain = simulate_csv(tmp_path, "plain.csv")
+    moved = simulate_csv(tmp_path, "moved.csv", "--delta-y", offsets)
+    assert plain.read_bytes() != moved.read_bytes()
+
+
+def test_bootstrap_rejects_non_finite_smoothing(tmp_path):
+    src = simulate_csv(tmp_path, "train.csv")
+    for value in ("nan", "inf"):
+        out = run_cli(
+            "bootstrap",
+            "--scenario", "a",
+            "--method", "cb",
+            "--in", src,
+            "--out", tmp_path / "out.csv",
+            "--seed", 1,
+            "--smoothing", value,
+        )
+        assert out.returncode == 1
+        assert "smoothing must be finite and nonnegative" in out.stderr
 
 
 def test_bootstrap_cb_round_trip(tmp_path):
@@ -281,3 +337,6 @@ def test_run_rejects_bad_spec(tmp_path):
     result, _ = run_spec(tmp_path, "scenarios=a\nwidgets=9\n")
     assert result.returncode == 2
     assert "unknown spec key" in result.stderr
+    result, _ = run_spec(tmp_path, "scenarios=a\nn_train=abc\n", name="s2.txt")
+    assert result.returncode == 2
+    assert "spec key 'n_train': bad value 'abc'" in result.stderr

@@ -1,4 +1,4 @@
-"""Plug-in conditional tables and kernel density estimation."""
+"""Plug-in conditional tables, resampling kernels and bandwidths."""
 
 import math
 from collections import Counter
@@ -8,15 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from causalboot.bootstrap import ResampleConfig, cb_resample, cb_weights
 from causalboot.estimate import (
     CategoricalTable,
     EstimateError,
     KernelSpec,
     ZeroSupportError,
     fit_conditional,
-    kde_density,
     silverman_bandwidth,
 )
+from causalboot.simulate import Dataset
 
 
 def table_from(alpha=0.0, **cols):
@@ -73,8 +74,9 @@ def test_non_discrete_and_empty_columns_are_rejected():
         fit_conditional(
             {"y": np.array([0, 1]), "u": np.array([0, 1, 0])}, "y", ["u"]
         )
-    with pytest.raises(EstimateError, match="nonnegative"):
-        table_from(alpha=-0.5, y=[0, 1])
+    for alpha in (-0.5, math.nan, math.inf):
+        with pytest.raises(EstimateError, match="finite and nonnegative"):
+            table_from(alpha=alpha, y=[0, 1])
 
 
 def test_float_coded_integers_are_accepted():
@@ -141,51 +143,6 @@ def test_kernel_spec_parsing_and_validation():
         KernelSpec("delta", 1.0)
 
 
-def test_kde_at_a_single_sample_is_the_kernel_peak():
-    for d in (1, 3):
-        point = np.zeros(d)
-        h = 0.7
-        got = kde_density(np.zeros((1, d)), KernelSpec.gaussian(h), point)
-        assert got == pytest.approx((2 * math.pi * h * h) ** (-d / 2))
-
-
-def test_kde_hand_case_two_symmetric_samples():
-    got = kde_density(np.array([[-1.0], [1.0]]), KernelSpec.gaussian(1.0), np.array([0.0]))
-    want = (2 * math.pi) ** -0.5 * math.exp(-0.5)
-    assert got == pytest.approx(want, rel=1e-12)
-
-
-def test_kde_vanishes_far_away():
-    samples = np.zeros((5, 2))
-    far = np.array([50.0, 50.0])
-    assert kde_density(samples, KernelSpec.gaussian(1.0), far) < 1e-100
-
-
-def test_kde_rejects_delta_and_bad_shapes():
-    with pytest.raises(EstimateError, match="delta"):
-        kde_density(np.zeros((2, 2)), KernelSpec.delta(), np.zeros(2))
-    with pytest.raises(EstimateError, match="dimension"):
-        kde_density(np.zeros((2, 2)), KernelSpec.gaussian(1.0), np.zeros(3))
-    with pytest.raises(EstimateError, match="empty"):
-        kde_density(np.zeros((0, 2)), KernelSpec.gaussian(1.0), np.zeros(2))
-
-
-@settings(max_examples=40)
-@given(
-    st.lists(st.floats(-5, 5), min_size=2, max_size=12),
-    st.floats(-5, 5),
-    st.floats(-3, 3),
-)
-def test_kde_permutation_and_shift_invariance(values, point, shift):
-    samples = np.array(values)[:, None]
-    k = KernelSpec.gaussian(0.8)
-    base = kde_density(samples, k, np.array([point]))
-    permuted = kde_density(samples[::-1], k, np.array([point]))
-    shifted = kde_density(samples + shift, k, np.array([point + shift]))
-    assert permuted == pytest.approx(base, rel=1e-12)
-    assert shifted == pytest.approx(base, rel=1e-9)
-
-
 def test_silverman_bandwidth_closed_form():
     # Hand arithmetic: sigma = sqrt(5/3), h = sigma * (4/12)^(1/5).
     got = silverman_bandwidth(np.array([0.0, 1.0, 2.0, 3.0]))
@@ -198,10 +155,16 @@ def test_silverman_bandwidth_closed_form():
 
 def test_gaussian_kernel_defaults_to_silverman():
     rng = np.random.default_rng(1)
-    samples = rng.normal(size=(40, 2))
-    point = np.array([0.1, -0.2])
-    auto = kde_density(samples, KernelSpec.gaussian(), point)
-    manual = kde_density(
-        samples, KernelSpec.gaussian(silverman_bandwidth(samples)), point
+    y = rng.integers(0, 2, 40)
+    u = rng.integers(0, 2, 40)
+    data = Dataset(
+        x=rng.normal(size=(40, 2)), y=y, columns={"u": u}, shadow={},
+        regime="conf", seed=0,
     )
-    assert auto == pytest.approx(manual, rel=1e-12)
+    table = cb_weights(data.weight_columns(), "a")
+    auto = cb_resample(data, table, ResampleConfig(3, KernelSpec.gaussian()))
+    h = silverman_bandwidth(data.x)
+    manual = cb_resample(data, table, ResampleConfig(3, KernelSpec.gaussian(h)))
+    np.testing.assert_array_equal(auto.x, manual.x)
+    wider = cb_resample(data, table, ResampleConfig(3, KernelSpec.gaussian(2 * h)))
+    assert not np.array_equal(auto.x, wider.x)

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalboot.graph import (
+    OBSERVED_COLUMNS,
+    X_ANCESTOR_COLUMNS,
     CausalGraph,
     GraphCycleError,
     GraphError,
@@ -90,6 +92,17 @@ def test_scenario_edge_sets():
     assert d.bidirected == {("X", "Y")}
     e = scenario_graph("e")
     assert ("Y", "D") in e.directed and ("U", "D") in e.directed
+
+
+def test_scenario_columns_come_from_the_graphs():
+    # hidden confounders are bidirected edges, so they never show up here
+    assert {s.value: cols for s, cols in OBSERVED_COLUMNS.items()} == {
+        "a": ("u",), "b": ("u", "z"), "c": ("u", "z"), "d": ("z",), "e": ("u", "d"),
+    }
+    # the care level is observed but does not feed X
+    assert {s.value: cols for s, cols in X_ANCESTOR_COLUMNS.items()} == {
+        "a": ("u",), "b": ("u", "z"), "c": ("u", "z"), "d": ("z",), "e": ("u",),
+    }
 
 
 def test_scenario_coerce():

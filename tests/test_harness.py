@@ -218,6 +218,9 @@ def test_parse_spec_errors():
         parse_spec_text("scenarios\n")
     with pytest.raises(HarnessError, match="nonempty"):
         parse_spec_text("scenarios=a\nmethods=\n")
+    for line in ("n_test=2k", "sim.r1=high", "train.epochs=1.5"):
+        with pytest.raises(HarnessError, match="bad value"):
+            parse_spec_text(f"scenarios=a\n{line}\n")
 
 
 def test_resolved_spec_round_trip():

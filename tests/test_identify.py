@@ -9,7 +9,6 @@ from causalboot.identify import (
     Estimand,
     EstimandError,
     Identified,
-    IndicatorBinding,
     JointTable,
     Marginal,
     Product,
@@ -315,15 +314,6 @@ def test_random_graphs_multi_node_interventions():
 
 # ---------------------------------------------------------------------------
 # evaluation mechanics
-
-
-def test_indicator_binding_is_a_point_mass():
-    est = Estimand(
-        root=IndicatorBinding(Ref("X", "x"), 1), outcome=("X",), intervention=()
-    )
-    joint = JointTable(("X",), {"X": (0, 1)}, np.array([0.3, 0.7]))
-    assert estimand_to_text(est) == "1[x=1]"
-    assert np.allclose(evaluate_estimand(est, joint, {}), [0.0, 1.0])
 
 
 def test_quotient_of_sums_equals_conditioning():
