@@ -30,7 +30,14 @@ from .bootstrap import (
     da_resample,
 )
 from .estimate import EstimateError, KernelSpec, ZeroSupportError
-from .graph import GraphError, ScenarioId, d_separated, parse_graph, scenario_graph
+from .graph import (
+    OBSERVED_COLUMNS,
+    GraphError,
+    ScenarioId,
+    d_separated,
+    parse_graph,
+    scenario_graph,
+)
 from .identify import EstimandError, Identified, estimand_to_text, identify
 from .harness import (
     HarnessError,
@@ -55,7 +62,11 @@ _USER_ERRORS = (
     UnicodeDecodeError,
 )
 
-_DISCRETE_COLS = ("y", "u", "z", "d")
+# The label, then every scenario's observed columns in first-seen order.
+_DISCRETE_COLS = (
+    "y",
+    *dict.fromkeys(c for cols in OBSERVED_COLUMNS.values() for c in cols),
+)
 
 # SimConfig's offset vectors, each a --delta-* flag of comma-separated floats.
 _DELTA_KEYS = ("delta_y", "delta_u", "delta_z", "delta_v", "delta_u2")

@@ -47,8 +47,10 @@ class KernelSpec:
             raise EstimateError(f"unknown kernel kind {self.kind!r}")
         if self.kind == "delta" and self.bandwidth is not None:
             raise EstimateError("delta kernel takes no bandwidth")
-        if self.bandwidth is not None and not self.bandwidth > 0:
-            raise EstimateError(f"bandwidth must be positive, got {self.bandwidth!r}")
+        if self.bandwidth is not None and not 0 < self.bandwidth < math.inf:
+            raise EstimateError(
+                f"bandwidth must be finite and positive, got {self.bandwidth!r}"
+            )
 
     @classmethod
     def delta(cls) -> "KernelSpec":
@@ -67,9 +69,10 @@ class KernelSpec:
             return cls.gaussian()
         if text.startswith("gaussian:"):
             try:
-                return cls.gaussian(float(text.split(":", 1)[1]))
+                bandwidth = float(text.split(":", 1)[1])
             except ValueError as err:
                 raise EstimateError(f"bad kernel spec {text!r}") from err
+            return cls.gaussian(bandwidth)
         raise EstimateError(f"bad kernel spec {text!r}")
 
 

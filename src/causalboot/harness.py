@@ -30,8 +30,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -64,15 +62,9 @@ CSV_HEADER = (
 
 _REGIME_ORDER = {r: i for i, r in enumerate(TestRegime)}
 
-_TRAIN_KEYS = {
-    "kind": str,
-    "lr": float,
-    "epochs": int,
-    "batch": int,
-    "seed": int,
-    "l2": float,
-    "width": int,
-}
+# The knobs of TrainConfig, each typed by its default: what a spec file's
+# train.* keys may set, in the order spec.resolved.txt writes them.
+_TRAIN_KEYS = {f.name: type(f.default) for f in dataclasses.fields(TrainConfig)}
 
 
 @dataclass(frozen=True)
@@ -115,8 +107,8 @@ class ExperimentSpec:
             raise HarnessError(f"unknown sim overrides {sorted(unknown)}")
         if self.complexity_sweep is not None:
             sweep = tuple(float(v) for v in self.complexity_sweep)
-            if not sweep or any(v <= 0 for v in sweep):
-                raise HarnessError("complexity_sweep needs positive values")
+            if not sweep or not all(0 < v < np.inf for v in sweep):
+                raise HarnessError("complexity_sweep needs finite positive values")
             object.__setattr__(self, "complexity_sweep", sweep)
 
     @property
@@ -147,7 +139,7 @@ class ResultRow:
 def _sim_config(spec: ExperimentSpec, scenario, level, n) -> SimConfig:
     kw = dict(spec.sim)
     if spec.complexity_sweep is not None:
-        dim = int(kw.get("feature_dim", 10))
+        dim = int(kw.get("feature_dim", SimConfig.feature_dim))
         delta_y = np.zeros(dim)
         delta_y[0] = level
         kw["delta_y"] = delta_y
@@ -156,38 +148,21 @@ def _sim_config(spec: ExperimentSpec, scenario, level, n) -> SimConfig:
     return SimConfig(scenario=scenario, n=n, **kw)
 
 
-def _na_row(scenario, method, level, regime, seed, n_train) -> ResultRow:
+def _row(scenario, method, level, regime, seed, n_train, auc=None, status="ok"):
     return ResultRow(
         scenario=scenario.value,
         method=method.value,
         qc=level,
         regime=regime.value,
         seed=seed,
-        auc=None,
+        auc=auc,
         n_train=n_train,
-        status="na",
+        status=status,
     )
 
 
-def _error_row(scenario, method, level, regime, seed, n_train, message):
-    reason = " ".join(str(message).split())
-    return ResultRow(
-        scenario=scenario.value,
-        method=method.value,
-        qc=level,
-        regime=regime.value,
-        seed=seed,
-        auc=None,
-        n_train=n_train,
-        status=f"error: {reason}",
-    )
-
-
-def _error_rows(scenario, method, level, seed, n_train, message):
-    return [
-        _error_row(scenario, method, level, regime, seed, n_train, message)
-        for regime in TestRegime
-    ]
+def _error(exc) -> str:
+    return "error: " + " ".join(str(exc).split())
 
 
 _PIPELINE_ERRORS = (
@@ -203,9 +178,10 @@ _PIPELINE_ERRORS = (
 
 def _run_cell(spec: ExperimentSpec, scenario, method, level, seed):
     """Train once, score on all four regimes."""
+    cell = (scenario, method, level)
     if method is MethodId.DA and "u" not in OBSERVED_COLUMNS[scenario]:
         return [
-            _na_row(scenario, method, level, regime, seed, spec.n_train)
+            _row(*cell, regime, seed, spec.n_train, status="na")
             for regime in TestRegime
         ]
     try:
@@ -236,12 +212,15 @@ def _run_cell(spec: ExperimentSpec, scenario, method, level, seed):
         cfg = dataclasses.replace(spec.train, seed=train_seed)
         model = train(feats, train_data.y, cfg)
     except _PIPELINE_ERRORS as exc:
-        return _error_rows(scenario, method, level, seed, spec.n_train, exc)
+        return [
+            _row(*cell, regime, seed, spec.n_train, status=_error(exc))
+            for regime in TestRegime
+        ]
 
     rows = []
     for regime in TestRegime:
         if method is MethodId.IF and regime is TestRegime.UNSEEN:
-            rows.append(_na_row(scenario, method, level, regime, seed, spec.n_train))
+            rows.append(_row(*cell, regime, seed, spec.n_train, status="na"))
             continue
         try:
             test_seed = derive_key(
@@ -253,62 +232,24 @@ def _run_cell(spec: ExperimentSpec, scenario, method, level, seed):
             scores = predict_proba(model, select_features(test_data, method, scenario))
             value = auc(scores, test_data.y)
         except _PIPELINE_ERRORS as exc:
-            rows.append(
-                _error_row(
-                    scenario, method, level, regime, seed, spec.n_train, exc
-                )
-            )
-            continue
-        rows.append(
-            ResultRow(
-                scenario=scenario.value,
-                method=method.value,
-                qc=level,
-                regime=regime.value,
-                seed=seed,
-                auc=value,
-                n_train=spec.n_train,
-            )
-        )
+            status = _error(exc)
+            rows.append(_row(*cell, regime, seed, spec.n_train, status=status))
+        else:
+            rows.append(_row(*cell, regime, seed, spec.n_train, value))
     return rows
 
 
-def _worker_count() -> int:
-    """Threads for the grid: CAUSAL_BOOT_WORKERS, or 1 when unset.  A
-    cell is mostly interpreter-bound work, so threads contend for the
-    interpreter lock and a pool gains little over one thread."""
-    raw = os.environ.get("CAUSAL_BOOT_WORKERS", "")
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise HarnessError(
-                f"CAUSAL_BOOT_WORKERS must be an integer, got {raw!r}"
-            ) from None
-        if value < 1:
-            raise HarnessError("CAUSAL_BOOT_WORKERS must be at least 1")
-        return value
-    return 1
-
-
 def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
-    """All grid cells, canonically sorted, deterministic for a given spec."""
-    cells = [
-        (scenario, method, level, seed)
+    """All grid cells, run one after another and canonically sorted, so
+    the rows are deterministic for a given spec."""
+    rows = [
+        row
         for scenario in spec.scenarios
         for method in spec.methods
         for level in spec.levels
         for seed in spec.seeds
+        for row in _run_cell(spec, scenario, method, level, seed)
     ]
-    workers = _worker_count()
-    if workers == 1 or len(cells) == 1:
-        batches = [_run_cell(spec, *cell) for cell in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            batches = list(
-                pool.map(lambda cell: _run_cell(spec, *cell), cells)
-            )
-    rows = [row for batch in batches for row in batch]
     rows.sort(
         key=lambda r: (
             r.scenario,
@@ -389,28 +330,32 @@ def parse_spec_text(text: str) -> ExperimentSpec:
             raise HarnessError(f"line {lineno}: duplicate key {key!r}")
         values[key] = value
 
-    def pop_value(key, kind):
-        raw = values.pop(key)
+    def convert(key, raw, kind):
         try:
             return kind(raw)
         except ValueError:
             raise HarnessError(f"spec key {key!r}: bad value {raw!r}") from None
 
-    def pop_list(key):
-        raw = values.pop(key, None)
-        if raw is None:
-            return None
-        return [item.strip() for item in raw.split(",") if item.strip()]
+    def pop_value(key, kind):
+        return convert(key, values.pop(key), kind)
 
-    kwargs: dict = {}
-    scenarios = pop_list("scenarios")
-    if scenarios is None:
+    def pop_list(key, kind):
+        items = [item.strip() for item in values.pop(key).split(",")]
+        return [convert(key, item, kind) for item in items if item]
+
+    kwargs: dict = {
+        key: pop_list(key, kind)
+        for key, kind in (
+            ("scenarios", str),
+            ("qc_grid", float),
+            ("seeds", int),
+            ("methods", str),
+            ("complexity_sweep", float),
+        )
+        if key in values
+    }
+    if "scenarios" not in kwargs:
         raise HarnessError("spec needs a scenarios= line")
-    kwargs["scenarios"] = scenarios
-    for key in ("qc_grid", "seeds", "methods", "complexity_sweep"):
-        items = pop_list(key)
-        if items is not None:
-            kwargs[key] = items
     for key in ("n_train", "n_test"):
         if key in values:
             kwargs[key] = pop_value(key, int)
@@ -431,21 +376,13 @@ def parse_spec_text(text: str) -> ExperimentSpec:
     if values:
         raise HarnessError(f"unknown spec keys {sorted(values)}")
 
-    try:
-        if kwargs.get("qc_grid") is not None:
-            kwargs["qc_grid"] = [float(v) for v in kwargs["qc_grid"]]
-        if kwargs.get("seeds") is not None:
-            kwargs["seeds"] = [int(v) for v in kwargs["seeds"]]
-        if kwargs.get("complexity_sweep") is not None:
-            kwargs["complexity_sweep"] = [
-                float(v) for v in kwargs["complexity_sweep"]
-            ]
-    except ValueError as exc:
-        raise HarnessError(f"bad numeric list in spec: {exc}") from None
     if sim:
         kwargs["sim"] = sim
     if train_kw:
-        kwargs["train"] = TrainConfig(**train_kw)
+        try:
+            kwargs["train"] = TrainConfig(**train_kw)
+        except ModelError as exc:
+            raise HarnessError(f"spec train settings: {exc}") from None
     return ExperimentSpec(**kwargs)
 
 

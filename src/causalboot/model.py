@@ -61,12 +61,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.kind not in ("linear", "mlp"):
             raise ModelError(f"unknown model kind {self.kind!r}")
-        if not self.lr >= 0:
-            raise ModelError("lr must be nonnegative")
+        for name in ("lr", "l2"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ModelError(f"{name} must be finite and nonnegative")
         if self.epochs < 1 or self.batch < 1 or self.width < 1:
             raise ModelError("epochs, batch and width must be positive")
-        if self.l2 < 0:
-            raise ModelError("l2 must be nonnegative")
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

@@ -140,8 +140,8 @@ class SimConfig:
             _check_prob(name, getattr(self, name))
         if self.qp_c is not None:
             _check_prob("qp_c", self.qp_c)
-        if not self.sigma > 0:
-            raise SimulateError(f"sigma must be positive, got {self.sigma!r}")
+        if not 0 < self.sigma < math.inf:
+            raise SimulateError(f"sigma must be finite and positive, got {self.sigma!r}")
         if self.feature_dim < 1:
             raise SimulateError("feature_dim must be at least 1")
         if self.x_mode not in ("gaussian", "discrete"):
@@ -168,17 +168,13 @@ class SimConfig:
                     raise SimulateError(
                         f"{name} must have shape ({self.feature_dim},), got {value.shape}"
                     )
+                if not np.isfinite(value).all():
+                    raise SimulateError(f"{name} must be finite")
             object.__setattr__(self, name, value)
 
     @property
     def qp(self) -> float:
         return self.q_c if self.qp_c is None else self.qp_c
-
-    def care_rate(self, y: int, u: int) -> float:
-        if u == 2:
-            return 0.5
-        base = self.f11 if u == 1 else self.f10
-        return base if y == 1 else 1.0 - base
 
 
 @dataclass(frozen=True)

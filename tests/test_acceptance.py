@@ -219,8 +219,7 @@ def test_a5_bow_graph_is_unidentifiable():
 
 # --- A6: confounding hurts the naive model, not the resampled one ----------------
 
-def _grid(monkeypatch, **kw):
-    monkeypatch.setenv("CAUSAL_BOOT_WORKERS", "4")
+def _grid(**kw):
     base = dict(
         scenarios=("a",),
         qc_grid=(0.95,),
@@ -252,8 +251,8 @@ def _unconfounded_reference(seed, scenario=ScenarioId.OBSERVED_CONF, level=0.95)
     return auc(scores, test_data.y)
 
 
-def test_a6_reversal_breaks_naive_training_but_not_cb(monkeypatch):
-    rows = _grid(monkeypatch, methods=("simple", "cb"))
+def test_a6_reversal_breaks_naive_training_but_not_cb():
+    rows = _grid(methods=("simple", "cb"))
     drop = mean_auc(rows, "simple", "conf") - mean_auc(rows, "simple", "revconf")
     assert drop >= 0.2, drop
     cb = [mean_auc(rows, "cb", r) for r in ("conf", "unconf", "revconf")]
@@ -264,17 +263,17 @@ def test_a6_reversal_breaks_naive_training_but_not_cb(monkeypatch):
 
 # --- A7: strata balancing fails under a hidden confounder ------------------------
 
-def test_a7_cb_beats_balancing_under_partial_observation(monkeypatch):
-    rows = _grid(monkeypatch, scenarios=("c",), methods=("cb", "da"))
+def test_a7_cb_beats_balancing_under_partial_observation():
+    rows = _grid(scenarios=("c",), methods=("cb", "da"))
     margin = mean_auc(rows, "cb", "revconf") - mean_auc(rows, "da", "revconf")
     assert margin >= 0.1, margin
 
 
 # --- A8: the confounding gap shrinks with signal strength ------------------------
 
-def test_a8_signal_sweep_shrinks_the_gap_for_cb_only(monkeypatch):
+def test_a8_signal_sweep_shrinks_the_gap_for_cb_only():
     levels = (0.5, 1.0, 1.5, 2.2, 3.0)
-    rows = _grid(monkeypatch, methods=("simple", "cb"), complexity_sweep=levels)
+    rows = _grid(methods=("simple", "cb"), complexity_sweep=levels)
     simple_gaps = [
         mean_auc(rows, "simple", "unconf", qc=v) - mean_auc(rows, "simple", "revconf", qc=v)
         for v in levels
@@ -333,15 +332,10 @@ def test_a9_auc_equals_pairwise_concordance():
 
 # --- A10: byte-identical command-line output -------------------------------------
 
-def _cli(*args, tmp=None):
-    import os
-
-    env = dict(os.environ)
-    env["CAUSAL_BOOT_WORKERS"] = "2"
+def _cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "causalboot.cli"] + [str(a) for a in args],
         capture_output=True,
-        env=env,
     )
 
 

@@ -8,16 +8,8 @@ import pytest
 CLI = [sys.executable, "-m", "causalboot.cli"]
 
 
-def run_cli(*args, env_extra=None):
-    import os
-
-    env = dict(os.environ)
-    env["CAUSAL_BOOT_WORKERS"] = "2"
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(
-        CLI + [str(a) for a in args], capture_output=True, text=True, env=env
-    )
+def run_cli(*args):
+    return subprocess.run(CLI + [str(a) for a in args], capture_output=True, text=True)
 
 
 @pytest.fixture
@@ -150,6 +142,18 @@ def test_simulate_rejects_malformed_offsets(tmp_path):
     assert not (tmp_path / "o.csv").exists()
 
 
+def test_simulate_rejects_non_finite_noise_and_offsets(tmp_path):
+    for flags in (("--sigma", "inf"), ("--delta-u", ",".join(["inf"] * 10))):
+        path = tmp_path / "o.csv"
+        out = run_cli(
+            "simulate", "--scenario", "a", "--n", 50, "--seed", 1,
+            "--out", path, *flags,
+        )
+        assert out.returncode == 1
+        assert "must be finite" in out.stderr
+        assert not path.exists()
+
+
 def test_simulate_offset_flags_reach_the_generator(tmp_path):
     offsets = ",".join(["3.0"] + ["0.0"] * 9)
     plain = simulate_csv(tmp_path, "plain.csv")
@@ -171,6 +175,25 @@ def test_bootstrap_rejects_non_finite_smoothing(tmp_path):
         )
         assert out.returncode == 1
         assert "smoothing must be finite and nonnegative" in out.stderr
+
+
+def test_bootstrap_rejects_non_finite_bandwidth(tmp_path):
+    src = tmp_path / "a.csv"
+    run_cli("simulate", "--scenario", "a", "--n", 50, "--seed", 1, "--out", src)
+    for kernel in ("gaussian:inf", "gaussian:nan"):
+        out_path = tmp_path / "out.csv"
+        out = run_cli(
+            "bootstrap",
+            "--scenario", "a",
+            "--method", "cb",
+            "--in", src,
+            "--out", out_path,
+            "--seed", 1,
+            "--kernel", kernel,
+        )
+        assert out.returncode == 1
+        assert "bandwidth must be finite and positive" in out.stderr
+        assert not out_path.exists()
 
 
 def test_bootstrap_cb_round_trip(tmp_path):
@@ -340,3 +363,12 @@ def test_run_rejects_bad_spec(tmp_path):
     result, _ = run_spec(tmp_path, "scenarios=a\nn_train=abc\n", name="s2.txt")
     assert result.returncode == 2
     assert "spec key 'n_train': bad value 'abc'" in result.stderr
+
+
+def test_run_rejects_unusable_train_settings(tmp_path):
+    for k, line in enumerate(("train.epochs=0", "train.kind=tree", "train.lr=inf")):
+        text = f"scenarios=a\nseeds=0\nn_train=100\nn_test=100\n{line}\n"
+        result, out_dir = run_spec(tmp_path, text, name=f"s{k}.txt", out=f"o{k}")
+        assert result.returncode == 2
+        assert "error: spec train settings" in result.stderr
+        assert not out_dir.exists()

@@ -137,8 +137,11 @@ def test_kernel_spec_parsing_and_validation():
     for bad in ("bogus", "gaussian:", "gaussian:x", "delta:1"):
         with pytest.raises(EstimateError):
             KernelSpec.parse(bad)
-    with pytest.raises(EstimateError):
-        KernelSpec.gaussian(0.0)
+    for bandwidth in (0.0, float("inf"), float("nan")):
+        with pytest.raises(EstimateError, match="bandwidth"):
+            KernelSpec.gaussian(bandwidth)
+    with pytest.raises(EstimateError, match="bandwidth"):
+        KernelSpec.parse("gaussian:inf")
     with pytest.raises(EstimateError):
         KernelSpec("delta", 1.0)
 

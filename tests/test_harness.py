@@ -8,7 +8,6 @@ from causalboot.harness import (
     ExperimentSpec,
     HarnessError,
     ResultRow,
-    _worker_count,
     parse_spec_text,
     read_results,
     resolved_spec_text,
@@ -50,8 +49,7 @@ def mean_auc(rows, method, regime, qc=None):
 
 # --- structure ----------------------------------------------------------------
 
-def test_grid_cardinality(monkeypatch):
-    monkeypatch.setenv("CAUSAL_BOOT_WORKERS", "1")
+def test_grid_cardinality():
     rows = run_experiment(small_spec())
     assert len(rows) == 2 * 4 * 3
     assert all(r.status == "ok" for r in rows)
@@ -60,8 +58,7 @@ def test_grid_cardinality(monkeypatch):
     assert all(r.n_train == 400 for r in rows)
 
 
-def test_rows_sorted_canonically(monkeypatch):
-    monkeypatch.setenv("CAUSAL_BOOT_WORKERS", "2")
+def test_rows_sorted_canonically():
     rows = run_experiment(small_spec(qc_grid=(0.95, 0.65)))
     regime_order = {"conf": 0, "unconf": 1, "revconf": 2, "unseen": 3}
     keys = [
@@ -70,8 +67,7 @@ def test_rows_sorted_canonically(monkeypatch):
     assert keys == sorted(keys)
 
 
-def test_na_rows_for_inapplicable_cells(monkeypatch):
-    monkeypatch.setenv("CAUSAL_BOOT_WORKERS", "1")
+def test_na_rows_for_inapplicable_cells():
     spec = small_spec(scenarios=("d",), methods=("da", "if"), seeds=(0,))
     rows = run_experiment(spec)
     cells = by_cell(rows)
@@ -82,8 +78,7 @@ def test_na_rows_for_inapplicable_cells(monkeypatch):
     assert cells[("d", "if", 0.95, "conf", 0)].status == "ok"
 
 
-def test_error_rows_do_not_abort(monkeypatch):
-    monkeypatch.setenv("CAUSAL_BOOT_WORKERS", "1")
+def test_error_rows_do_not_abort():
     # 2 feature dimensions leave no room for the unseen-value offset
     spec = small_spec(methods=("simple",), seeds=(0,), sim={"feature_dim": 2})
     rows = run_experiment(spec)
@@ -94,8 +89,7 @@ def test_error_rows_do_not_abort(monkeypatch):
     assert unseen.auc is None
 
 
-def test_adding_methods_never_perturbs_existing_cells(monkeypatch):
-    monkeypatch.setenv("CAUSAL_BOOT_WORKERS", "1")
+def test_adding_methods_never_perturbs_existing_cells():
     both = run_experiment(small_spec())
     only = run_experiment(small_spec(methods=("simple",)))
     reference = by_cell(both)
@@ -103,8 +97,7 @@ def test_adding_methods_never_perturbs_existing_cells(monkeypatch):
         assert reference[(row.scenario, row.method, row.qc, row.regime, row.seed)] == row
 
 
-def test_sweep_mode_reports_offset_levels(monkeypatch):
-    monkeypatch.setenv("CAUSAL_BOOT_WORKERS", "1")
+def test_sweep_mode_reports_offset_levels():
     spec = small_spec(
         methods=("simple",), seeds=(0,), complexity_sweep=(0.5, 2.0)
     )
@@ -113,8 +106,7 @@ def test_sweep_mode_reports_offset_levels(monkeypatch):
     assert len(rows) == 2 * 4
 
 
-def test_confounding_bites_simple_but_not_cb(monkeypatch):
-    monkeypatch.setenv("CAUSAL_BOOT_WORKERS", "4")
+def test_confounding_bites_simple_but_not_cb():
     rows = run_experiment(small_spec(n_train=2000, n_test=2000))
     gap = mean_auc(rows, "simple", "conf") - mean_auc(rows, "simple", "revconf")
     assert gap >= 0.2
@@ -124,8 +116,7 @@ def test_confounding_bites_simple_but_not_cb(monkeypatch):
 
 # --- persistence ----------------------------------------------------------------
 
-def test_write_read_round_trip(tmp_path, monkeypatch):
-    monkeypatch.setenv("CAUSAL_BOOT_WORKERS", "2")
+def test_write_read_round_trip(tmp_path):
     spec = small_spec(scenarios=("d",), methods=("da", "simple"), seeds=(0, 1))
     rows = run_experiment(spec)
     path = tmp_path / "results.csv"
@@ -142,12 +133,10 @@ def test_write_empty_rows(tmp_path):
     assert path.read_text() == CSV_HEADER + "\n"
 
 
-def test_reruns_are_byte_identical(tmp_path, monkeypatch):
+def test_reruns_are_byte_identical(tmp_path):
     spec = small_spec(seeds=(0,))
-    monkeypatch.setenv("CAUSAL_BOOT_WORKERS", "1")
     a = tmp_path / "a.csv"
     write_results(run_experiment(spec), a)
-    monkeypatch.setenv("CAUSAL_BOOT_WORKERS", "4")
     b = tmp_path / "b.csv"
     write_results(run_experiment(spec), b)
     assert a.read_bytes() == b.read_bytes()
@@ -218,8 +207,26 @@ def test_parse_spec_errors():
         parse_spec_text("scenarios\n")
     with pytest.raises(HarnessError, match="nonempty"):
         parse_spec_text("scenarios=a\nmethods=\n")
-    for line in ("n_test=2k", "sim.r1=high", "train.epochs=1.5"):
+    for line in (
+        "n_test=2k",
+        "sim.r1=high",
+        "train.epochs=1.5",
+        "seeds=0,x",
+        "qc_grid=0.9,high",
+        "complexity_sweep=1,a",
+    ):
         with pytest.raises(HarnessError, match="bad value"):
+            parse_spec_text(f"scenarios=a\n{line}\n")
+    with pytest.raises(HarnessError, match="spec key 'seeds': bad value 'x'"):
+        parse_spec_text("scenarios=a\nseeds=0, x\n")
+    for line in (
+        "train.epochs=0",
+        "train.kind=tree",
+        "train.lr=inf",
+        "train.l2=nan",
+        "train.lr=-1",
+    ):
+        with pytest.raises(HarnessError, match="train settings"):
             parse_spec_text(f"scenarios=a\n{line}\n")
 
 
@@ -256,21 +263,6 @@ def test_spec_validation():
         ExperimentSpec(scenarios=("a",), n_train=0)
     with pytest.raises(HarnessError, match="unknown sim overrides"):
         ExperimentSpec(scenarios=("a",), sim={"bogus": 1})
-    with pytest.raises(HarnessError, match="complexity_sweep"):
-        ExperimentSpec(scenarios=("a",), complexity_sweep=(0.0,))
-
-
-def test_worker_env_validation(monkeypatch):
-    monkeypatch.setenv("CAUSAL_BOOT_WORKERS", "zero")
-    with pytest.raises(HarnessError, match="integer"):
-        run_experiment(small_spec(seeds=(0,)))
-    monkeypatch.setenv("CAUSAL_BOOT_WORKERS", "0")
-    with pytest.raises(HarnessError, match="at least 1"):
-        run_experiment(small_spec(seeds=(0,)))
-
-
-def test_worker_count_defaults_to_serial(monkeypatch):
-    monkeypatch.delenv("CAUSAL_BOOT_WORKERS", raising=False)
-    assert _worker_count() == 1
-    monkeypatch.setenv("CAUSAL_BOOT_WORKERS", "3")
-    assert _worker_count() == 3
+    for level in (0.0, float("inf"), float("nan")):
+        with pytest.raises(HarnessError, match="complexity_sweep"):
+            ExperimentSpec(scenarios=("a",), complexity_sweep=(0.5, level))

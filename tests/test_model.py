@@ -351,6 +351,10 @@ def test_config_and_input_validation():
         TrainConfig(kind="tree")
     with pytest.raises(ModelError, match="lr"):
         TrainConfig(lr=-1.0)
+    for name in ("lr", "l2"):
+        for value in (float("inf"), float("nan")):
+            with pytest.raises(ModelError, match=f"{name} must be finite"):
+                TrainConfig(**{name: value})
     with pytest.raises(ModelError, match="positive"):
         TrainConfig(epochs=0)
     with pytest.raises(ModelError, match="2-D"):

@@ -261,14 +261,21 @@ def test_config_validation_errors():
         cfg_for(ScenarioId.OBSERVED_CONF, 0)
     with pytest.raises(SimulateError, match="q_c"):
         cfg_for(ScenarioId.OBSERVED_CONF, 10, q_c=1.5)
-    with pytest.raises(SimulateError, match="sigma"):
-        cfg_for(ScenarioId.OBSERVED_CONF, 10, sigma=0.0)
+    for sigma in (0.0, np.inf, np.nan):
+        with pytest.raises(SimulateError, match="sigma"):
+            cfg_for(ScenarioId.OBSERVED_CONF, 10, sigma=sigma)
     with pytest.raises(SimulateError, match="x_mode"):
         cfg_for(ScenarioId.OBSERVED_CONF, 10, x_mode="binned")
     with pytest.raises(SimulateError, match="support"):
         cfg_for(ScenarioId.OBSERVED_CONF, 10, x_mode="discrete", x_support=1)
     with pytest.raises(SimulateError, match="shape"):
         cfg_for(ScenarioId.OBSERVED_CONF, 10, delta_y=np.zeros(3))
+    for bad in (np.inf, -np.inf, np.nan):
+        offsets = np.zeros(10)
+        offsets[4] = bad
+        for name in ("delta_y", "delta_u", "delta_u2"):
+            with pytest.raises(SimulateError, match=f"{name} must be finite"):
+                cfg_for(ScenarioId.OBSERVED_CONF, 10, **{name: offsets})
     with pytest.raises(SimulateError, match="regime"):
         simulate(cfg_for(ScenarioId.OBSERVED_CONF, 10), "shifted", seed=0)
 
