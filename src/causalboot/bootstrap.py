@@ -206,8 +206,6 @@ def cb_resample(
         y=np.concatenate(y_parts),
         columns={},
         shadow={name: np.concatenate(parts) for name, parts in carry_parts.items()},
-        regime=data.regime,
-        seed=config.seed,
     )
 
 
@@ -244,8 +242,6 @@ def da_resample(data: Dataset, seed: int) -> Dataset:
         y=y[idx],
         columns={name: data.columns[name][idx] for name in data.columns},
         shadow={name: data.shadow[name][idx] for name in data.shadow},
-        regime=data.regime,
-        seed=seed,
     )
 
 

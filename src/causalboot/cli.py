@@ -154,7 +154,7 @@ def _read_dataset(path: str) -> Dataset:
         raise EstimateError(f"row {bad[0] + 2}: features must be finite")
 
     y = cols.pop("y")
-    return Dataset(x=x, y=y, columns=cols, shadow={}, regime="conf", seed=0)
+    return Dataset(x=x, y=y, columns=cols, shadow={})
 
 
 # --- subcommands ---------------------------------------------------------------

@@ -133,17 +133,6 @@ class CausalGraph:
         self._check(node)
         return frozenset(h for t, h in self.directed if t == node)
 
-    def siblings(self, node: str) -> NodeSet:
-        """Nodes joined to ``node`` by a bidirected edge."""
-        self._check(node)
-        out = set()
-        for a, b in self.bidirected:
-            if a == node:
-                out.add(b)
-            elif b == node:
-                out.add(a)
-        return frozenset(out)
-
     def subgraph(self, keep: Iterable[str]) -> "CausalGraph":
         """Induced subgraph on ``keep``, preserving node order."""
         keep = set(keep)

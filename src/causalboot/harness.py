@@ -85,12 +85,13 @@ class ExperimentSpec:
     complexity_sweep: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "scenarios", tuple(ScenarioId.coerce(s) for s in self.scenarios)
-        )
-        object.__setattr__(
-            self, "methods", tuple(MethodId.coerce(m) for m in self.methods)
-        )
+        try:
+            scenarios = tuple(ScenarioId.coerce(s) for s in self.scenarios)
+            methods = tuple(MethodId.coerce(m) for m in self.methods)
+        except (GraphError, BootstrapError) as exc:
+            raise HarnessError(str(exc)) from None
+        object.__setattr__(self, "scenarios", scenarios)
+        object.__setattr__(self, "methods", methods)
         object.__setattr__(self, "qc_grid", tuple(float(q) for q in self.qc_grid))
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         for name in ("scenarios", "qc_grid", "methods", "seeds"):
@@ -110,6 +111,12 @@ class ExperimentSpec:
             if not sweep or not all(0 < v < np.inf for v in sweep):
                 raise HarnessError("complexity_sweep needs finite positive values")
             object.__setattr__(self, "complexity_sweep", sweep)
+        try:
+            for scenario in self.scenarios:
+                for level in self.levels:
+                    _sim_config(self, scenario, level, self.n_train)
+        except SimulateError as exc:
+            raise HarnessError(f"spec sim settings: {exc}") from None
 
     @property
     def levels(self) -> tuple[float, ...]:
@@ -400,18 +407,10 @@ def resolved_spec_text(spec: ExperimentSpec) -> str:
         lines.append(
             "complexity_sweep=" + ",".join(repr(v) for v in spec.complexity_sweep)
         )
-    sim_defaults = {
-        f.name: f.default
-        for f in dataclasses.fields(SimConfig)
-        if f.name in _SIM_KEYS
-    }
     for name in _SIM_KEYS:
-        if name == "qp_c" and name not in spec.sim:
-            continue  # follows q_c unless overridden
-        value = spec.sim.get(name, sim_defaults.get(name))
-        if name == "q_c" and "q_c" not in spec.sim:
-            continue  # grid-controlled
-        lines.append(f"sim.{name}={value}")
+        if name in ("q_c", "qp_c") and name not in spec.sim:
+            continue  # q_c is grid-controlled, and qp_c follows it
+        lines.append(f"sim.{name}={spec.sim.get(name, getattr(SimConfig, name))}")
     for name in _TRAIN_KEYS:
         value = getattr(spec.train, name)
         lines.append(f"train.{name}={value}")

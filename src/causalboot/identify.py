@@ -598,14 +598,7 @@ def identify(
 
     projected = latent_project(g)
     order = topological_order(projected)
-    free: dict[str, str] = {}
-    taken: set[str] = set()
-    for var in sorted(order):
-        alias = var.lower()
-        while alias in taken:
-            alias += "'"
-        taken.add(alias)
-        free[var] = alias
+    free = dict(_default_aliases(order))
     state = _State(order, free)
 
     try:

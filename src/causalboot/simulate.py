@@ -23,7 +23,7 @@ observational distributions can be computed by finite summation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import product
 from typing import Mapping
@@ -62,18 +62,14 @@ class TestRegime(Enum):
 # and tested without confounding sits near 0.85 AUC at the defaults.
 DELTA_SCALE = 1.4657
 
-# Which variables feed X and which stay hidden; the exposed ones come from
-# the scenario graphs.
+# Which variables feed X; the exposed ones come from the scenario graphs,
+# and the hidden ones are carried as shadow columns.
 _X_PARENTS = {
     ScenarioId.OBSERVED_CONF: ("y", "u"),
     ScenarioId.OBSERVED_CONF_MEDIATOR: ("u", "z"),
     ScenarioId.PARTIAL_CONF_MEDIATOR: ("u", "z", "v"),
     ScenarioId.UNOBSERVED_CONF_MEDIATOR: ("z", "u"),
     ScenarioId.BIASED_CARE: ("y", "u"),
-}
-_SHADOW_COLS = {
-    ScenarioId.PARTIAL_CONF_MEDIATOR: ("v",),
-    ScenarioId.UNOBSERVED_CONF_MEDIATOR: ("u",),
 }
 
 
@@ -89,23 +85,6 @@ def _check_prob(name: str, value: float) -> float:
     if not 0.0 <= value <= 1.0:
         raise SimulateError(f"{name} must lie in [0,1], got {value!r}")
     return float(value)
-
-
-# The scalar knobs of SimConfig, with their types: what a spec file's
-# sim.* keys and the simulate command's flags may set.
-_SIM_KEYS = {
-    "p": float,
-    "q_c": float,
-    "qp_c": float,
-    "r0": float,
-    "r1": float,
-    "f10": float,
-    "f11": float,
-    "feature_dim": int,
-    "sigma": float,
-    "x_mode": str,
-    "x_support": int,
-}
 
 
 @dataclass(frozen=True)
@@ -149,18 +128,13 @@ class SimConfig:
         if self.x_mode == "discrete" and self.x_support < 2:
             raise SimulateError("discrete features need support of at least 2")
         parents = _X_PARENTS[self.scenario]
-        defaults = {
-            "delta_y": ("y" in parents, 0),
-            "delta_u": (True, 1),
-            "delta_z": ("z" in parents, 0),
-            "delta_v": ("v" in parents, 2),
-            "delta_u2": (False, 3),
-        }
-        for name, (required, axis) in defaults.items():
+        for var, axis in (("y", 0), ("u", 1), ("z", 0), ("v", 2), ("u2", 3)):
+            name = f"delta_{var}"
             value = getattr(self, name)
             if value is None:
-                if not required and (name != "delta_u2" or self.feature_dim <= axis):
-                    continue  # unused by this scenario, or no room for it
+                # the unseen-domain offset is optional: set only where it fits
+                if var not in parents and (var != "u2" or self.feature_dim <= axis):
+                    continue
                 value = _unit_offset(self.feature_dim, axis)
             else:
                 value = np.asarray(value, dtype=float)
@@ -177,6 +151,16 @@ class SimConfig:
         return self.q_c if self.qp_c is None else self.qp_c
 
 
+# The scalar knobs of SimConfig, each typed by its default (qp_c, which
+# defaults to None, is a float): what a spec file's sim.* keys and the
+# simulate command's flags may set.
+_SIM_KEYS = {
+    f.name: float if f.default is None else type(f.default)
+    for f in fields(SimConfig)
+    if f.name not in ("scenario", "n") and not f.name.startswith("delta_")
+}
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Simulated sample: features, labels, scenario columns, diagnostics."""
@@ -185,8 +169,6 @@ class Dataset:
     y: np.ndarray
     columns: Mapping[str, np.ndarray]
     shadow: Mapping[str, np.ndarray]
-    regime: str
-    seed: int
 
     def __post_init__(self):
         n = len(self.y)
@@ -216,27 +198,14 @@ def _label_rates(regime: TestRegime, strength: float) -> tuple[float, float] | N
     return None
 
 
-def _offset_for(cfg: SimConfig, parent: str, value: int) -> np.ndarray:
-    """Mean contribution of one parent value to X."""
-    if parent == "y":
-        return value * cfg.delta_y
-    if parent == "u":
-        if value == 2:
-            if cfg.delta_u2 is None:
-                raise SimulateError("config lacks an offset for the unseen domain")
-            return cfg.delta_u2
-        return value * cfg.delta_u
-    if parent == "z":
-        return value * cfg.delta_z
-    if parent == "v":
-        return value * cfg.delta_v
-    raise SimulateError(f"unknown parent {parent!r}")
-
-
-def _parent_domain(cfg: SimConfig, parent: str) -> tuple[int, ...]:
+def _offsets(cfg: SimConfig, parent: str) -> np.ndarray:
+    """Mean contribution of each value of one parent to X, one row per
+    value: zero, then the parent's offset, then the unseen-domain offset
+    of U where the config has one."""
+    rows = [np.zeros(cfg.feature_dim), getattr(cfg, f"delta_{parent}")]
     if parent == "u" and cfg.delta_u2 is not None:
-        return (0, 1, 2)
-    return (0, 1)
+        rows.append(cfg.delta_u2)
+    return np.stack(rows)
 
 
 def _phi(t: float) -> float:
@@ -258,17 +227,11 @@ def _discrete_tables(cfg: SimConfig):
     spaced cuts spanning [min score - sigma, max score + sigma].
     """
     parents = _X_PARENTS[cfg.scenario]
-    domains = [_parent_domain(cfg, parent) for parent in parents]
-    configs = list(product(*domains))
     w = _projection(cfg.feature_dim)
+    projected = [[row @ w for row in _offsets(cfg, parent)] for parent in parents]
     scores = {
-        config: float(
-            sum(
-                _offset_for(cfg, parent, value) @ w
-                for parent, value in zip(parents, config)
-            )
-        )
-        for config in configs
+        config: float(sum(score[value] for score, value in zip(projected, config)))
+        for config in product(*(range(len(score)) for score in projected))
     }
     lo = min(scores.values()) - cfg.sigma
     hi = max(scores.values()) + cfg.sigma
@@ -291,53 +254,36 @@ def simulate(cfg: SimConfig, regime, seed: int) -> Dataset:
     regime = TestRegime.coerce(regime)
     rng = stream(seed, "simulate", cfg.scenario.value, regime.value)
     n = cfg.n
+    parents = _X_PARENTS[cfg.scenario]
+    observed = OBSERVED_COLUMNS[cfg.scenario]
+
+    def draw(rate_1, rate_0) -> np.ndarray:
+        """0/1 column with P(.=1) = rate_1 where y = 1, else rate_0."""
+        threshold = np.where(y == 1, rate_1, rate_0)
+        return (rng.random(n) < threshold).astype(np.int64)
 
     y = (rng.random(n) < cfg.p).astype(np.int64)
-
     u_rates = _label_rates(regime, cfg.q_c)
     if u_rates is None:
         if cfg.delta_u2 is None:
             raise SimulateError("config lacks an offset for the unseen domain")
         u = np.full(n, 2, dtype=np.int64)
     else:
-        threshold = np.where(y == 1, u_rates[0], u_rates[1])
-        u = (rng.random(n) < threshold).astype(np.int64)
-
-    drawn: dict[str, np.ndarray] = {"y": y, "u": u}
-
-    if cfg.scenario is ScenarioId.PARTIAL_CONF_MEDIATOR:
-        v_rates = _label_rates(regime, cfg.qp) or (0.5, 0.5)
-        threshold = np.where(y == 1, v_rates[0], v_rates[1])
-        drawn["v"] = (rng.random(n) < threshold).astype(np.int64)
-
-    if cfg.scenario in (
-        ScenarioId.OBSERVED_CONF_MEDIATOR,
-        ScenarioId.PARTIAL_CONF_MEDIATOR,
-        ScenarioId.UNOBSERVED_CONF_MEDIATOR,
-    ):
-        threshold = np.where(y == 1, cfg.r1, cfg.r0)
-        drawn["z"] = (rng.random(n) < threshold).astype(np.int64)
-
-    if cfg.scenario is ScenarioId.BIASED_CARE:
+        u = draw(*u_rates)
+    drawn = {"y": y, "u": u}
+    if "v" in parents:
+        drawn["v"] = draw(*(_label_rates(regime, cfg.qp) or (0.5, 0.5)))
+    if "z" in parents:
+        drawn["z"] = draw(cfg.r1, cfg.r0)
+    if "d" in observed:
         base = np.where(u == 1, cfg.f11, cfg.f10)
         base = np.where(u == 2, 0.5, base)
-        threshold = np.where(y == 1, base, 1.0 - base)
-        drawn["d"] = (rng.random(n) < threshold).astype(np.int64)
+        drawn["d"] = draw(base, 1.0 - base)
 
-    parents = _X_PARENTS[cfg.scenario]
     if cfg.x_mode == "gaussian":
         mu = np.zeros((n, cfg.feature_dim))
         for parent in parents:
-            vals = drawn[parent]
-            if parent == "u":
-                mu += (vals == 1)[:, None] * cfg.delta_u
-                if cfg.delta_u2 is not None:
-                    mu += (vals == 2)[:, None] * cfg.delta_u2
-                elif np.any(vals == 2):
-                    raise SimulateError("config lacks an offset for the unseen domain")
-            else:
-                delta = getattr(cfg, f"delta_{parent}")
-                mu += vals[:, None] * delta
+            mu += _offsets(cfg, parent)[drawn[parent]]
         x = mu + cfg.sigma * rng.standard_normal((n, cfg.feature_dim))
     else:
         names, tables = _discrete_tables(cfg)
@@ -351,11 +297,9 @@ def simulate(cfg: SimConfig, regime, seed: int) -> Dataset:
         cum = np.cumsum(prob_rows, axis=1)
         x = (rng.random((n, 1)) < cum).argmax(axis=1).astype(np.int64)
 
-    columns = {name: drawn[name] for name in OBSERVED_COLUMNS[cfg.scenario]}
-    shadow = {name: drawn[name] for name in _SHADOW_COLS.get(cfg.scenario, ())}
-    return Dataset(
-        x=x, y=y, columns=columns, shadow=shadow, regime=regime.value, seed=seed
-    )
+    columns = {name: drawn[name] for name in observed}
+    shadow = {p: drawn[p] for p in parents if p != "y" and p not in observed}
+    return Dataset(x=x, y=y, columns=columns, shadow=shadow)
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,6 @@ def dataset_from(x, y, columns=None, shadow=None):
         y=np.asarray(y, dtype=np.int64),
         columns={k: np.asarray(v, dtype=np.int64) for k, v in (columns or {}).items()},
         shadow={k: np.asarray(v, dtype=np.int64) for k, v in (shadow or {}).items()},
-        regime="conf",
-        seed=0,
     )
 
 
@@ -180,8 +178,6 @@ def test_resample_sizes_follow_empirical_prior():
         assert (out.y == c).sum() == (data.y == c).sum()
     assert out.columns == {}
     assert set(out.shadow) == {"u"}
-    assert out.regime == "conf"
-    assert out.seed == 1
 
 
 def test_resample_keeps_row_count_where_shares_round_down():

@@ -363,6 +363,16 @@ def test_run_rejects_bad_spec(tmp_path):
     result, _ = run_spec(tmp_path, "scenarios=a\nn_train=abc\n", name="s2.txt")
     assert result.returncode == 2
     assert "spec key 'n_train': bad value 'abc'" in result.stderr
+    for k, (text, message) in enumerate((
+        ("scenarios=zz\n", "unknown scenario 'zz'"),
+        ("scenarios=a\nmethods=bogus\n", "unknown method 'bogus'"),
+        ("scenarios=a\nsim.sigma=-1\n", "spec sim settings: sigma"),
+        ("scenarios=c\nsim.feature_dim=2\n", "spec sim settings: feature_dim"),
+    )):
+        result, out_dir = run_spec(tmp_path, text, name=f"s{k + 3}.txt", out=f"o{k}")
+        assert result.returncode == 2
+        assert message in result.stderr
+        assert not out_dir.exists()
 
 
 def test_run_rejects_unusable_train_settings(tmp_path):

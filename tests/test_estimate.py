@@ -160,10 +160,7 @@ def test_gaussian_kernel_defaults_to_silverman():
     rng = np.random.default_rng(1)
     y = rng.integers(0, 2, 40)
     u = rng.integers(0, 2, 40)
-    data = Dataset(
-        x=rng.normal(size=(40, 2)), y=y, columns={"u": u}, shadow={},
-        regime="conf", seed=0,
-    )
+    data = Dataset(x=rng.normal(size=(40, 2)), y=y, columns={"u": u}, shadow={})
     table = cb_weights(data.weight_columns(), "a")
     auto = cb_resample(data, table, ResampleConfig(3, KernelSpec.gaussian()))
     h = silverman_bandwidth(data.x)

@@ -263,6 +263,15 @@ def test_spec_validation():
         ExperimentSpec(scenarios=("a",), n_train=0)
     with pytest.raises(HarnessError, match="unknown sim overrides"):
         ExperimentSpec(scenarios=("a",), sim={"bogus": 1})
+    with pytest.raises(HarnessError, match="unknown scenario"):
+        ExperimentSpec(scenarios=("zz",))
+    with pytest.raises(HarnessError, match="unknown method"):
+        ExperimentSpec(scenarios=("a",), methods=("bogus",))
+    with pytest.raises(HarnessError, match="spec sim settings: sigma"):
+        ExperimentSpec(scenarios=("a",), sim={"sigma": -1.0})
+    # scenario c's default hidden-confounder offset needs a third axis
+    with pytest.raises(HarnessError, match="spec sim settings: feature_dim 2"):
+        ExperimentSpec(scenarios=("a", "c"), sim={"feature_dim": 2})
     for level in (0.0, float("inf"), float("nan")):
         with pytest.raises(HarnessError, match="complexity_sweep"):
             ExperimentSpec(scenarios=("a",), complexity_sweep=(0.5, level))

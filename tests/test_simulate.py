@@ -14,7 +14,7 @@ from causalboot.simulate import (
     SimulateError,
     TestRegime,
     _discrete_tables,
-    _parent_domain,
+    _offsets,
     _X_PARENTS,
     exact_interventional,
     exact_observational,
@@ -59,8 +59,6 @@ def test_columns_match_scenario(scenario):
     assert data.x.shape == (500, 10)
     assert data.x.dtype == np.float64
     assert set(np.unique(data.y)) <= {0, 1}
-    assert data.regime == "conf"
-    assert data.seed == 1
     assert set(data.weight_columns()) == {"y"} | EXPECTED_OBSERVED[scenario]
 
 
@@ -146,6 +144,23 @@ def test_hidden_confounder_follows_regime():
         assert binom_close(got, want, (y == 1).sum())
 
 
+@pytest.mark.parametrize("regime", ["conf", "unseen"])
+@pytest.mark.parametrize("scenario", ALL)
+def test_gaussian_features_center_on_parent_offsets(scenario, regime):
+    rng = np.random.default_rng(41)
+    names = ("delta_y", "delta_u", "delta_z", "delta_v", "delta_u2")
+    deltas = {name: rng.normal(size=4) for name in names}
+    cfg = cfg_for(scenario, 300, feature_dim=4, sigma=1e-12, **deltas)
+    data = simulate(cfg, regime, seed=31)
+    cols = {"y": data.y, **data.columns, **data.shadow}
+    want = np.zeros((300, 4))
+    for parent in _X_PARENTS[scenario]:
+        want += (cols[parent] == 1)[:, None] * deltas[f"delta_{parent}"]
+        if parent == "u":
+            want += (cols["u"] == 2)[:, None] * deltas["delta_u2"]
+    assert np.allclose(data.x, want, rtol=0, atol=1e-9)
+
+
 def test_mechanism_shared_between_conf_and_revconf():
     cfg = cfg_for(ScenarioId.OBSERVED_CONF, 100_000, x_mode="discrete")
     _, tables = _discrete_tables(cfg)
@@ -186,8 +201,8 @@ def mc_interventional(cfg, y_value, n, seed):
         r = cfg.r1 if y_value == 1 else cfg.r0
         cols["z"] = (rng.random(n) < r).astype(np.int64)
     names, tables = _discrete_tables(cfg)
-    domains = [_parent_domain(cfg, p) for p in names]
-    arr = np.zeros(tuple(len(d) for d in domains) + (cfg.x_support,))
+    domains = [len(_offsets(cfg, p)) for p in names]
+    arr = np.zeros(tuple(domains) + (cfg.x_support,))
     for config, probs in tables.items():
         arr[config] = probs
     prob_rows = arr[tuple(cols[p] for p in names)]
@@ -301,6 +316,4 @@ def test_dataset_length_mismatch_rejected():
             y=np.zeros(3, dtype=np.int64),
             columns={"u": np.zeros(2, dtype=np.int64)},
             shadow={},
-            regime="conf",
-            seed=0,
         )
