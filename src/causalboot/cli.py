@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import sys
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -80,35 +82,83 @@ def _load_graph(path: str):
     return parse_graph(Path(path).read_text())
 
 
-def _fmt(value) -> str:
-    return repr(float(value))
-
-
 # --- csv schema ---------------------------------------------------------------
 
-def _write_dataset(path: str, data: Dataset, with_extras: bool) -> None:
+# Rows parsed or formatted per step: a read holds the text of one chunk
+# of records at a time, never the whole file's.
+_CHUNK = 1024
+
+# Shadow column the reader gives every dataset: each row's index in the
+# file.  The resamplers carry shadow columns through, so a resampled row
+# still names the input row its features came from.
+_SOURCE = "source_row"
+
+_INT64 = np.iinfo(np.int64)
+
+
+def _text(rows) -> list[str]:
+    """Comma-joined repr of each row of a list of lists: repr of a Python
+    float is the shortest text that reads back to the same float."""
+    return [",".join(map(repr, row)) for row in rows]
+
+
+def _write_dataset(
+    path: str,
+    data: Dataset,
+    with_extras: bool,
+    x: np.ndarray | None = None,
+    rows: np.ndarray | None = None,
+) -> None:
     """Feature columns, label, then any observed discrete columns in the
-    fixed y/u/z/d order; hidden columns last, prefixed with '_'."""
-    x = data.x if data.x.ndim == 2 else data.x[:, None]
-    discrete_x = np.issubdtype(x.dtype, np.integer)
+    fixed y/u/z/d order; hidden columns last, prefixed with '_'.
+
+    Row i's features are x[rows[i]], by default data's own x row by row.
+    Each distinct row of x is formatted once, so a resample that copies
+    input rows formats its input's features, not its output's."""
+    if x is None:
+        x, rows = data.x, np.arange(data.n)
+    x = x if x.ndim == 2 else x[:, None]
     header = [f"x{j}" for j in range(x.shape[1])] + ["y"]
-    extras = []
+    tail = [data.y]
     if with_extras:
         extras = [c for c in _DISCRETE_COLS[1:] if c in data.columns]
         shadows = sorted(data.shadow)
         header += extras + [f"_{name}" for name in shadows]
+        tail += [data.columns[c] for c in extras]
+        tail += [data.shadow[c] for c in shadows]
+    tail = np.column_stack(tail).astype(np.int64)
+    used, inv = np.unique(rows, return_inverse=True)
+    features = np.empty(len(used), dtype=object)
+    for s in range(0, len(used), _CHUNK):
+        features[s : s + _CHUNK] = _text(x[used[s : s + _CHUNK]].tolist())
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for i in range(data.n):
-            record = [
-                str(int(v)) if discrete_x else _fmt(v) for v in x[i]
-            ]
-            record.append(str(int(data.y[i])))
-            if with_extras:
-                record += [str(int(data.columns[c][i])) for c in extras]
-                record += [str(int(data.shadow[c][i])) for c in shadows]
-            writer.writerow(record)
+        fh.write(",".join(header) + "\n")
+        for s in range(0, data.n, _CHUNK):
+            fh.writelines(
+                f"{head},{rest}\n"
+                for head, rest in zip(
+                    features[inv[s : s + _CHUNK]],
+                    _text(tail[s : s + _CHUNK].tolist()),
+                )
+            )
+
+
+def _first_bad_record(chunk, first_row: int, width: int, fields) -> None:
+    """Raise the error of a chunk's first bad record, checked row by row
+    and cell by cell in file order."""
+    for k, record in enumerate(chunk):
+        row = first_row + k
+        if len(record) != width:
+            raise EstimateError(f"row {row} has {len(record)} fields")
+        for name, i, kind in fields:
+            try:
+                value = kind(record[i])
+            except ValueError as exc:
+                raise EstimateError(f"row {row}: {exc}") from None
+            if kind is int and not _INT64.min <= value <= _INT64.max:
+                raise EstimateError(
+                    f"row {row}: {name} value {record[i]} does not fit in int64"
+                )
 
 
 def _read_dataset(path: str) -> Dataset:
@@ -118,43 +168,54 @@ def _read_dataset(path: str) -> Dataset:
             header = next(reader)
         except StopIteration:
             raise EstimateError(f"{path} is empty") from None
-        records = list(reader)
 
-    x_names = [h for h in header if h.startswith("x")]
-    if x_names != [f"x{j}" for j in range(len(x_names))] or not x_names:
-        raise EstimateError(
-            "feature columns must be named x0..x{d-1}, in order"
-        )
-    known = set(x_names) | set(_DISCRETE_COLS)
-    unknown = [h for h in header if h not in known and not h.startswith("_")]
-    if unknown:
-        raise EstimateError(f"unknown columns {unknown}")
-    if "y" not in header:
-        raise EstimateError("dataset needs a y column")
+        x_names = [h for h in header if h.startswith("x")]
+        if x_names != [f"x{j}" for j in range(len(x_names))] or not x_names:
+            raise EstimateError(
+                "feature columns must be named x0..x{d-1}, in order"
+            )
+        known = set(x_names) | set(_DISCRETE_COLS)
+        unknown = [h for h in header if h not in known and not h.startswith("_")]
+        if unknown:
+            raise EstimateError(f"unknown columns {unknown}")
+        if "y" not in header:
+            raise EstimateError("dataset needs a y column")
 
-    index = {name: header.index(name) for name in header}
-    n = len(records)
-    x = np.empty((n, len(x_names)))
-    cols: dict[str, np.ndarray] = {}
-    for name in _DISCRETE_COLS:
-        if name in index:
-            cols[name] = np.empty(n, dtype=np.int64)
-    try:
-        for i, record in enumerate(records):
-            if len(record) != len(header):
-                raise EstimateError(f"row {i + 2} has {len(record)} fields")
-            for j, name in enumerate(x_names):
-                x[i, j] = float(record[index[name]])
-            for name in cols:
-                cols[name][i] = int(record[index[name]])
-    except ValueError as exc:
-        raise EstimateError(f"row {i + 2}: {exc}") from None
+        # (name, position, conversion): features, then the discrete columns
+        fields = [(name, header.index(name), float) for name in x_names]
+        fields += [
+            (name, header.index(name), int)
+            for name in _DISCRETE_COLS
+            if name in header
+        ]
+        dtypes = {float: np.float64, int: np.int64}
+        parts = {name: [np.empty(0, dtypes[kind])] for name, _, kind in fields}
+        first_row = 2
+        while chunk := list(itertools.islice(reader, _CHUNK)):
+            if any(len(record) != len(header) for record in chunk):
+                _first_bad_record(chunk, first_row, len(header), fields)
+            try:
+                for name, i, kind in fields:
+                    parts[name].append(
+                        np.fromiter(
+                            map(kind, map(itemgetter(i), chunk)),
+                            dtypes[kind],
+                            len(chunk),
+                        )
+                    )
+            except (ValueError, OverflowError):
+                _first_bad_record(chunk, first_row, len(header), fields)
+                raise
+            first_row += len(chunk)
+
+    x = np.column_stack([np.concatenate(parts.pop(name)) for name in x_names])
     bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
     if bad.size:
         raise EstimateError(f"row {bad[0] + 2}: features must be finite")
 
+    cols = {name: np.concatenate(part) for name, part in parts.items()}
     y = cols.pop("y")
-    return Dataset(x=x, y=y, columns=cols, shadow={})
+    return Dataset(x=x, y=y, columns=cols, shadow={_SOURCE: np.arange(len(y))})
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -182,6 +243,8 @@ def _cmd_bootstrap(args) -> int:
     method = MethodId.coerce(args.method)
     if method not in (MethodId.CB, MethodId.DA):
         raise BootstrapError("bootstrap method must be cb or da")
+    if Path(args.out).resolve() == Path(getattr(args, "in")).resolve():
+        raise BootstrapError("--out must not name the --in file")
     data = _read_dataset(getattr(args, "in"))
     if method is MethodId.CB:
         outcome = identify(scenario_graph(scenario), ("X",), ("Y",))
@@ -191,13 +254,16 @@ def _cmd_bootstrap(args) -> int:
         table = cb_weights(
             data.weight_columns(), scenario, alpha=args.smoothing
         )
-        config = ResampleConfig(
-            seed=args.seed, kernel=KernelSpec.parse(args.kernel)
-        )
-        out = cb_resample(data, table, config)
+        kernel = KernelSpec.parse(args.kernel)
+        out = cb_resample(data, table, ResampleConfig(args.seed, kernel))
     else:
+        kernel = KernelSpec.delta()
         out = da_resample(data, args.seed)
-    _write_dataset(args.out, out, with_extras=False)
+    if kernel.kind == "delta":
+        # every output row copies the features of the input row it names
+        _write_dataset(args.out, out, False, data.x, out.shadow[_SOURCE])
+    else:
+        _write_dataset(args.out, out, False)
     return 0
 
 

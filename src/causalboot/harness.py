@@ -56,6 +56,12 @@ class HarnessError(ValueError):
     """Invalid experiment definition."""
 
 
+# Largest n_train or n_test a spec may ask for: every cell holds its draw
+# in memory, 80 MB of float64 features per million rows at the default
+# ten feature dimensions.
+MAX_ROWS = 10_000_000
+
+
 CSV_HEADER = (
     "scenario,method,qc,regime,seed,auc,n_train,wall_time_ms,status"
 )
@@ -100,8 +106,10 @@ class ExperimentSpec:
         for q in self.qc_grid:
             if not 0.0 <= q <= 1.0:
                 raise HarnessError(f"qc value {q!r} outside [0,1]")
-        if self.n_train < 1 or self.n_test < 1:
-            raise HarnessError("n_train and n_test must be positive")
+        if not (1 <= self.n_train <= MAX_ROWS and 1 <= self.n_test <= MAX_ROWS):
+            raise HarnessError(
+                f"n_train and n_test must be positive and at most {MAX_ROWS}"
+            )
         object.__setattr__(self, "sim", dict(self.sim))
         unknown = set(self.sim) - set(_SIM_KEYS)
         if unknown:

@@ -1,9 +1,17 @@
-"""End-to-end command-line checks via subprocess."""
+"""Command-line checks, via subprocess or `cli.main`, and the CSV reader and writer."""
 
+import hashlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from causalboot import cli
+from causalboot.estimate import EstimateError
+from causalboot.simulate import Dataset
 
 CLI = [sys.executable, "-m", "causalboot.cli"]
 
@@ -61,8 +69,6 @@ def test_unreadable_graph_file_is_input_error(tmp_path):
 def test_internal_value_errors_are_not_reported_as_bad_input(
     confounder_graph, monkeypatch
 ):
-    from causalboot import cli
-
     def broken(*args, **kwargs):
         raise ValueError("internal fault")
 
@@ -304,6 +310,166 @@ def test_bootstrap_rejects_non_finite_features(tmp_path, method, value):
     assert not out_path.exists()
 
 
+# SHA-256 of each output, taken when every row was formatted cell by cell
+# with csv.writer; the chunked writer must reproduce them byte for byte.
+PINNED = {
+    "sim_c.csv": "5391a6f83b955e5ba9d4d5b95e044007ee9653270892db6407a1d877b388debc",
+    "cb_c.csv": "44f82d8aa07d39528205e6f9ecb97e74c7920c6b9c1ec50863b097888836165e",
+    "cbg_c.csv": "c78bae805e84554e1d8a31c0fb94ab79a38ec0fb481a64459129a484a474016b",
+    "da_c.csv": "7a4f5fb481a4c7e4b685078cd8bb188efb47ea3120cba37443a11be4d8e70d5a",
+    "sim_a.csv": "8520d66cbf95d291f83d88dcc06a01e85327b7399e58930066e609664614cd69",
+    "cb_a.csv": "57a13f1820dd5b4840c52c19a6469b0208474ac6b8ed1455606b14cf072cbb67",
+    "da_a.csv": "0af29cf9cbe130c6de76e9772b5d2b70726b59fc11235df5ad7cfb0b33eb9d84",
+}
+
+
+def test_outputs_match_pinned_digests(tmp_path):
+    def boot(scenario, method, src, out, seed, *extra):
+        argv = ["bootstrap", "--scenario", scenario, "--method", method,
+                "--in", src, "--out", out, "--seed", seed, *extra]
+        assert cli.main([str(a) for a in argv]) == 0
+
+    p = {name: tmp_path / name for name in PINNED}
+    assert cli.main(["simulate", "--scenario", "c", "--n", "1500", "--seed", "3",
+                     "--out", str(p["sim_c.csv"])]) == 0
+    boot("c", "cb", p["sim_c.csv"], p["cb_c.csv"], 5)
+    boot("c", "cb", p["sim_c.csv"], p["cbg_c.csv"], 5,
+         "--kernel", "gaussian:0.3", "--smoothing", 1)
+    boot("c", "da", p["sim_c.csv"], p["da_c.csv"], 5)
+    assert cli.main(["simulate", "--scenario", "a", "--n", "700", "--seed", "4",
+                     "--x-mode", "discrete", "--out", str(p["sim_a.csv"])]) == 0
+    boot("a", "cb", p["sim_a.csv"], p["cb_a.csv"], 6)
+    boot("a", "da", p["sim_a.csv"], p["da_a.csv"], 6)
+    digests = {
+        name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for name, path in p.items()
+    }
+    assert digests == PINNED
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+edge_floats = st.one_of(
+    finite,
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(0, 11),
+    d=st.integers(1, 3),
+    data=st.data(),
+)
+def test_write_read_round_trip_across_chunks(tmp_path_factory, n, d, data):
+    chunk = data.draw(st.integers(1, 4))
+    values = data.draw(st.lists(edge_floats, min_size=n * d, max_size=n * d))
+    x = np.array(values, dtype=np.float64).reshape(n, d)
+    labels = st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n)
+    y = np.array(data.draw(labels), dtype=np.int64)
+    u = np.array(data.draw(labels), dtype=np.int64)
+    drawn = np.array(
+        data.draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=2 * n if n else 0)),
+        dtype=np.int64,
+    )
+    original = Dataset(x=x, y=y, columns={"u": u}, shadow={})
+    tmp = tmp_path_factory.mktemp("csv")
+    mp = pytest.MonkeyPatch()
+    mp.setattr(cli, "_CHUNK", chunk)
+    try:
+        cli._write_dataset(str(tmp / "a.csv"), original, True)
+        back = cli._read_dataset(str(tmp / "a.csv"))
+        assert back.x.shape == (n, d) and back.x.tobytes() == x.tobytes()
+        assert back.y.tobytes() == y.tobytes()
+        assert back.columns["u"].tobytes() == u.tobytes()
+        assert np.array_equal(back.shadow[cli._SOURCE], np.arange(n))
+
+        cli._write_dataset(str(tmp / "b.csv"), back, False)
+        cli._write_dataset(str(tmp / "c.csv"), original, False)
+        assert (tmp / "b.csv").read_bytes() == (tmp / "c.csv").read_bytes()
+
+        # a resample's rows written through the source index read the same
+        # as the same rows written out in full
+        resampled = Dataset(x=x[drawn], y=y[drawn], columns={}, shadow={})
+        cli._write_dataset(str(tmp / "d.csv"), resampled, False)
+        cli._write_dataset(str(tmp / "e.csv"), resampled, False, x, drawn)
+        assert (tmp / "d.csv").read_bytes() == (tmp / "e.csv").read_bytes()
+    finally:
+        mp.undo()
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        # records are rows 2..; with three rows a chunk, row 7 is in the third
+        ("0.1,1,0\n" * 5 + "0.2,1\n", "row 7 has 2 fields"),
+        ("0.1,1,0\n" * 4 + "0.2,1.5,0\n" + "0.3,x,0\n",
+         "row 6: invalid literal for int() with base 10: '1.5'"),
+        ("0.1,1,0\n" * 3 + "0.2,1,0\n0.3,1,0,9\n",
+         "row 6 has 4 fields"),
+        ("0.1,1,0\n" * 4 + "inf,1,0\n", "row 6: features must be finite"),
+        ("0.1,1,0\nabc,1,0\n0.3,0\n",
+         "row 3: could not convert string to float: 'abc'"),
+        ("0.1,1,0\n" * 6 + "0.2,1,-9223372036854775809\n",
+         "row 8: u value -9223372036854775809 does not fit in int64"),
+    ],
+)
+def test_read_errors_name_the_global_row(tmp_path, monkeypatch, body, message):
+    monkeypatch.setattr(cli, "_CHUNK", 3)
+    path = tmp_path / "bad.csv"
+    path.write_text("x0,y,u\n" + body)
+    with pytest.raises(EstimateError) as err:
+        cli._read_dataset(str(path))
+    assert str(err.value) == message
+
+
+def test_header_only_file_reads_as_empty_and_bootstrap_rejects_it(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("x0,x1,y,u\n")
+    data = cli._read_dataset(str(path))
+    assert data.x.shape == (0, 2) and data.y.shape == (0,)
+    for method in ("cb", "da"):
+        out_path = tmp_path / f"{method}.csv"
+        out = run_cli(
+            "bootstrap", "--scenario", "a", "--method", method,
+            "--in", path, "--out", out_path, "--seed", 1,
+        )
+        assert out.returncode == 1
+        assert "error: empty dataset" in out.stderr
+        assert not out_path.exists()
+
+
+@pytest.mark.parametrize("method", ["cb", "da"])
+def test_bootstrap_rejects_labels_beyond_int64(tmp_path, method):
+    src = simulate_csv(tmp_path, "train.csv")
+    lines = src.read_text().splitlines()
+    fields = lines[2].split(",")
+    fields[10] = "99999999999999999999"
+    lines[2] = ",".join(fields)
+    src.write_text("\n".join(lines) + "\n")
+    out_path = tmp_path / "out.csv"
+    out = run_cli(
+        "bootstrap", "--scenario", "a", "--method", method,
+        "--in", src, "--out", out_path, "--seed", 1,
+    )
+    assert out.returncode == 1
+    assert "error: row 3: y value 99999999999999999999 does not fit in int64" in out.stderr
+    assert "Traceback" not in out.stderr
+    assert not out_path.exists()
+
+
+def test_bootstrap_refuses_to_overwrite_its_input(tmp_path, monkeypatch, capsys):
+    src = simulate_csv(tmp_path, "s.csv")
+    before = src.read_bytes()
+    monkeypatch.chdir(tmp_path)
+    for out_path in (src, "s.csv", tmp_path / "." / "s.csv"):
+        for method in ("cb", "da"):
+            argv = ["bootstrap", "--scenario", "a", "--method", method,
+                    "--in", str(src), "--out", str(out_path), "--seed", "1"]
+            assert cli.main(argv) == 1
+            assert "--out must not name the --in file" in capsys.readouterr().err
+            assert src.read_bytes() == before
+
+
 def test_simulate_output_feeds_bootstrap(tmp_path):
     path = tmp_path / "c.csv"
     out = run_cli(
@@ -368,6 +534,8 @@ def test_run_rejects_bad_spec(tmp_path):
         ("scenarios=a\nmethods=bogus\n", "unknown method 'bogus'"),
         ("scenarios=a\nsim.sigma=-1\n", "spec sim settings: sigma"),
         ("scenarios=c\nsim.feature_dim=2\n", "spec sim settings: feature_dim"),
+        ("scenarios=a\nn_train=99999999999999999999999\n", "at most 10000000"),
+        ("scenarios=a\nn_test=10000001\n", "at most 10000000"),
     )):
         result, out_dir = run_spec(tmp_path, text, name=f"s{k + 3}.txt", out=f"o{k}")
         assert result.returncode == 2

@@ -6,6 +6,7 @@ import pytest
 from causalboot.harness import (
     CSV_HEADER,
     ExperimentSpec,
+    MAX_ROWS,
     HarnessError,
     ResultRow,
     parse_spec_text,
@@ -261,6 +262,11 @@ def test_spec_validation():
         ExperimentSpec(scenarios=("a",), qc_grid=(1.5,))
     with pytest.raises(HarnessError, match="positive"):
         ExperimentSpec(scenarios=("a",), n_train=0)
+    for size in (MAX_ROWS + 1, 10**23):
+        with pytest.raises(HarnessError, match=f"at most {MAX_ROWS}"):
+            ExperimentSpec(scenarios=("a",), n_train=size)
+        with pytest.raises(HarnessError, match=f"at most {MAX_ROWS}"):
+            ExperimentSpec(scenarios=("a",), n_test=size)
     with pytest.raises(HarnessError, match="unknown sim overrides"):
         ExperimentSpec(scenarios=("a",), sim={"bogus": 1})
     with pytest.raises(HarnessError, match="unknown scenario"):
