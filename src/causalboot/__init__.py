@@ -19,6 +19,7 @@ from .bootstrap import (
     da_resample,
     select_features,
 )
+from .errors import CausalBootError
 from .estimate import (
     CategoricalTable,
     EstimateError,
@@ -89,6 +90,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BootstrapError",
     "CategoricalTable",
+    "CausalBootError",
     "CausalGraph",
     "Dataset",
     "Estimand",

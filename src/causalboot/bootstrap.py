@@ -39,6 +39,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .errors import CausalBootError
 from .estimate import (
     EstimateError,
     KernelSpec,
@@ -51,7 +52,7 @@ from .rng import stream
 from .simulate import Dataset
 
 
-class BootstrapError(ValueError):
+class BootstrapError(CausalBootError):
     """Invalid resampling request."""
 
 

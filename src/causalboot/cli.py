@@ -6,7 +6,8 @@ the canonical estimand), bootstrap (debias a CSV dataset), simulate
 
 Exit codes: 0 success; 1 bad input or I/O; 2 unidentifiable query (or
 unusable spec/arguments); 3 zero-support estimation failure; 4 at least
-one grid cell failed.
+one grid cell failed.  The package's errors carry their code as
+``CausalBootError.exit_code``.
 
 All numeric output goes through repr of Python floats, so identical
 invocations produce byte-identical files.
@@ -31,38 +32,23 @@ from .bootstrap import (
     cb_weights,
     da_resample,
 )
-from .estimate import EstimateError, KernelSpec, ZeroSupportError
+from .errors import CausalBootError
+from .estimate import EstimateError, KernelSpec
 from .graph import (
     OBSERVED_COLUMNS,
-    GraphError,
     ScenarioId,
     d_separated,
     parse_graph,
     scenario_graph,
 )
-from .identify import EstimandError, Identified, estimand_to_text, identify
+from .identify import Identified, estimand_to_text, identify
 from .harness import (
-    HarnessError,
     parse_spec_text,
     resolved_spec_text,
     run_experiment,
     write_results,
 )
-from .model import ModelError
 from .simulate import _SIM_KEYS, Dataset, SimConfig, SimulateError, simulate
-
-# Bad input: the package's own errors, plus files that cannot be opened or
-# are not text.  Anything else is a fault and keeps its traceback.
-_USER_ERRORS = (
-    BootstrapError,
-    EstimateError,
-    EstimandError,
-    GraphError,
-    ModelError,
-    SimulateError,
-    OSError,
-    UnicodeDecodeError,
-)
 
 # The label, then every scenario's observed columns in first-seen order.
 _DISCRETE_COLS = (
@@ -112,11 +98,11 @@ def _write_dataset(
     """Feature columns, label, then any observed discrete columns in the
     fixed y/u/z/d order; hidden columns last, prefixed with '_'.
 
-    Row i's features are x[rows[i]], by default data's own x row by row.
-    Each distinct row of x is formatted once, so a resample that copies
-    input rows formats its input's features, not its output's."""
-    if x is None:
-        x, rows = data.x, np.arange(data.n)
+    Row i's features are x[rows[i]], by default data's own x row by row,
+    formatted and written one chunk at a time.  With an index, each
+    distinct row of x is formatted once, so a resample that copies input
+    rows formats its input's features, not its output's."""
+    x = data.x if x is None else x
     x = x if x.ndim == 2 else x[:, None]
     header = [f"x{j}" for j in range(x.shape[1])] + ["y"]
     tail = [data.y]
@@ -127,19 +113,21 @@ def _write_dataset(
         tail += [data.columns[c] for c in extras]
         tail += [data.shadow[c] for c in shadows]
     tail = np.column_stack(tail).astype(np.int64)
-    used, inv = np.unique(rows, return_inverse=True)
-    features = np.empty(len(used), dtype=object)
-    for s in range(0, len(used), _CHUNK):
-        features[s : s + _CHUNK] = _text(x[used[s : s + _CHUNK]].tolist())
+    starts = range(0, data.n, _CHUNK)
+    if rows is None:
+        features = (_text(x[s : s + _CHUNK].tolist()) for s in starts)
+    else:
+        used, inv = np.unique(rows, return_inverse=True)
+        table = np.empty(len(used), dtype=object)
+        for s in range(0, len(used), _CHUNK):
+            table[s : s + _CHUNK] = _text(x[used[s : s + _CHUNK]].tolist())
+        features = (table[inv[s : s + _CHUNK]] for s in starts)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for s in range(0, data.n, _CHUNK):
+        for s, heads in zip(starts, features):
             fh.writelines(
                 f"{head},{rest}\n"
-                for head, rest in zip(
-                    features[inv[s : s + _CHUNK]],
-                    _text(tail[s : s + _CHUNK].tolist()),
-                )
+                for head, rest in zip(heads, _text(tail[s : s + _CHUNK].tolist()))
             )
 
 
@@ -290,18 +278,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    try:
-        spec = parse_spec_text(Path(args.spec).read_text())
-    except HarnessError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = parse_spec_text(Path(args.spec).read_text())
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        rows = run_experiment(spec)
-    except HarnessError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rows = run_experiment(spec)
     write_results(rows, out_dir / "results.csv")
     (out_dir / "spec.resolved.txt").write_text(resolved_spec_text(spec))
     failed = sum(1 for row in rows if row.status.startswith("error"))
@@ -378,12 +358,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ZeroSupportError as exc:
+    except (CausalBootError, OSError, UnicodeDecodeError) as exc:
+        # bad input, a file that cannot be opened, or one that is not
+        # text; anything else is a fault and keeps its traceback
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except _USER_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return getattr(exc, "exit_code", 1)
 
 
 if __name__ == "__main__":

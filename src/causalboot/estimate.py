@@ -21,13 +21,17 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .errors import CausalBootError
 
-class EstimateError(ValueError):
+
+class EstimateError(CausalBootError):
     """Bad inputs to fitting or querying."""
 
 
 class ZeroSupportError(EstimateError):
     """A conditioning assignment with zero unsmoothed mass was queried."""
+
+    exit_code = 3
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,11 @@ bidirected edges (``A <-> B``), the latter standing for an unnamed latent
 common cause of its two endpoints.  Nodes may also be flagged ``latent``
 explicitly.  Graphs are immutable; every operation returns a new graph.
 
+The five scenario graphs name their hidden confounders as ``latent``
+nodes (V in scenario c, U in scenario d) rather than hiding them behind
+a bidirected edge, so the generator can read X's parents and its shadow
+columns off the graphs (``X_PARENTS``, ``SHADOW_COLUMNS``).
+
 The text DSL accepted by :func:`parse_graph`:
 
 * statements are separated by semicolons or newlines,
@@ -23,6 +28,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
 
+from .errors import CausalBootError
+
 NodeSet = frozenset[str]
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
@@ -33,7 +40,7 @@ _STATEMENT_RE = re.compile(
 )
 
 
-class GraphError(ValueError):
+class GraphError(CausalBootError):
     """Malformed graph text or an operation on nodes the graph lacks."""
 
 
@@ -368,8 +375,10 @@ def d_separated(
 _SCENARIO_TEXT = {
     ScenarioId.OBSERVED_CONF: "U -> Y; U -> X; Y -> X",
     ScenarioId.OBSERVED_CONF_MEDIATOR: "U -> Y; U -> X; Y -> Z; Z -> X",
-    ScenarioId.PARTIAL_CONF_MEDIATOR: "U -> Y; U -> X; Y -> Z; Z -> X; Y <-> X",
-    ScenarioId.UNOBSERVED_CONF_MEDIATOR: "Y -> Z; Z -> X; Y <-> X",
+    ScenarioId.PARTIAL_CONF_MEDIATOR: (
+        "U -> Y; U -> X; Y -> Z; Z -> X; latent V; V -> Y; V -> X"
+    ),
+    ScenarioId.UNOBSERVED_CONF_MEDIATOR: "Y -> Z; Z -> X; latent U; U -> Y; U -> X",
     ScenarioId.BIASED_CARE: "U -> Y; U -> X; Y -> X; Y -> D; U -> D",
 }
 
@@ -379,21 +388,22 @@ def scenario_graph(scenario: ScenarioId | str) -> CausalGraph:
     return parse_graph(_SCENARIO_TEXT[ScenarioId.coerce(scenario)])
 
 
-def _columns(g: CausalGraph, keep: NodeSet) -> tuple[str, ...]:
-    """Observed nodes of ``g`` in ``keep`` other than X and Y, lower-cased,
-    in declaration order."""
-    return tuple(
-        v.lower()
-        for v in g.nodes
-        if v in keep and v not in g.latent and v not in ("X", "Y")
-    )
+def _lower(g: CausalGraph, keep: Iterable[str]) -> tuple[str, ...]:
+    """Nodes of ``g`` in ``keep``, lower-cased, in declaration order."""
+    keep = set(keep)
+    return tuple(v.lower() for v in g.nodes if v in keep)
 
 
 _GRAPHS = {s: scenario_graph(s) for s in ScenarioId}
 
 # Per scenario: the columns a dataset exposes besides the features and the
-# label, and those of them that are ancestors of X.
-OBSERVED_COLUMNS = {s: _columns(g, g.observed) for s, g in _GRAPHS.items()}
+# label, and those of them that are ancestors of X; X's parents, the label
+# among them; and the shadow columns, X's latent parents, which the
+# generator carries for diagnostics only.
+OBSERVED_COLUMNS = {s: _lower(g, g.observed - {"X", "Y"}) for s, g in _GRAPHS.items()}
 X_ANCESTOR_COLUMNS = {
-    s: _columns(g, ancestors(g, ("X",))) for s, g in _GRAPHS.items()
+    s: _lower(g, (ancestors(g, ("X",)) & g.observed) - {"X", "Y"})
+    for s, g in _GRAPHS.items()
 }
+X_PARENTS = {s: _lower(g, g.parents("X")) for s, g in _GRAPHS.items()}
+SHADOW_COLUMNS = {s: _lower(g, g.parents("X") & g.latent) for s, g in _GRAPHS.items()}

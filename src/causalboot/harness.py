@@ -44,22 +44,25 @@ from .bootstrap import (
     da_resample,
     select_features,
 )
-from .estimate import EstimateError
+from .errors import CausalBootError
 from .graph import OBSERVED_COLUMNS, GraphError, ScenarioId, scenario_graph
 from .identify import EstimandError, Unidentifiable, identify
 from .model import ModelError, TrainConfig, auc, predict_proba, train
 from .rng import derive_key
-from .simulate import _SIM_KEYS, SimConfig, SimulateError, TestRegime, simulate
+from .simulate import (
+    _SIM_KEYS,
+    MAX_ROWS,
+    SimConfig,
+    SimulateError,
+    TestRegime,
+    simulate,
+)
 
 
-class HarnessError(ValueError):
+class HarnessError(CausalBootError):
     """Invalid experiment definition."""
 
-
-# Largest n_train or n_test a spec may ask for: every cell holds its draw
-# in memory, 80 MB of float64 features per million rows at the default
-# ten feature dimensions.
-MAX_ROWS = 10_000_000
+    exit_code = 2
 
 
 CSV_HEADER = (
@@ -180,17 +183,6 @@ def _error(exc) -> str:
     return "error: " + " ".join(str(exc).split())
 
 
-_PIPELINE_ERRORS = (
-    BootstrapError,
-    EstimateError,
-    EstimandError,
-    GraphError,
-    ModelError,
-    SimulateError,
-    HarnessError,
-)
-
-
 def _run_cell(spec: ExperimentSpec, scenario, method, level, seed):
     """Train once, score on all four regimes."""
     cell = (scenario, method, level)
@@ -226,7 +218,7 @@ def _run_cell(spec: ExperimentSpec, scenario, method, level, seed):
         )
         cfg = dataclasses.replace(spec.train, seed=train_seed)
         model = train(feats, train_data.y, cfg)
-    except _PIPELINE_ERRORS as exc:
+    except CausalBootError as exc:
         return [
             _row(*cell, regime, seed, spec.n_train, status=_error(exc))
             for regime in TestRegime
@@ -246,7 +238,7 @@ def _run_cell(spec: ExperimentSpec, scenario, method, level, seed):
             )
             scores = predict_proba(model, select_features(test_data, method, scenario))
             value = auc(scores, test_data.y)
-        except _PIPELINE_ERRORS as exc:
+        except CausalBootError as exc:
             status = _error(exc)
             rows.append(_row(*cell, regime, seed, spec.n_train, status=status))
         else:

@@ -28,6 +28,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
+from .errors import CausalBootError
 from .graph import (
     CausalGraph,
     GraphError,
@@ -39,7 +40,7 @@ from .graph import (
 )
 
 
-class EstimandError(ValueError):
+class EstimandError(CausalBootError):
     """Evaluation failed: unknown variable, zero conditioning mass, or a
     result that is not a probability distribution."""
 

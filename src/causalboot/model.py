@@ -17,10 +17,11 @@ from typing import Union
 
 import numpy as np
 
+from .errors import CausalBootError
 from .rng import stream
 
 
-class ModelError(ValueError):
+class ModelError(CausalBootError):
     """Invalid model input or configuration."""
 
 

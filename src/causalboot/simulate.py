@@ -10,8 +10,10 @@ confounder laws P(U|Y) (and P(V|Y) where a hidden confounder exists):
 * unseen   - U pinned to the third value 2, with its own feature offset
 
 Structural mechanisms (the mediator law, the care-level table, and
-P(X|parents)) never vary across regimes.  Hidden parents (V in scenario
-c, U in scenario d) are carried as shadow columns for diagnostics only.
+P(X|parents)) never vary across regimes.  X's parents and the shadow
+columns come from the scenario graphs (``graph.X_PARENTS`` and
+``graph.SHADOW_COLUMNS``): the shadow columns are X's latent parents (V
+in scenario c, U in scenario d), carried for diagnostics only.
 
 Features are Gaussian around a sum of per-parent offset vectors.  The
 discrete feature mode replaces that draw with a small categorical whose
@@ -30,11 +32,19 @@ from typing import Mapping
 
 import numpy as np
 
-from .graph import OBSERVED_COLUMNS, ScenarioId
+from .errors import CausalBootError
+from .graph import (
+    OBSERVED_COLUMNS,
+    SHADOW_COLUMNS,
+    X_PARENTS,
+    ScenarioId,
+    descendants,
+    scenario_graph,
+)
 from .rng import stream
 
 
-class SimulateError(ValueError):
+class SimulateError(CausalBootError):
     """Invalid simulation configuration or request."""
 
 
@@ -62,15 +72,9 @@ class TestRegime(Enum):
 # and tested without confounding sits near 0.85 AUC at the defaults.
 DELTA_SCALE = 1.4657
 
-# Which variables feed X; the exposed ones come from the scenario graphs,
-# and the hidden ones are carried as shadow columns.
-_X_PARENTS = {
-    ScenarioId.OBSERVED_CONF: ("y", "u"),
-    ScenarioId.OBSERVED_CONF_MEDIATOR: ("u", "z"),
-    ScenarioId.PARTIAL_CONF_MEDIATOR: ("u", "z", "v"),
-    ScenarioId.UNOBSERVED_CONF_MEDIATOR: ("z", "u"),
-    ScenarioId.BIASED_CARE: ("y", "u"),
-}
+# Largest n a draw may have: it is held in memory, 80 MB of float64
+# features per million rows at the default ten feature dimensions.
+MAX_ROWS = 10_000_000
 
 
 def _unit_offset(dim: int, axis: int, scale: float = DELTA_SCALE) -> np.ndarray:
@@ -113,8 +117,10 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "scenario", ScenarioId.coerce(self.scenario))
-        if self.n < 1:
-            raise SimulateError(f"n must be positive, got {self.n!r}")
+        if not 1 <= self.n <= MAX_ROWS:
+            raise SimulateError(
+                f"n must be positive and at most {MAX_ROWS}, got {self.n!r}"
+            )
         for name in ("p", "q_c", "r0", "r1", "f10", "f11"):
             _check_prob(name, getattr(self, name))
         if self.qp_c is not None:
@@ -127,7 +133,7 @@ class SimConfig:
             raise SimulateError(f"unknown x_mode {self.x_mode!r}")
         if self.x_mode == "discrete" and self.x_support < 2:
             raise SimulateError("discrete features need support of at least 2")
-        parents = _X_PARENTS[self.scenario]
+        parents = X_PARENTS[self.scenario]
         for var, axis in (("y", 0), ("u", 1), ("z", 0), ("v", 2), ("u2", 3)):
             name = f"delta_{var}"
             value = getattr(self, name)
@@ -187,15 +193,24 @@ class Dataset:
         return {"y": self.y, **self.columns}
 
 
-def _label_rates(regime: TestRegime, strength: float) -> tuple[float, float] | None:
-    """(P(.=1|Y=1), P(.=1|Y=0)) for a confounder, or None when pinned."""
-    if regime is TestRegime.CONF:
-        return strength, 1.0 - strength
-    if regime is TestRegime.UNCONF:
-        return 0.5, 0.5
-    if regime is TestRegime.REVCONF:
-        return 1.0 - strength, strength
-    return None
+def _rates(cfg: SimConfig, regime: TestRegime) -> dict[str, tuple[float, float] | None]:
+    """(P(.=1|Y=1), P(.=1|Y=0)) of u, v and z under one regime.  The
+    confounders' rates follow the regime and the mediator's never vary;
+    u's is None where the regime pins it to the unseen domain, and v is
+    then independent of the label."""
+
+    def coupled(q: float) -> tuple[float, float] | None:
+        return {
+            TestRegime.CONF: (q, 1.0 - q),
+            TestRegime.UNCONF: (0.5, 0.5),
+            TestRegime.REVCONF: (1.0 - q, q),
+        }.get(regime)
+
+    return {
+        "u": coupled(cfg.q_c),
+        "v": coupled(cfg.qp) or (0.5, 0.5),
+        "z": (cfg.r1, cfg.r0),
+    }
 
 
 def _offsets(cfg: SimConfig, parent: str) -> np.ndarray:
@@ -226,7 +241,7 @@ def _discrete_tables(cfg: SimConfig):
     projected onto a fixed unit direction: bin mass between evenly
     spaced cuts spanning [min score - sigma, max score + sigma].
     """
-    parents = _X_PARENTS[cfg.scenario]
+    parents = X_PARENTS[cfg.scenario]
     w = _projection(cfg.feature_dim)
     projected = [[row @ w for row in _offsets(cfg, parent)] for parent in parents]
     scores = {
@@ -254,8 +269,9 @@ def simulate(cfg: SimConfig, regime, seed: int) -> Dataset:
     regime = TestRegime.coerce(regime)
     rng = stream(seed, "simulate", cfg.scenario.value, regime.value)
     n = cfg.n
-    parents = _X_PARENTS[cfg.scenario]
+    parents = X_PARENTS[cfg.scenario]
     observed = OBSERVED_COLUMNS[cfg.scenario]
+    rates = _rates(cfg, regime)
 
     def draw(rate_1, rate_0) -> np.ndarray:
         """0/1 column with P(.=1) = rate_1 where y = 1, else rate_0."""
@@ -263,18 +279,16 @@ def simulate(cfg: SimConfig, regime, seed: int) -> Dataset:
         return (rng.random(n) < threshold).astype(np.int64)
 
     y = (rng.random(n) < cfg.p).astype(np.int64)
-    u_rates = _label_rates(regime, cfg.q_c)
-    if u_rates is None:
+    if rates["u"] is None:
         if cfg.delta_u2 is None:
             raise SimulateError("config lacks an offset for the unseen domain")
         u = np.full(n, 2, dtype=np.int64)
     else:
-        u = draw(*u_rates)
+        u = draw(*rates["u"])
     drawn = {"y": y, "u": u}
-    if "v" in parents:
-        drawn["v"] = draw(*(_label_rates(regime, cfg.qp) or (0.5, 0.5)))
-    if "z" in parents:
-        drawn["z"] = draw(cfg.r1, cfg.r0)
+    for name in ("v", "z"):
+        if name in parents:
+            drawn[name] = draw(*rates[name])
     if "d" in observed:
         base = np.where(u == 1, cfg.f11, cfg.f10)
         base = np.where(u == 2, 0.5, base)
@@ -298,7 +312,7 @@ def simulate(cfg: SimConfig, regime, seed: int) -> Dataset:
         x = (rng.random((n, 1)) < cum).argmax(axis=1).astype(np.int64)
 
     columns = {name: drawn[name] for name in observed}
-    shadow = {p: drawn[p] for p in parents if p != "y" and p not in observed}
+    shadow = {name: drawn[name] for name in SHADOW_COLUMNS[cfg.scenario]}
     return Dataset(x=x, y=y, columns=columns, shadow=shadow)
 
 
@@ -306,75 +320,44 @@ def simulate(cfg: SimConfig, regime, seed: int) -> Dataset:
 # exact finite oracles (discrete feature mode)
 
 
-def _require_discrete(cfg: SimConfig):
+def _exact_table(cfg: SimConfig, observational: bool) -> np.ndarray:
+    """Sum the feature law over every X-parent configuration, weighted by
+    the configuration's training probability given y (observational) or
+    under do(y).  Under do(y) the label's graph descendants follow the
+    forced label, and X's other parents keep their joint training law,
+    sum over y' of P(y') times their factors given y'."""
     if cfg.x_mode != "discrete":
         raise SimulateError("exact tables need x_mode='discrete'")
-
-
-def _training_confounder_marginal(cfg: SimConfig) -> dict[int, float]:
-    """P(U=u) under the training (conf) law."""
-    p1 = cfg.p * cfg.q_c + (1.0 - cfg.p) * (1.0 - cfg.q_c)
-    out = {0: 1.0 - p1, 1: p1}
-    if cfg.delta_u2 is not None:
-        out[2] = 0.0
-    return out
-
-
-def _z_given_y(cfg: SimConfig, z: int, y: int) -> float:
-    rate = cfg.r1 if y == 1 else cfg.r0
-    return rate if z == 1 else 1.0 - rate
-
-
-def _u_given_y(cfg: SimConfig, u: int, y: int) -> float:
-    rate = cfg.q_c if y == 1 else 1.0 - cfg.q_c
-    if u == 2:
-        return 0.0
-    return rate if u == 1 else 1.0 - rate
-
-
-def _v_given_y(cfg: SimConfig, v: int, y: int) -> float:
-    rate = cfg.qp if y == 1 else 1.0 - cfg.qp
-    return rate if v == 1 else 1.0 - rate
-
-
-def _config_weight(cfg: SimConfig, parents, config, y_value: int, observational: bool) -> float:
-    """Probability of one X-parent configuration, either under do(y) or
-    conditioned on seeing y, in the training distribution."""
-    values = dict(zip(parents, config))
-    w = 1.0
-    if "y" in values:
-        if values["y"] != y_value:
-            return 0.0
-    if "z" in values:
-        w *= _z_given_y(cfg, values["z"], y_value)
-    if observational:
-        if "u" in values:
-            w *= _u_given_y(cfg, values["u"], y_value)
-        if "v" in values:
-            w *= _v_given_y(cfg, values["v"], y_value)
-        return w
-    if "u" in values and "v" in values:
-        joint = sum(
-            (cfg.p if yp == 1 else 1.0 - cfg.p)
-            * _u_given_y(cfg, values["u"], yp)
-            * _v_given_y(cfg, values["v"], yp)
-            for yp in (0, 1)
-        )
-        return w * joint
-    if "u" in values:
-        w *= _training_confounder_marginal(cfg)[values["u"]]
-    return w
-
-
-def _exact_table(cfg: SimConfig, observational: bool) -> np.ndarray:
-    _require_discrete(cfg)
     parents, tables = _discrete_tables(cfg)
+    rates = _rates(cfg, TestRegime.CONF)
+    prior = (1.0 - cfg.p, cfg.p)
+    forced = set(parents)
+    if not observational:
+        graph = scenario_graph(cfg.scenario)
+        forced &= {v.lower() for v in descendants(graph, ("Y",))}
+
+    def given(values, y: int) -> float:
+        """Product of each (parent, value) factor given Y=y: the label's
+        is an indicator, and U's unseen value never occurs in training."""
+        w = 1.0
+        for name, value in values:
+            if name == "y":
+                w *= float(value == y)
+            else:
+                rate = rates[name][1 - y]
+                w *= (1.0 - rate, rate, 0.0)[value]
+        return w
+
     out = np.zeros((2, cfg.x_support))
-    for y_value in (0, 1):
+    for y in (0, 1):
         for config, probs in tables.items():
-            w = _config_weight(cfg, parents, config, y_value, observational)
-            out[y_value] += w * probs
-        total = out[y_value].sum()
+            values = list(zip(parents, config))
+            w = given([item for item in values if item[0] in forced], y)
+            free = [item for item in values if item[0] not in forced]
+            if free:
+                w *= sum(prior[yp] * given(free, yp) for yp in (0, 1))
+            out[y] += w * probs
+        total = out[y].sum()
         if abs(total - 1.0) > 1e-12:
             raise SimulateError(f"exact table sums to {total!r}")
     return out
@@ -383,9 +366,10 @@ def _exact_table(cfg: SimConfig, observational: bool) -> np.ndarray:
 def exact_interventional(cfg: SimConfig) -> np.ndarray:
     """P(x | do(y)) for the training distribution, rows indexed by y.
 
-    Forces y in the structural equations: confounders keep their
-    training marginals, the mediator follows the forced label, and the
-    feature law is summed exactly over every parent configuration.
+    Forces y in the structural equations: the label's descendants (the
+    mediator) follow the forced label, the confounders keep their joint
+    training law, and the feature law is summed exactly over every
+    parent configuration.
     """
     return _exact_table(cfg, observational=False)
 

@@ -19,7 +19,13 @@ from causalboot.bootstrap import (
     cb_weights,
     select_features,
 )
-from causalboot.graph import ScenarioId, d_separated, parse_graph, scenario_graph
+from causalboot.graph import (
+    OBSERVED_COLUMNS,
+    ScenarioId,
+    d_separated,
+    parse_graph,
+    scenario_graph,
+)
 from causalboot.harness import ExperimentSpec, run_experiment
 from causalboot.identify import (
     Identified,
@@ -38,8 +44,16 @@ from causalboot.model import (
     train,
 )
 from causalboot.rng import derive_key, stream
-from causalboot.simulate import SimConfig, TestRegime, exact_interventional, simulate
+from causalboot.simulate import (
+    SimConfig,
+    TestRegime,
+    _discrete_tables,
+    exact_interventional,
+    exact_observational,
+    simulate,
+)
 from bruteforce import dsep_by_path_enumeration, random_admg, random_disjoint_sets
+from population import DYADIC_RATES, training_rows
 from scm import DiscreteSCM
 
 ALL_SCENARIOS = list(ScenarioId)
@@ -105,6 +119,31 @@ def test_a2_resampled_law_matches_exact_intervention():
             got = got / mask.sum()
             tv = 0.5 * np.abs(got - oracle[c]).sum()
             assert tv <= 0.02, (scenario, c, tv)
+
+
+def test_a2_population_weights_reproduce_exact_intervention():
+    # A2 without sampling: the weights of the whole training population
+    # (tests/population.py), contracted with the exact feature law given
+    # each row's X parents, are P(x | do(y=c)) up to rounding.
+    for scenario in ALL_SCENARIOS:
+        cfg = SimConfig(
+            scenario=scenario, n=1, x_mode="discrete", x_support=8, **DYADIC_RATES
+        )
+        rows = training_rows(cfg)
+        observed = {name: rows[name] for name in ("y", *OBSERVED_COLUMNS[scenario])}
+        table = cb_weights(observed, scenario)
+        names, laws = _discrete_tables(cfg)
+        keys = zip(*(rows[name].tolist() for name in names))
+        feature_law = np.array([laws[key] for key in keys])
+        oracle = exact_interventional(cfg)
+        naive = exact_observational(cfg)
+        assert table.classes == (0, 1)
+        for c in table.classes:
+            got = table.column(c) @ feature_law
+            err = np.abs(got - oracle[c]).max()
+            assert err <= 1e-12, (scenario, c, err)
+            # the confounded law is far away, so agreement is not vacuous
+            assert np.abs(got - naive[c]).max() > 1e-3, (scenario, c)
 
 
 # --- A3: resample decouples label and confounder --------------------------------

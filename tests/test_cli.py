@@ -10,8 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalboot import cli
-from causalboot.estimate import EstimateError
-from causalboot.simulate import Dataset
+from causalboot.bootstrap import BootstrapError
+from causalboot.errors import CausalBootError
+from causalboot.estimate import EstimateError, ZeroSupportError
+from causalboot.graph import GraphError
+from causalboot.harness import HarnessError
+from causalboot.identify import EstimandError
+from causalboot.model import ModelError
+from causalboot.simulate import Dataset, SimulateError
 
 CLI = [sys.executable, "-m", "causalboot.cli"]
 
@@ -158,6 +164,30 @@ def test_simulate_rejects_non_finite_noise_and_offsets(tmp_path):
         assert out.returncode == 1
         assert "must be finite" in out.stderr
         assert not path.exists()
+
+
+def test_simulate_rejects_sizes_beyond_the_row_limit(tmp_path):
+    # rejected by SimConfig before anything is allocated or written
+    for n in ("99999999999999999999", "10000001", "0"):
+        path = tmp_path / "o.csv"
+        out = run_cli(
+            "simulate", "--scenario", "a", "--n", n, "--seed", 1, "--out", path
+        )
+        assert out.returncode == 1
+        assert f"error: n must be positive and at most 10000000, got {n}" in out.stderr
+        assert "Traceback" not in out.stderr
+        assert not path.exists()
+
+
+def test_error_classes_carry_their_exit_codes():
+    assert issubclass(CausalBootError, ValueError)
+    codes = {
+        BootstrapError: 1, EstimateError: 1, EstimandError: 1, GraphError: 1,
+        ModelError: 1, SimulateError: 1, HarnessError: 2, ZeroSupportError: 3,
+    }
+    for cls, code in codes.items():
+        assert issubclass(cls, CausalBootError)
+        assert cls.exit_code == code, cls
 
 
 def test_simulate_offset_flags_reach_the_generator(tmp_path):

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from causalboot.graph import (
     OBSERVED_COLUMNS,
+    SHADOW_COLUMNS,
     X_ANCESTOR_COLUMNS,
+    X_PARENTS,
     CausalGraph,
     GraphCycleError,
     GraphError,
@@ -85,23 +87,37 @@ def test_scenario_edge_sets():
     a = scenario_graph("a")
     assert a.directed == {("U", "Y"), ("U", "X"), ("Y", "X")}
     assert not a.bidirected
+    # the hidden confounders are named latent nodes, not bidirected edges
     c = scenario_graph("c")
-    assert c.bidirected == {("X", "Y")}
+    assert c.latent == {"V"}
+    assert c.directed == {
+        ("U", "Y"), ("U", "X"), ("Y", "Z"), ("Z", "X"), ("V", "Y"), ("V", "X"),
+    }
+    assert not c.bidirected
     d = scenario_graph("d")
-    assert d.directed == {("Y", "Z"), ("Z", "X")}
-    assert d.bidirected == {("X", "Y")}
+    assert d.latent == {"U"}
+    assert d.directed == {("Y", "Z"), ("Z", "X"), ("U", "Y"), ("U", "X")}
+    assert not d.bidirected
     e = scenario_graph("e")
     assert ("Y", "D") in e.directed and ("U", "D") in e.directed
 
 
 def test_scenario_columns_come_from_the_graphs():
-    # hidden confounders are bidirected edges, so they never show up here
+    # hidden confounders are latent nodes, so they never show up here
     assert {s.value: cols for s, cols in OBSERVED_COLUMNS.items()} == {
         "a": ("u",), "b": ("u", "z"), "c": ("u", "z"), "d": ("z",), "e": ("u", "d"),
     }
     # the care level is observed but does not feed X
     assert {s.value: cols for s, cols in X_ANCESTOR_COLUMNS.items()} == {
         "a": ("u",), "b": ("u", "z"), "c": ("u", "z"), "d": ("z",), "e": ("u",),
+    }
+    # X's parents in declaration order, and the latent ones among them
+    assert {s.value: cols for s, cols in X_PARENTS.items()} == {
+        "a": ("u", "y"), "b": ("u", "z"), "c": ("u", "z", "v"), "d": ("z", "u"),
+        "e": ("u", "y"),
+    }
+    assert {s.value: cols for s, cols in SHADOW_COLUMNS.items()} == {
+        "a": (), "b": (), "c": ("v",), "d": ("u",), "e": (),
     }
 
 
@@ -116,7 +132,8 @@ def test_mutilate_bar():
     g = scenario_graph("c")
     barred = mutilate(g, bar=["Y"])
     assert ("U", "Y") not in barred.directed
-    assert not barred.bidirected  # Y <-> X carries an arrowhead into Y
+    assert ("V", "Y") not in barred.directed  # the latent confounder is cut too
+    assert ("V", "X") in barred.directed
     assert ("Z", "X") in barred.directed
 
 
@@ -125,7 +142,8 @@ def test_mutilate_underline():
     under = mutilate(g, underline=["Y"])
     assert ("Y", "Z") not in under.directed
     assert ("U", "Y") in under.directed
-    assert under.bidirected == {("X", "Y")}  # bidirected edges have no tail at Y
+    assert {("V", "Y"), ("V", "X")} <= under.directed  # no tail at Y
+    assert under.latent == {"V"}
 
 
 def test_mutilate_unknown_node():
@@ -172,7 +190,7 @@ def test_dsep_scenario_anchors():
     # After cutting the arrows out of Y, Z tells us nothing about Y.
     b = scenario_graph("b")
     assert d_separated(mutilate(b, underline=["Y"]), ["Z"], ["Y"])
-    # Not so between X and Y in scenario (c): the hidden cause behind Y <-> X stays.
+    # Not so between X and Y in scenario (c): the latent fork Y <- V -> X stays.
     c = scenario_graph("c")
     assert not d_separated(mutilate(c, underline=["Y"]), ["X"], ["Y"])
 

@@ -6,16 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalboot.estimate import fit_conditional
-from causalboot.graph import ScenarioId
+from causalboot.graph import X_PARENTS, ScenarioId
 from causalboot.simulate import (
     DELTA_SCALE,
+    MAX_ROWS,
     Dataset,
     SimConfig,
     SimulateError,
     TestRegime,
     _discrete_tables,
     _offsets,
-    _X_PARENTS,
     exact_interventional,
     exact_observational,
     simulate,
@@ -154,7 +154,7 @@ def test_gaussian_features_center_on_parent_offsets(scenario, regime):
     data = simulate(cfg, regime, seed=31)
     cols = {"y": data.y, **data.columns, **data.shadow}
     want = np.zeros((300, 4))
-    for parent in _X_PARENTS[scenario]:
+    for parent in X_PARENTS[scenario]:
         want += (cols[parent] == 1)[:, None] * deltas[f"delta_{parent}"]
         if parent == "u":
             want += (cols["u"] == 2)[:, None] * deltas["delta_u2"]
@@ -163,7 +163,7 @@ def test_gaussian_features_center_on_parent_offsets(scenario, regime):
 
 def test_mechanism_shared_between_conf_and_revconf():
     cfg = cfg_for(ScenarioId.OBSERVED_CONF, 100_000, x_mode="discrete")
-    _, tables = _discrete_tables(cfg)
+    names, tables = _discrete_tables(cfg)
     for regime in ("conf", "revconf"):
         data = simulate(cfg, regime, seed=17)
         table = fit_conditional(
@@ -176,7 +176,8 @@ def test_mechanism_shared_between_conf_and_revconf():
                 got = np.array(
                     [table.prob(k, (yv, uv)) for k in range(cfg.x_support)]
                 )
-                tv = 0.5 * np.abs(got - tables[(yv, uv)]).sum()
+                key = tuple({"y": yv, "u": uv}[name] for name in names)
+                tv = 0.5 * np.abs(got - tables[key]).sum()
                 assert tv < 0.05, (regime, yv, uv, tv)
 
 
@@ -274,6 +275,9 @@ def test_no_confounding_collapses_do_to_conditioning(scenario, p, r0, r1, suppor
 def test_config_validation_errors():
     with pytest.raises(SimulateError, match="n must be positive"):
         cfg_for(ScenarioId.OBSERVED_CONF, 0)
+    for n in (MAX_ROWS + 1, 10**20):  # rejected before any allocation
+        with pytest.raises(SimulateError, match=f"at most {MAX_ROWS}"):
+            cfg_for(ScenarioId.OBSERVED_CONF, n)
     with pytest.raises(SimulateError, match="q_c"):
         cfg_for(ScenarioId.OBSERVED_CONF, 10, q_c=1.5)
     for sigma in (0.0, np.inf, np.nan):
