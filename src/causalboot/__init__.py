@@ -74,6 +74,7 @@ from .model import (
     loss_and_grad,
     predict_proba,
     train,
+    train_many,
 )
 from .simulate import (
     Dataset,
@@ -148,5 +149,6 @@ __all__ = [
     "simulate",
     "topological_order",
     "train",
+    "train_many",
     "write_results",
 ]

@@ -1,15 +1,20 @@
 """Experiment grid: scenarios x bias levels x methods x regimes x seeds.
 
 Each cell trains one model on a confounded draw and scores it on all
-four test regimes.  Method pipelines:
+four test regimes.  The cells of one (scenario, level) share their
+draws: each seed's training draw is simulated once and feeds every
+method, each (seed, regime) test draw is simulated once and scored by
+every method's model, and the models train together in stacked numpy
+passes (``model.train_many``), each bit-for-bit the model trained
+alone.  Method pipelines:
 
 * simple - features only, trained on the raw draw
 * if     - features plus the scenario's observed confounder and
            mediator columns, available at test time too
 * da     - stratified upsampling to balance the observed confounder,
            then features only
-* cb     - identification check, importance weights, weighted
-           resampling, then features only
+* cb     - identification check (once per scenario), importance
+           weights, weighted resampling, then features only
 
 Cells that cannot run are rows, not crashes: "na" where a method does
 not apply (balancing without an observed confounder, extra-column
@@ -47,7 +52,14 @@ from .bootstrap import (
 from .errors import CausalBootError
 from .graph import OBSERVED_COLUMNS, GraphError, ScenarioId, scenario_graph
 from .identify import EstimandError, Unidentifiable, identify
-from .model import ModelError, TrainConfig, auc, predict_proba, train
+from .model import (
+    ModelError,
+    TrainConfig,
+    auc,
+    predict_proba,
+    train_many,
+    training_set,
+)
 from .rng import derive_key
 from .simulate import (
     _SIM_KEYS,
@@ -71,9 +83,22 @@ CSV_HEADER = (
 
 _REGIME_ORDER = {r: i for i, r in enumerate(TestRegime)}
 
+# The most feature bytes trained in one stack: grids of small draws
+# train many models per pass, a draw near MAX_ROWS trains alone.
+_STACK_BYTES = 32 << 20
+
 # The knobs of TrainConfig, each typed by its default: what a spec file's
 # train.* keys may set, in the order spec.resolved.txt writes them.
 _TRAIN_KEYS = {f.name: type(f.default) for f in dataclasses.fields(TrainConfig)}
+
+
+def _reject_repeats(name: str, values) -> None:
+    """A grid axis names each value once: a repeat would run its cells
+    twice and pair each seed's models with the wrong test draws."""
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        shown = getattr(repeated[0], "value", repeated[0])
+        raise HarnessError(f"{name} lists {shown!r} more than once")
 
 
 @dataclass(frozen=True)
@@ -104,8 +129,10 @@ class ExperimentSpec:
         object.__setattr__(self, "qc_grid", tuple(float(q) for q in self.qc_grid))
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         for name in ("scenarios", "qc_grid", "methods", "seeds"):
-            if not getattr(self, name):
+            values = getattr(self, name)
+            if not values:
                 raise HarnessError(f"{name} must be nonempty")
+            _reject_repeats(name, values)
         for q in self.qc_grid:
             if not 0.0 <= q <= 1.0:
                 raise HarnessError(f"qc value {q!r} outside [0,1]")
@@ -121,6 +148,7 @@ class ExperimentSpec:
             sweep = tuple(float(v) for v in self.complexity_sweep)
             if not sweep or not all(0 < v < np.inf for v in sweep):
                 raise HarnessError("complexity_sweep needs finite positive values")
+            _reject_repeats("complexity_sweep", sweep)
             object.__setattr__(self, "complexity_sweep", sweep)
         try:
             for scenario in self.scenarios:
@@ -183,80 +211,146 @@ def _error(exc) -> str:
     return "error: " + " ".join(str(exc).split())
 
 
-def _run_cell(spec: ExperimentSpec, scenario, method, level, seed):
-    """Train once, score on all four regimes."""
-    cell = (scenario, method, level)
-    if method is MethodId.DA and "u" not in OBSERVED_COLUMNS[scenario]:
-        return [
-            _row(*cell, regime, seed, spec.n_train, status="na")
-            for regime in TestRegime
-        ]
+def _cb_gate(scenario) -> EstimandError | None:
+    """The error every cb cell of a scenario reports, or None when X's
+    effect on Y is identifiable in the scenario's graph."""
+    outcome = identify(scenario_graph(scenario), ("X",), ("Y",))
+    if isinstance(outcome, Unidentifiable):
+        return EstimandError(outcome.witness)
+    return None
+
+
+def _training_sets(spec, scenario, level, seed, cb_gate) -> dict:
+    """Each method's (features, labels) for one seed, all built from one
+    training draw, or the status of a cell that cannot train."""
+    sets: dict = {}
+    runnable = []
+    for method in spec.methods:
+        if method is MethodId.DA and "u" not in OBSERVED_COLUMNS[scenario]:
+            sets[method] = "na"
+        else:
+            runnable.append(method)
+    if not runnable:
+        return sets
     try:
         data_seed = derive_key(seed, "data", "train", scenario.value, repr(level))
-        train_data = simulate(
+        draw = simulate(
             _sim_config(spec, scenario, level, spec.n_train),
             TestRegime.CONF,
             data_seed,
         )
-
-        if method is MethodId.CB:
-            outcome = identify(scenario_graph(scenario), ("X",), ("Y",))
-            if isinstance(outcome, Unidentifiable):
-                raise EstimandError(outcome.witness)
-            table = cb_weights(train_data.weight_columns(), scenario)
-            method_seed = derive_key(seed, "resample", scenario.value, repr(level))
-            train_data = cb_resample(
-                train_data, table, ResampleConfig(seed=method_seed)
-            )
-        elif method is MethodId.DA:
-            method_seed = derive_key(seed, "balance", scenario.value, repr(level))
-            train_data = da_resample(train_data, method_seed)
-
-        feats = select_features(train_data, method, scenario)
-        train_seed = derive_key(
-            seed, "train", method.value, scenario.value, repr(level)
-        )
-        cfg = dataclasses.replace(spec.train, seed=train_seed)
-        model = train(feats, train_data.y, cfg)
     except CausalBootError as exc:
-        return [
-            _row(*cell, regime, seed, spec.n_train, status=_error(exc))
-            for regime in TestRegime
-        ]
-
-    rows = []
-    for regime in TestRegime:
-        if method is MethodId.IF and regime is TestRegime.UNSEEN:
-            rows.append(_row(*cell, regime, seed, spec.n_train, status="na"))
-            continue
+        return {**sets, **{method: _error(exc) for method in runnable}}
+    for method in runnable:
         try:
-            test_seed = derive_key(
-                seed, "data", "test", scenario.value, repr(level), regime.value
-            )
-            test_data = simulate(
-                _sim_config(spec, scenario, level, spec.n_test), regime, test_seed
-            )
-            scores = predict_proba(model, select_features(test_data, method, scenario))
-            value = auc(scores, test_data.y)
+            data = draw
+            if method is MethodId.CB:
+                if cb_gate is not None:
+                    raise cb_gate
+                table = cb_weights(draw.weight_columns(), scenario)
+                key = derive_key(seed, "resample", scenario.value, repr(level))
+                data = cb_resample(draw, table, ResampleConfig(seed=key))
+            elif method is MethodId.DA:
+                key = derive_key(seed, "balance", scenario.value, repr(level))
+                data = da_resample(draw, key)
+            features = select_features(data, method, scenario)
+            sets[method] = training_set(features, data.y)
         except CausalBootError as exc:
-            status = _error(exc)
-            rows.append(_row(*cell, regime, seed, spec.n_train, status=status))
-        else:
-            rows.append(_row(*cell, regime, seed, spec.n_train, value))
+            sets[method] = _error(exc)
+    return sets
+
+
+def _train_stack(stack) -> dict:
+    """(seed, method) -> model for a stack of (key, x, y, config)."""
+    keys, xs, ys, configs = zip(*stack)
+    return dict(zip(keys, train_many(xs, ys, configs)))
+
+
+def _run_level(spec: ExperimentSpec, scenario, level, cb_gate) -> list[ResultRow]:
+    """Every (method, seed) cell of one scenario and level.
+
+    Each seed's training draw is simulated once and feeds every method's
+    training set.  The sets are trained together by ``train_many``, in
+    stacks of at most ``_STACK_BYTES`` of features, and each (seed,
+    regime) test draw is simulated once and scored by every model
+    trained on that seed.  A cell that fails gets its own "error: ..."
+    rows and leaves the rest of its stack alone.
+    """
+    rows: list[ResultRow] = []
+
+    def report(method, seed, regime, auc=None, status="ok"):
+        rows.append(
+            _row(scenario, method, level, regime, seed, spec.n_train, auc, status)
+        )
+
+    models: dict = {}
+    stack: list = []
+    stack_bytes = 0
+    for seed in spec.seeds:
+        sets = _training_sets(spec, scenario, level, seed, cb_gate)
+        for method, built in sets.items():
+            if isinstance(built, str):
+                for regime in TestRegime:
+                    report(method, seed, regime, status=built)
+                continue
+            x, y = built
+            if stack and stack_bytes + x.nbytes > _STACK_BYTES:
+                models.update(_train_stack(stack))
+                stack.clear()
+                stack_bytes = 0
+            train_seed = derive_key(
+                seed, "train", method.value, scenario.value, repr(level)
+            )
+            config = dataclasses.replace(spec.train, seed=train_seed)
+            stack.append(((seed, method), x, y, config))
+            stack_bytes += x.nbytes
+    if stack:
+        models.update(_train_stack(stack))
+        stack.clear()  # scoring needs the models, not their training sets
+
+    for seed in spec.seeds:
+        for regime in TestRegime:
+            scored = []
+            for method in spec.methods:
+                if (seed, method) not in models:
+                    continue
+                if method is MethodId.IF and regime is TestRegime.UNSEEN:
+                    report(method, seed, regime, status="na")
+                else:
+                    scored.append(method)
+            if not scored:
+                continue
+            try:
+                test_seed = derive_key(
+                    seed, "data", "test", scenario.value, repr(level), regime.value
+                )
+                test_data = simulate(
+                    _sim_config(spec, scenario, level, spec.n_test), regime, test_seed
+                )
+            except CausalBootError as exc:
+                for method in scored:
+                    report(method, seed, regime, status=_error(exc))
+                continue
+            for method in scored:
+                try:
+                    features = select_features(test_data, method, scenario)
+                    scores = predict_proba(models[seed, method], features)
+                    value = auc(scores, test_data.y)
+                except CausalBootError as exc:
+                    report(method, seed, regime, status=_error(exc))
+                else:
+                    report(method, seed, regime, value)
     return rows
 
 
 def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
-    """All grid cells, run one after another and canonically sorted, so
-    the rows are deterministic for a given spec."""
-    rows = [
-        row
-        for scenario in spec.scenarios
-        for method in spec.methods
-        for level in spec.levels
-        for seed in spec.seeds
-        for row in _run_cell(spec, scenario, method, level, seed)
-    ]
+    """All grid cells, run one (scenario, level) after another and
+    canonically sorted, so the rows are deterministic for a given spec."""
+    rows = []
+    for scenario in spec.scenarios:
+        cb_gate = _cb_gate(scenario) if MethodId.CB in spec.methods else None
+        for level in spec.levels:
+            rows += _run_level(spec, scenario, level, cb_gate)
     rows.sort(
         key=lambda r: (
             r.scenario,
@@ -299,13 +393,18 @@ def write_results(rows, path) -> None:
 def read_results(path) -> list[ResultRow]:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header != CSV_HEADER.split(","):
             raise HarnessError(f"unexpected results header {header!r}")
         rows = []
         for record in reader:
-            rows.append(
-                ResultRow(
+            where = f"{path}: line {reader.line_num}"
+            if len(record) != len(header):
+                raise HarnessError(
+                    f"{where}: expected {len(header)} fields, got {len(record)}"
+                )
+            try:
+                row = ResultRow(
                     scenario=record[0],
                     method=record[1],
                     qc=float(record[2]),
@@ -316,7 +415,9 @@ def read_results(path) -> list[ResultRow]:
                     wall_time_ms=int(record[7]),
                     status=record[8],
                 )
-            )
+            except ValueError as exc:
+                raise HarnessError(f"{where}: {exc}") from None
+            rows.append(row)
     return rows
 
 

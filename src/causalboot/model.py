@@ -8,10 +8,14 @@ logit rather than a coin flip.
 Training is bit-for-bit reproducible: zeros (linear) or fan-in uniform
 draws (network) for the start point and per-epoch shuffles all come
 from one seeded stream, and batches walk the permutation in order.
+``train_many`` trains models of one shape and configuration together,
+stacked over a leading model axis, and each comes out bit-for-bit the
+model ``train`` gives alone.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Union
 
@@ -19,6 +23,10 @@ import numpy as np
 
 from .errors import CausalBootError
 from .rng import stream
+
+
+# The most feature bytes a training pass gathers at once.
+_GATHER_BYTES = 1 << 18
 
 
 class ModelError(CausalBootError):
@@ -92,7 +100,7 @@ def _check_labels(y: np.ndarray, n: int) -> np.ndarray:
         raise ModelError("labels must be one per row")
     if not set(np.unique(y)) <= {0, 1}:
         raise ModelError("labels must be 0 or 1")
-    return y.astype(float)
+    return y.astype(float, copy=False)
 
 
 def _params(model: Model) -> tuple:
@@ -103,26 +111,54 @@ def _params(model: Model) -> tuple:
     return (model.w1, model.b1, model.w2, model.b2)
 
 
-def _grad(params: tuple, x: np.ndarray, y: np.ndarray, l2: float):
+def _stack(models) -> list:
+    """Each parameter of same-shaped models stacked over a leading model
+    axis K, weight vectors as columns and biases as rows, so that every
+    product in ``_grad`` is a batched matmul and every bias broadcasts
+    over the batch."""
+    if isinstance(models[0], LinearModel):
+        layers = [(m.weights[:, None], [[m.bias]]) for m in models]
+    else:
+        layers = [(m.w1, m.b1[None, :], m.w2[:, None], [[m.b2]]) for m in models]
+    return [np.stack(p) for p in zip(*layers)]
+
+
+def _unstack(kind: type, stacked, k: int) -> Model:
+    """Model ``k`` of a stack, each field back in the model's own shape."""
+    if kind is LinearModel:
+        weights, bias = (p[k] for p in stacked)
+        return LinearModel(weights=weights[:, 0], bias=float(bias[0, 0]))
+    w1, b1, w2, b2 = (p[k] for p in stacked)
+    return MlpModel(w1=w1, b1=b1[0], w2=w2[:, 0], b2=float(b2[0, 0]))
+
+
+def _grad(params: list, x: np.ndarray, y: np.ndarray, l2: float):
     """Logits and the gradient, laid out like ``params``, of the mean
-    logistic loss plus L2 on weights.  Inputs are trusted: ``x`` is a
-    2-D float array and ``y`` a float array of 0/1, one per row."""
-    n = len(x)
+    logistic loss plus L2 on weights, for K models at once.  Inputs are
+    trusted: ``params`` are stacked by ``_stack``, ``x`` is a (K, b, d)
+    float array and ``y`` a (K, b, 1) float array of 0/1.
+
+    Every product is an ``np.matmul`` over the model axis, which makes
+    the same BLAS call per model as the 2-D product of one model would,
+    and every sum runs over the batch axis alone, so each model's
+    gradient is bit-for-bit the one it would get trained alone."""
+    n = x.shape[1]
+    xt = x.mT
     if len(params) == 2:
         weights, bias = params
         z = x @ weights + bias
         dz = (_sigmoid(z) - y) / n
-        return z, (x.T @ dz + 2.0 * l2 * weights, float(dz.sum()))
+        return z, (xt @ dz + 2.0 * l2 * weights, dz.sum(axis=1, keepdims=True))
     w1, b1, w2, b2 = params
     hidden = np.tanh(x @ w1 + b1)
     z = hidden @ w2 + b2
     dz = (_sigmoid(z) - y) / n
-    d_hidden = dz[:, None] * w2 * (1.0 - hidden * hidden)
+    d_hidden = dz * w2.mT * (1.0 - hidden * hidden)
     return z, (
-        x.T @ d_hidden + 2.0 * l2 * w1,
-        d_hidden.sum(axis=0),
-        hidden.T @ dz + 2.0 * l2 * w2,
-        float(dz.sum()),
+        xt @ d_hidden + 2.0 * l2 * w1,
+        d_hidden.sum(axis=1, keepdims=True),
+        hidden.mT @ dz + 2.0 * l2 * w2,
+        dz.sum(axis=1, keepdims=True),
     )
 
 
@@ -131,14 +167,13 @@ def loss_and_grad(model: Model, x: np.ndarray, y: np.ndarray, l2: float):
     own shape so parameters and gradients stay aligned."""
     x = _check_features(x)
     y = _check_labels(y, len(x))
-    params = _params(model)
-    z, grads = _grad(params, x, y, l2)
-    loss = float(np.logaddexp(0.0, -(2.0 * y - 1.0) * z).mean())
+    z, grads = _grad(_stack([model]), x[None], y[None, :, None], l2)
+    loss = float(np.logaddexp(0.0, -(2.0 * y - 1.0) * z[0, :, 0]).mean())
     if isinstance(model, LinearModel):
         loss += l2 * float(model.weights @ model.weights)
     else:
         loss += l2 * float((model.w1 * model.w1).sum() + model.w2 @ model.w2)
-    return loss, type(model)(*grads)
+    return loss, _unstack(type(model), grads, 0)
 
 
 def params_vector(model: Model) -> np.ndarray:
@@ -178,21 +213,71 @@ def _initial_model(kind: str, dim: int, width: int, rng) -> Model:
     )
 
 
-def train(x: np.ndarray, y: np.ndarray, config: TrainConfig) -> Model:
+def training_set(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Features as a 2-D float array and labels as floats, one 0/1 label
+    per row; raises ``ModelError`` for anything ``train`` cannot use."""
     x = _check_features(x)
-    y = _check_labels(y, len(x))
-    n = len(x)
-    rng = stream(config.seed, "train")
-    model = _initial_model(config.kind, x.shape[1], config.width, rng)
-    params = _params(model)
-    lr, l2 = config.lr, config.l2
+    return x, _check_labels(y, len(x))
+
+
+def train(x: np.ndarray, y: np.ndarray, config: TrainConfig) -> Model:
+    return train_many([x], [y], [config])[0]
+
+
+def train_many(xs, ys, configs) -> list[Model]:
+    """One model per (x, y, config), each bit-for-bit what training it
+    alone gives, returned in input order.
+
+    Models whose training sets have the same shape and whose configs
+    agree in all but the seed train together in one pass over a leading
+    model axis: each keeps its own seeded stream for its start point and
+    per-epoch shuffles, and every step updates all of them with batched
+    matmuls on (K, batch, features) arrays."""
+    if not len(xs) == len(ys) == len(configs):
+        raise ModelError("need one label array and one config per feature array")
+    sets = [training_set(x, y) for x, y in zip(xs, ys)]
+    groups: dict[tuple, list[int]] = {}
+    for i, ((x, _), config) in enumerate(zip(sets, configs)):
+        key = (x.shape, dataclasses.replace(config, seed=0))
+        groups.setdefault(key, []).append(i)
+    models: list = [None] * len(sets)
+    for (_, config), members in groups.items():
+        trained = _train_group(
+            [sets[i] for i in members], config, [configs[i].seed for i in members]
+        )
+        for i, model in zip(members, trained):
+            models[i] = model
+    return models
+
+
+def _train_group(sets, config: TrainConfig, seeds) -> list[Model]:
+    k = len(sets)
+    n, d = sets[0][0].shape
+    batch, lr, l2 = config.batch, config.lr, config.l2
+    rngs = [stream(seed, "train") for seed in seeds]
+    starts = [_initial_model(config.kind, d, config.width, rng) for rng in rngs]
+    params = _stack(starts)
+    # Each model's rows are gathered into one reused buffer a span of
+    # whole batches at a time, so the training sets are never copied
+    # and at most _GATHER_BYTES of gathered features sit beside them.
+    span = batch * max(1, _GATHER_BYTES // (8 * k * batch * max(d, 1)))
+    x_span = np.empty((k, min(span, n), d))
+    y_span = np.empty((k, min(span, n), 1))
     for _ in range(config.epochs):
-        perm = rng.permutation(n)
-        for start in range(0, n, config.batch):
-            idx = perm[start : start + config.batch]
-            _, grads = _grad(params, x[idx], y[idx], l2)
-            params = tuple(p - lr * g for p, g in zip(params, grads))
-    return type(model)(*params)
+        perms = [rng.permutation(n) for rng in rngs]
+        for first in range(0, n, span):
+            m = min(span, n - first)
+            for (x, y), perm, x_out, y_out in zip(sets, perms, x_span, y_span):
+                rows = perm[first : first + m]
+                np.take(x, rows, axis=0, out=x_out[:m], mode="clip")
+                np.take(y, rows, out=y_out[:m, 0], mode="clip")
+            for start in range(0, m, batch):
+                stop = min(start + batch, m)
+                _, grads = _grad(
+                    params, x_span[:, start:stop], y_span[:, start:stop], l2
+                )
+                params = [p - lr * g for p, g in zip(params, grads)]
+    return [_unstack(type(starts[0]), params, i) for i in range(k)]
 
 
 def auc(scores: np.ndarray, labels: np.ndarray) -> float:

@@ -566,6 +566,10 @@ def test_run_rejects_bad_spec(tmp_path):
         ("scenarios=c\nsim.feature_dim=2\n", "spec sim settings: feature_dim"),
         ("scenarios=a\nn_train=99999999999999999999999\n", "at most 10000000"),
         ("scenarios=a\nn_test=10000001\n", "at most 10000000"),
+        ("scenarios=a,a\n", "scenarios lists 'a' more than once"),
+        ("scenarios=a\nmethods=simple,simple\n", "methods lists 'simple'"),
+        ("scenarios=a\nseeds=1,1\n", "seeds lists 1 more than once"),
+        ("scenarios=a\nqc_grid=0.75,0.75\n", "qc_grid lists 0.75 more"),
     )):
         result, out_dir = run_spec(tmp_path, text, name=f"s{k + 3}.txt", out=f"o{k}")
         assert result.returncode == 2

@@ -1,8 +1,11 @@
 """Grid runner: cardinality, status rows, determinism, persistence, parsing."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from causalboot import harness
 from causalboot.harness import (
     CSV_HEADER,
     ExperimentSpec,
@@ -150,6 +153,24 @@ def test_read_results_rejects_foreign_header(tmp_path):
         read_results(path)
 
 
+def test_read_results_names_the_bad_line(tmp_path):
+    good = "a,cb,0.95,conf,0,0.75,10,0,ok"
+    for record, message in (
+        ("a,cb,0.95", "expected 9 fields, got 3"),
+        (good + ",extra", "expected 9 fields, got 10"),
+        ("a,cb,zz,conf,0,0.75,10,0,ok", "could not convert"),
+        ("a,cb,0.95,conf,0,0.75,1.5,0,ok", "invalid literal"),
+        ("a,cb,0.95,conf,0,1.5,10,0,ok", "auc 1.5 outside"),
+    ):
+        path = tmp_path / "results.csv"
+        path.write_text(f"{CSV_HEADER}\n{good}\n{record}\n")
+        with pytest.raises(HarnessError, match=f"line 3: {message}"):
+            read_results(path)
+    path.write_text("")
+    with pytest.raises(HarnessError, match="header"):
+        read_results(path)
+
+
 def test_result_row_validation():
     with pytest.raises(HarnessError, match="auc"):
         ResultRow(
@@ -281,3 +302,88 @@ def test_spec_validation():
     for level in (0.0, float("inf"), float("nan")):
         with pytest.raises(HarnessError, match="complexity_sweep"):
             ExperimentSpec(scenarios=("a",), complexity_sweep=(0.5, level))
+    for axis, values, shown in (
+        ("scenarios", ("a", "b", "a"), "'a'"),
+        ("methods", ("simple", "cb", "simple"), "'simple'"),
+        ("seeds", (1, 2, 1), "1"),
+        ("qc_grid", (0.75, 0.750), "0.75"),
+        ("complexity_sweep", (0.5, 1.0, 1.0), "1.0"),
+    ):
+        with pytest.raises(HarnessError, match=f"{axis} lists {shown} more than once"):
+            ExperimentSpec(**{"scenarios": ("a",), axis: values})
+
+
+# --- pinned grids -------------------------------------------------------------
+
+# results.csv digests of grids written before models trained in stacks,
+# when every cell simulated its own draws and trained its own model.
+A8_SPEC = (
+    "scenarios=a\nmethods=simple,cb\ncomplexity_sweep=0.5,1.0,1.5,2.2,3.0\n"
+    "seeds=0,1,2,3,4\nn_train=2000\nn_test=2000\ntrain.kind=linear\n"
+    "train.epochs=60\n"
+)
+# Scenarios a-e, every method: da balances ragged draws and errors on
+# empty strata, if is "na" under the unseen regime, and six-row test
+# draws leave some regimes with one class to rank.
+MIXED_SPEC = (
+    "scenarios=a,b,c,d,e\nqc_grid=0.65,0.95\nseeds=0,1,2\nn_train=60\n"
+    "n_test=6\ntrain.batch=16\ntrain.epochs=5\n"
+)
+PINNED_GRIDS = {
+    "a8": (
+        A8_SPEC,
+        "1ae17b3ec3f0193dd90bd5a33f6ac3bd6db6d2d4de6f88fb08948406c14a4e51",
+    ),
+    "mixed": (
+        MIXED_SPEC,
+        "0f8a481bc8cd106da2cf3444877ebf280620ee133765e7c08c6d63fc36b333ed",
+    ),
+    "mixed_mlp": (
+        MIXED_SPEC + "train.kind=mlp\ntrain.width=4\n",
+        "a51bc48143feb40b060416a05666ddcacc3fa9214189f931848d355a39d708f1",
+    ),
+}
+
+
+def _digest(spec, tmp_path):
+    path = tmp_path / "results.csv"
+    write_results(run_experiment(spec), path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_GRIDS))
+def test_grid_matches_pinned_digest_whatever_the_stack_size(
+    name, tmp_path, monkeypatch
+):
+    text, pinned = PINNED_GRIDS[name]
+    spec = parse_spec_text(text)
+    calls = {"simulate": 0, "identify": 0}
+    stacks = []
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def recorded(xs, ys, configs):
+        stacks.append(len(xs))
+        return train_many(xs, ys, configs)
+
+    train_many = harness.train_many
+    monkeypatch.setattr(harness, "simulate", counted(harness.simulate, "simulate"))
+    monkeypatch.setattr(harness, "identify", counted(harness.identify, "identify"))
+    monkeypatch.setattr(harness, "train_many", recorded)
+    assert _digest(spec, tmp_path) == pinned
+    cells = len(spec.scenarios) * len(spec.levels) * len(spec.seeds)
+    assert calls == {"simulate": cells * (1 + 4), "identify": len(spec.scenarios)}
+    # one stack per (scenario, level), holding every trainable cell
+    assert len(stacks) == len(spec.scenarios) * len(spec.levels)
+    assert max(stacks) == len(spec.seeds) * len(spec.methods)
+
+    # smaller than any one model's features: every model trains alone
+    stacks.clear()
+    monkeypatch.setattr(harness, "_STACK_BYTES", 1)
+    assert _digest(spec, tmp_path) == pinned
+    assert set(stacks) == {1}

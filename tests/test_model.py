@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from causalboot import model as model_module
 from causalboot.model import (
     LinearModel,
     MlpModel,
@@ -18,6 +19,7 @@ from causalboot.model import (
     predict_proba,
     replace_params,
     train,
+    train_many,
 )
 from causalboot.rng import stream
 
@@ -282,6 +284,47 @@ def test_training_equals_per_batch_oracle(kind, seed, batch, lr):
         assert type(got.bias) is float
     else:
         assert type(got.b2) is float
+
+
+@pytest.mark.parametrize("gather_bytes", [None, 1])
+def test_train_many_equals_train_in_input_order(monkeypatch, gather_bytes):
+    """One call, several groups: two kinds, ragged row counts, two
+    feature counts and two learning rates.  With gather_bytes=1 every
+    batch is gathered on its own."""
+    if gather_bytes is not None:
+        monkeypatch.setattr(model_module, "_GATHER_BYTES", gather_bytes)
+    rng = np.random.default_rng(7)
+    xs, ys, configs = [], [], []
+    for i in range(16):
+        kind = ("linear", "mlp")[i % 2]
+        n = (229, 180)[i // 2 % 2]
+        d = (3, 5)[i // 4 % 2]
+        lr = (0.1, 0.3)[i // 8]
+        x, y = blobs(n, rng)
+        xs.append(np.column_stack([x, rng.standard_normal((n, d - 3))]))
+        ys.append(y)
+        configs.append(
+            TrainConfig(kind=kind, lr=lr, epochs=3, batch=23, seed=i, width=5)
+        )
+    got = train_many(xs, ys, configs)
+    assert len(got) == len(xs)
+    for model, x, y, cfg in zip(got, xs, ys, configs):
+        want = train(x, y, cfg)
+        assert type(model) is type(want)
+        assert params_vector(model).tobytes() == params_vector(want).tobytes()
+        assert params_vector(model).tobytes() == params_vector(
+            oracle_train(x, y, cfg)
+        ).tobytes()
+
+
+def test_train_many_validation():
+    x, y = blobs(20, np.random.default_rng(0))
+    with pytest.raises(ModelError, match="one config per feature array"):
+        train_many([x, x], [y], [TrainConfig()])
+    with pytest.raises(ModelError, match="0 or 1"):
+        train_many([x, x], [y, y + 1], [TrainConfig(), TrainConfig()])
+    (empty,) = train_many([np.zeros((0, 3))], [np.zeros(0)], [TrainConfig()])
+    assert params_vector(empty).tolist() == [0.0] * 4
 
 
 def test_linear_starts_at_zero():
