@@ -5,7 +5,7 @@ four test regimes.  The cells of one (scenario, level) share their
 draws: each seed's training draw is simulated once and feeds every
 method, each (seed, regime) test draw is simulated once and scored by
 every method's model, and the models train together in stacked numpy
-passes (``model.train_many``), each bit-for-bit the model trained
+passes (as by ``model.train_many``), each bit-for-bit the model trained
 alone.  Method pipelines:
 
 * simple - features only, trained on the raw draw
@@ -56,8 +56,8 @@ from .model import (
     ModelError,
     TrainConfig,
     auc,
+    _train_sets,
     predict_proba,
-    train_many,
     training_set,
 )
 from .rng import derive_key
@@ -83,8 +83,10 @@ CSV_HEADER = (
 
 _REGIME_ORDER = {r: i for i, r in enumerate(TestRegime)}
 
-# The most feature bytes trained in one stack: grids of small draws
-# train many models per pass, a draw near MAX_ROWS trains alone.
+# The most feature bytes waiting to train in one stack.  A set joins
+# the stack as soon as it is built, so a grid holds at most this much
+# beyond training one model at a time: grids of small draws train many
+# models per pass, and a set this large trains alone, at once.
 _STACK_BYTES = 32 << 20
 
 # The knobs of TrainConfig, each typed by its default: what a spec file's
@@ -220,18 +222,63 @@ def _cb_gate(scenario) -> EstimandError | None:
     return None
 
 
-def _training_sets(spec, scenario, level, seed, cb_gate) -> dict:
-    """Each method's (features, labels) for one seed, all built from one
-    training draw, or the status of a cell that cannot train."""
-    sets: dict = {}
+def _method_set(spec, scenario, level, seed, method, draw, cb_gate):
+    """One method's checked (features, labels), built from a seed's
+    training draw."""
+    data = draw
+    if method is MethodId.CB:
+        if cb_gate is not None:
+            raise cb_gate
+        table = cb_weights(draw.weight_columns(), scenario)
+        key = derive_key(seed, "resample", scenario.value, repr(level))
+        data = cb_resample(draw, table, ResampleConfig(seed=key))
+    elif method is MethodId.DA:
+        key = derive_key(seed, "balance", scenario.value, repr(level))
+        data = da_resample(draw, key)
+    return training_set(select_features(data, method, scenario), data.y)
+
+
+class _Stacks:
+    """Training sets waiting to train, trained in one pass whenever the
+    next set would take them past ``_STACK_BYTES`` of features; a set
+    that fills a stack on its own trains at once."""
+
+    def __init__(self):
+        self.models: dict = {}
+        self._waiting: list = []
+        self._bytes = 0
+
+    def add(self, key, x, y, config) -> None:
+        if self._waiting and self._bytes + x.nbytes > _STACK_BYTES:
+            self.flush()
+        self._waiting.append((key, (x, y), config))
+        self._bytes += x.nbytes
+        if self._bytes >= _STACK_BYTES:
+            self.flush()
+
+    def flush(self) -> None:
+        if not self._waiting:
+            return
+        keys, sets, configs = zip(*self._waiting)
+        self._waiting.clear()
+        self._bytes = 0
+        self.models.update(zip(keys, _train_sets(sets, configs)))
+
+
+def _stage_seed(spec, scenario, level, seed, cb_gate, stacks) -> dict:
+    """Builds every method's training set for one seed from one training
+    draw, handing each to ``stacks`` as soon as it is built, so that no
+    more than the draw, one new set and the waiting stack are held.
+    Returns the status of each cell that cannot train."""
+    failed: dict = {}
     runnable = []
     for method in spec.methods:
         if method is MethodId.DA and "u" not in OBSERVED_COLUMNS[scenario]:
-            sets[method] = "na"
+            failed[method] = "na"
         else:
             runnable.append(method)
     if not runnable:
-        return sets
+        return failed
     try:
         data_seed = derive_key(seed, "data", "train", scenario.value, repr(level))
         draw = simulate(
@@ -240,41 +287,31 @@ def _training_sets(spec, scenario, level, seed, cb_gate) -> dict:
             data_seed,
         )
     except CausalBootError as exc:
-        return {**sets, **{method: _error(exc) for method in runnable}}
+        return {**failed, **{method: _error(exc) for method in runnable}}
     for method in runnable:
         try:
-            data = draw
-            if method is MethodId.CB:
-                if cb_gate is not None:
-                    raise cb_gate
-                table = cb_weights(draw.weight_columns(), scenario)
-                key = derive_key(seed, "resample", scenario.value, repr(level))
-                data = cb_resample(draw, table, ResampleConfig(seed=key))
-            elif method is MethodId.DA:
-                key = derive_key(seed, "balance", scenario.value, repr(level))
-                data = da_resample(draw, key)
-            features = select_features(data, method, scenario)
-            sets[method] = training_set(features, data.y)
+            x, y = _method_set(spec, scenario, level, seed, method, draw, cb_gate)
         except CausalBootError as exc:
-            sets[method] = _error(exc)
-    return sets
-
-
-def _train_stack(stack) -> dict:
-    """(seed, method) -> model for a stack of (key, x, y, config)."""
-    keys, xs, ys, configs = zip(*stack)
-    return dict(zip(keys, train_many(xs, ys, configs)))
+            failed[method] = _error(exc)
+            continue
+        train_seed = derive_key(
+            seed, "train", method.value, scenario.value, repr(level)
+        )
+        config = dataclasses.replace(spec.train, seed=train_seed)
+        stacks.add((seed, method), x, y, config)
+        del x, y  # a set that trained at once is not kept for the next
+    return failed
 
 
 def _run_level(spec: ExperimentSpec, scenario, level, cb_gate) -> list[ResultRow]:
     """Every (method, seed) cell of one scenario and level.
 
     Each seed's training draw is simulated once and feeds every method's
-    training set.  The sets are trained together by ``train_many``, in
-    stacks of at most ``_STACK_BYTES`` of features, and each (seed,
-    regime) test draw is simulated once and scored by every model
-    trained on that seed.  A cell that fails gets its own "error: ..."
-    rows and leaves the rest of its stack alone.
+    training set.  The sets are trained together, in stacks of at most
+    ``_STACK_BYTES`` of features, and each (seed, regime) test draw is
+    simulated once and scored by every model trained on that seed.  A
+    cell that fails gets its own "error: ..." rows and leaves the rest
+    of its stack alone.
     """
     rows: list[ResultRow] = []
 
@@ -283,30 +320,14 @@ def _run_level(spec: ExperimentSpec, scenario, level, cb_gate) -> list[ResultRow
             _row(scenario, method, level, regime, seed, spec.n_train, auc, status)
         )
 
-    models: dict = {}
-    stack: list = []
-    stack_bytes = 0
+    stacks = _Stacks()
     for seed in spec.seeds:
-        sets = _training_sets(spec, scenario, level, seed, cb_gate)
-        for method, built in sets.items():
-            if isinstance(built, str):
-                for regime in TestRegime:
-                    report(method, seed, regime, status=built)
-                continue
-            x, y = built
-            if stack and stack_bytes + x.nbytes > _STACK_BYTES:
-                models.update(_train_stack(stack))
-                stack.clear()
-                stack_bytes = 0
-            train_seed = derive_key(
-                seed, "train", method.value, scenario.value, repr(level)
-            )
-            config = dataclasses.replace(spec.train, seed=train_seed)
-            stack.append(((seed, method), x, y, config))
-            stack_bytes += x.nbytes
-    if stack:
-        models.update(_train_stack(stack))
-        stack.clear()  # scoring needs the models, not their training sets
+        failed = _stage_seed(spec, scenario, level, seed, cb_gate, stacks)
+        for method, status in failed.items():
+            for regime in TestRegime:
+                report(method, seed, regime, status=status)
+    stacks.flush()
+    models = stacks.models
 
     for seed in spec.seeds:
         for regime in TestRegime:

@@ -25,7 +25,9 @@ from .errors import CausalBootError
 from .rng import stream
 
 
-# The most feature bytes a training pass gathers at once.
+# The most feature bytes a training pass gathers at once.  Gathering a
+# span of batches per model call, not one batch, keeps the calls per
+# step from growing with the number of models stacked.
 _GATHER_BYTES = 1 << 18
 
 
@@ -235,7 +237,11 @@ def train_many(xs, ys, configs) -> list[Model]:
     matmuls on (K, batch, features) arrays."""
     if not len(xs) == len(ys) == len(configs):
         raise ModelError("need one label array and one config per feature array")
-    sets = [training_set(x, y) for x, y in zip(xs, ys)]
+    return _train_sets([training_set(x, y) for x, y in zip(xs, ys)], configs)
+
+
+def _train_sets(sets, configs) -> list[Model]:
+    """``train_many`` on (x, y) pairs already checked by ``training_set``."""
     groups: dict[tuple, list[int]] = {}
     for i, ((x, _), config) in enumerate(zip(sets, configs)):
         key = (x.shape, dataclasses.replace(config, seed=0))

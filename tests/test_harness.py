@@ -1,6 +1,7 @@
 """Grid runner: cardinality, status rows, determinism, persistence, parsing."""
 
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -367,14 +368,14 @@ def test_grid_matches_pinned_digest_whatever_the_stack_size(
 
         return wrapper
 
-    def recorded(xs, ys, configs):
-        stacks.append(len(xs))
-        return train_many(xs, ys, configs)
+    def recorded(sets, configs):
+        stacks.append(len(sets))
+        return train_sets(sets, configs)
 
-    train_many = harness.train_many
+    train_sets = harness._train_sets
     monkeypatch.setattr(harness, "simulate", counted(harness.simulate, "simulate"))
     monkeypatch.setattr(harness, "identify", counted(harness.identify, "identify"))
-    monkeypatch.setattr(harness, "train_many", recorded)
+    monkeypatch.setattr(harness, "_train_sets", recorded)
     assert _digest(spec, tmp_path) == pinned
     cells = len(spec.scenarios) * len(spec.levels) * len(spec.seeds)
     assert calls == {"simulate": cells * (1 + 4), "identify": len(spec.scenarios)}
@@ -387,3 +388,32 @@ def test_grid_matches_pinned_digest_whatever_the_stack_size(
     monkeypatch.setattr(harness, "_STACK_BYTES", 1)
     assert _digest(spec, tmp_path) == pinned
     assert set(stacks) == {1}
+
+
+def test_training_sets_are_freed_once_trained(monkeypatch):
+    """With stacks of one model, each set is freed as soon as it has
+    trained: none is alive when the next draw is simulated, and only
+    the draw's own features are when the next set is built."""
+    trained = []
+
+    def recorded(sets, configs):
+        trained.extend(weakref.ref(x) for x, _ in sets)
+        return train_sets(sets, configs)
+
+    def alive():
+        return sum(ref() is not None for ref in trained)
+
+    def checked(fn, most):
+        def wrapper(*args, **kwargs):
+            assert alive() <= most
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    train_sets = harness._train_sets
+    monkeypatch.setattr(harness, "_STACK_BYTES", 1)
+    monkeypatch.setattr(harness, "_train_sets", recorded)
+    monkeypatch.setattr(harness, "simulate", checked(harness.simulate, 0))
+    monkeypatch.setattr(harness, "_method_set", checked(harness._method_set, 1))
+    run_experiment(parse_spec_text(MIXED_SPEC))
+    assert len(trained) > 0 and alive() == 0
