@@ -21,6 +21,10 @@ With t = y the numerator is the indicator 1[y_n = c].  In scenario e the
 care factors P(d | y, u) of numerator and denominator agree on every row
 that carries weight, so they cancel and the care column is never read.
 
+The weights are licensed only where P(x | do(y)) is identifiable in
+the scenario's graph: ``cb_weights`` checks that once per scenario per
+process and raises ``NotIdentifiedError`` (exit code 2) otherwise.
+
 All conditionals are plug-in frequency tables (optionally smoothed); the
 indicator numerator is exact and never smoothed.  Class weight columns
 sum to 1 exactly when every cell the formula touches has samples; missing
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
 from typing import Mapping
 
 import numpy as np
@@ -47,13 +52,21 @@ from .estimate import (
     fit_conditional,
     silverman_bandwidth,
 )
-from .graph import X_ANCESTOR_COLUMNS, ScenarioId
+from .graph import X_ANCESTOR_COLUMNS, ScenarioId, scenario_graph
+from .identify import EstimandError, Unidentifiable, identify
 from .rng import stream
 from .simulate import Dataset
 
 
 class BootstrapError(CausalBootError):
     """Invalid resampling request."""
+
+
+class NotIdentifiedError(EstimandError):
+    """P(x | do(y)) is not identifiable in the scenario's graph; the
+    message is the hedge witness."""
+
+    exit_code = 2
 
 
 class MethodId(Enum):
@@ -82,6 +95,13 @@ _WEIGHT_FORMS = {
     ScenarioId.UNOBSERVED_CONF_MEDIATOR: ("z", ("y",)),
     ScenarioId.BIASED_CARE: ("y", ("u",)),
 }
+
+
+@cache
+def _x_under_do_y(scenario: ScenarioId):
+    """The outcome of identifying X under do(Y) in the scenario's
+    graph, computed once per scenario per process."""
+    return identify(scenario_graph(scenario), ("X",), ("Y",))
 
 
 @dataclass(frozen=True)
@@ -117,8 +137,13 @@ def cb_weights(
     scenario,
     alpha: float = 0.0,
 ) -> WeightTable:
-    """Importance weights for every class, from observed columns only."""
+    """Importance weights for every class, from observed columns only.
+    Raises ``NotIdentifiedError`` where the scenario's graph does not
+    license them."""
     scenario = ScenarioId.coerce(scenario)
+    outcome = _x_under_do_y(scenario)
+    if isinstance(outcome, Unidentifiable):
+        raise NotIdentifiedError(outcome.witness)
     target, given = _WEIGHT_FORMS[scenario]
     needed = tuple(dict.fromkeys(("y", *given, target)))
     missing = [name for name in needed if name not in columns]

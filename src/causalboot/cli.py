@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import itertools
 import sys
 from operator import itemgetter
@@ -34,13 +35,7 @@ from .bootstrap import (
 )
 from .errors import CausalBootError
 from .estimate import EstimateError, KernelSpec
-from .graph import (
-    OBSERVED_COLUMNS,
-    ScenarioId,
-    d_separated,
-    parse_graph,
-    scenario_graph,
-)
+from .graph import OBSERVED_COLUMNS, ScenarioId, d_separated, parse_graph
 from .identify import Identified, estimand_to_text, identify
 from .harness import (
     parse_spec_text,
@@ -48,7 +43,14 @@ from .harness import (
     run_experiment,
     write_results,
 )
-from .simulate import _SIM_KEYS, Dataset, SimConfig, SimulateError, simulate
+from .simulate import (
+    _SIM_KEYS,
+    X_MODES,
+    Dataset,
+    SimConfig,
+    SimulateError,
+    simulate,
+)
 
 # The label, then every scenario's observed columns in first-seen order.
 _DISCRETE_COLS = (
@@ -57,7 +59,9 @@ _DISCRETE_COLS = (
 )
 
 # SimConfig's offset vectors, each a --delta-* flag of comma-separated floats.
-_DELTA_KEYS = ("delta_y", "delta_u", "delta_z", "delta_v", "delta_u2")
+_DELTA_KEYS = tuple(
+    f.name for f in dataclasses.fields(SimConfig) if f.name.startswith("delta_")
+)
 
 
 def _names(raw: str) -> tuple[str, ...]:
@@ -235,13 +239,7 @@ def _cmd_bootstrap(args) -> int:
         raise BootstrapError("--out must not name the --in file")
     data = _read_dataset(getattr(args, "in"))
     if method is MethodId.CB:
-        outcome = identify(scenario_graph(scenario), ("X",), ("Y",))
-        if not isinstance(outcome, Identified):
-            print(f"UNIDENTIFIABLE: {outcome.witness}", file=sys.stderr)
-            return 2
-        table = cb_weights(
-            data.weight_columns(), scenario, alpha=args.smoothing
-        )
+        table = cb_weights(data.weight_columns(), scenario, alpha=args.smoothing)
         kernel = KernelSpec.parse(args.kernel)
         out = cb_resample(data, table, ResampleConfig(args.seed, kernel))
     else:
@@ -329,17 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--qc", dest="q_c", type=float, default=None)
-    p.add_argument("--qp-c", dest="qp_c", type=float, default=None)
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--r0", type=float, default=None)
-    p.add_argument("--r1", type=float, default=None)
-    p.add_argument("--f10", type=float, default=None)
-    p.add_argument("--f11", type=float, default=None)
-    p.add_argument("--feature-dim", dest="feature_dim", type=int, default=None)
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--x-mode", dest="x_mode", default=None, choices=["gaussian", "discrete"])
-    p.add_argument("--x-support", dest="x_support", type=int, default=None)
+    for name, kind in _SIM_KEYS.items():
+        flag = "--qc" if name == "q_c" else "--" + name.replace("_", "-")
+        choices = X_MODES if name == "x_mode" else None
+        p.add_argument(flag, dest=name, type=kind, default=None, choices=choices)
     for name in _DELTA_KEYS:
         p.add_argument(
             "--" + name.replace("_", "-"), dest=name, help="comma-separated floats"

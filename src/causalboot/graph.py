@@ -268,30 +268,26 @@ def mutilate(g: CausalGraph, bar: Iterable[str] = (), underline: Iterable[str] =
     )
 
 
-def ancestors(g: CausalGraph, nodes: Iterable[str]) -> NodeSet:
-    """All nodes with a directed path into ``nodes``, including ``nodes``."""
+def _reach(g: CausalGraph, nodes: Iterable[str], step) -> NodeSet:
+    """``nodes`` and every node reached from them by repeated ``step``
+    (``g.parents`` or ``g.children``)."""
     todo = deque(g._check_set(nodes))
     out = set(todo)
     while todo:
-        node = todo.popleft()
-        for parent in g.parents(node):
-            if parent not in out:
-                out.add(parent)
-                todo.append(parent)
+        for nxt in step(todo.popleft()) - out:
+            out.add(nxt)
+            todo.append(nxt)
     return frozenset(out)
+
+
+def ancestors(g: CausalGraph, nodes: Iterable[str]) -> NodeSet:
+    """All nodes with a directed path into ``nodes``, including ``nodes``."""
+    return _reach(g, nodes, g.parents)
 
 
 def descendants(g: CausalGraph, nodes: Iterable[str]) -> NodeSet:
     """All nodes reachable from ``nodes`` by directed paths, inclusive."""
-    todo = deque(g._check_set(nodes))
-    out = set(todo)
-    while todo:
-        node = todo.popleft()
-        for child in g.children(node):
-            if child not in out:
-                out.add(child)
-                todo.append(child)
-    return frozenset(out)
+    return _reach(g, nodes, g.children)
 
 
 def _expand_bidirected(g: CausalGraph) -> CausalGraph:

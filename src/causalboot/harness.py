@@ -13,8 +13,9 @@ alone.  Method pipelines:
            mediator columns, available at test time too
 * da     - stratified upsampling to balance the observed confounder,
            then features only
-* cb     - identification check (once per scenario), importance
-           weights, weighted resampling, then features only
+* cb     - identification check (once per scenario, inside
+           ``cb_weights``), importance weights, weighted resampling,
+           then features only
 
 Cells that cannot run are rows, not crashes: "na" where a method does
 not apply (balancing without an observed confounder, extra-column
@@ -50,8 +51,7 @@ from .bootstrap import (
     select_features,
 )
 from .errors import CausalBootError
-from .graph import OBSERVED_COLUMNS, GraphError, ScenarioId, scenario_graph
-from .identify import EstimandError, Unidentifiable, identify
+from .graph import OBSERVED_COLUMNS, GraphError, ScenarioId
 from .model import (
     ModelError,
     TrainConfig,
@@ -213,22 +213,11 @@ def _error(exc) -> str:
     return "error: " + " ".join(str(exc).split())
 
 
-def _cb_gate(scenario) -> EstimandError | None:
-    """The error every cb cell of a scenario reports, or None when X's
-    effect on Y is identifiable in the scenario's graph."""
-    outcome = identify(scenario_graph(scenario), ("X",), ("Y",))
-    if isinstance(outcome, Unidentifiable):
-        return EstimandError(outcome.witness)
-    return None
-
-
-def _method_set(spec, scenario, level, seed, method, draw, cb_gate):
+def _method_set(spec, scenario, level, seed, method, draw):
     """One method's checked (features, labels), built from a seed's
     training draw."""
     data = draw
     if method is MethodId.CB:
-        if cb_gate is not None:
-            raise cb_gate
         table = cb_weights(draw.weight_columns(), scenario)
         key = derive_key(seed, "resample", scenario.value, repr(level))
         data = cb_resample(draw, table, ResampleConfig(seed=key))
@@ -265,7 +254,7 @@ class _Stacks:
         self.models.update(zip(keys, _train_sets(sets, configs)))
 
 
-def _stage_seed(spec, scenario, level, seed, cb_gate, stacks) -> dict:
+def _stage_seed(spec, scenario, level, seed, stacks) -> dict:
     """Builds every method's training set for one seed from one training
     draw, handing each to ``stacks`` as soon as it is built, so that no
     more than the draw, one new set and the waiting stack are held.
@@ -290,7 +279,7 @@ def _stage_seed(spec, scenario, level, seed, cb_gate, stacks) -> dict:
         return {**failed, **{method: _error(exc) for method in runnable}}
     for method in runnable:
         try:
-            x, y = _method_set(spec, scenario, level, seed, method, draw, cb_gate)
+            x, y = _method_set(spec, scenario, level, seed, method, draw)
         except CausalBootError as exc:
             failed[method] = _error(exc)
             continue
@@ -303,7 +292,7 @@ def _stage_seed(spec, scenario, level, seed, cb_gate, stacks) -> dict:
     return failed
 
 
-def _run_level(spec: ExperimentSpec, scenario, level, cb_gate) -> list[ResultRow]:
+def _run_level(spec: ExperimentSpec, scenario, level) -> list[ResultRow]:
     """Every (method, seed) cell of one scenario and level.
 
     Each seed's training draw is simulated once and feeds every method's
@@ -322,7 +311,7 @@ def _run_level(spec: ExperimentSpec, scenario, level, cb_gate) -> list[ResultRow
 
     stacks = _Stacks()
     for seed in spec.seeds:
-        failed = _stage_seed(spec, scenario, level, seed, cb_gate, stacks)
+        failed = _stage_seed(spec, scenario, level, seed, stacks)
         for method, status in failed.items():
             for regime in TestRegime:
                 report(method, seed, regime, status=status)
@@ -369,9 +358,8 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     canonically sorted, so the rows are deterministic for a given spec."""
     rows = []
     for scenario in spec.scenarios:
-        cb_gate = _cb_gate(scenario) if MethodId.CB in spec.methods else None
         for level in spec.levels:
-            rows += _run_level(spec, scenario, level, cb_gate)
+            rows += _run_level(spec, scenario, level)
     rows.sort(
         key=lambda r: (
             r.scenario,

@@ -418,10 +418,12 @@ def latent_project(g: CausalGraph) -> CausalGraph:
     if not g.latent:
         return g
     observed = tuple(n for n in g.nodes if n not in g.latent)
-    directed: set[tuple[str, str]] = set()
-    for a in observed:
-        stack = list(g.children(a))
+
+    def reached(node: str) -> set[str]:
+        """Observed nodes reached from ``node`` through latent nodes only."""
+        out: set[str] = set()
         seen: set[str] = set()
+        stack = list(g.children(node))
         while stack:
             c = stack.pop()
             if c in seen:
@@ -430,23 +432,13 @@ def latent_project(g: CausalGraph) -> CausalGraph:
             if c in g.latent:
                 stack.extend(g.children(c))
             else:
-                directed.add((a, c))
+                out.add(c)
+        return out
+
+    directed = {(a, c) for a in observed for c in reached(a)}
     bidirected = set(g.bidirected)
-    for l in sorted(g.latent):
-        reach: set[str] = set()
-        stack = list(g.children(l))
-        seen = {l}
-        while stack:
-            c = stack.pop()
-            if c in seen:
-                continue
-            seen.add(c)
-            if c in g.latent:
-                stack.extend(g.children(c))
-            else:
-                reach.add(c)
-        for a, b in combinations(sorted(reach), 2):
-            bidirected.add((a, b))
+    for l in g.latent:
+        bidirected.update(combinations(sorted(reached(l)), 2))
     return CausalGraph(
         nodes=observed,
         directed=frozenset(directed),

@@ -105,14 +105,6 @@ def _check_labels(y: np.ndarray, n: int) -> np.ndarray:
     return y.astype(float, copy=False)
 
 
-def _params(model: Model) -> tuple:
-    """The model's fields in declaration order: (weights, bias) or
-    (w1, b1, w2, b2); ``type(model)(*params)`` rebuilds it."""
-    if isinstance(model, LinearModel):
-        return (model.weights, model.bias)
-    return (model.w1, model.b1, model.w2, model.b2)
-
-
 def _stack(models) -> list:
     """Each parameter of same-shaped models stacked over a leading model
     axis K, weight vectors as columns and biases as rows, so that every
@@ -179,33 +171,27 @@ def loss_and_grad(model: Model, x: np.ndarray, y: np.ndarray, l2: float):
 
 
 def params_vector(model: Model) -> np.ndarray:
-    return np.concatenate([np.ravel(p) for p in _params(model)])
+    """Every parameter in field order, each flattened row-major."""
+    return np.concatenate([p.ravel() for p in _stack([model])])
 
 
 def replace_params(model: Model, vector: np.ndarray) -> Model:
+    """A model shaped like ``model`` holding ``params_vector``'s layout."""
     vector = np.asarray(vector, dtype=float)
-    if isinstance(model, LinearModel):
-        d = len(model.weights)
-        if len(vector) != d + 1:
-            raise ModelError("parameter vector has the wrong length")
-        return LinearModel(weights=vector[:d], bias=float(vector[d]))
-    d, width = model.w1.shape
-    sizes = [d * width, width, width, 1]
+    layout = _stack([model])
+    sizes = [p.size for p in layout]
     if len(vector) != sum(sizes):
         raise ModelError("parameter vector has the wrong length")
     parts = np.split(vector, np.cumsum(sizes)[:-1])
-    return MlpModel(
-        w1=parts[0].reshape(d, width),
-        b1=parts[1],
-        w2=parts[2],
-        b2=float(parts[3][0]),
-    )
+    stacked = [part.reshape(p.shape) for part, p in zip(parts, layout)]
+    return _unstack(type(model), stacked, 0)
 
 
 def _initial_model(kind: str, dim: int, width: int, rng) -> Model:
     if kind == "linear":
         return LinearModel(weights=np.zeros(dim), bias=0.0)
-    bound1 = 1.0 / np.sqrt(dim)
+    # any finite bound draws zero columns' empty w1, consuming nothing
+    bound1 = 1.0 / np.sqrt(max(dim, 1))
     bound2 = 1.0 / np.sqrt(width)
     return MlpModel(
         w1=rng.uniform(-bound1, bound1, size=(dim, width)),

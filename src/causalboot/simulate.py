@@ -72,6 +72,9 @@ class TestRegime(Enum):
 # and tested without confounding sits near 0.85 AUC at the defaults.
 DELTA_SCALE = 1.4657
 
+# The feature draws: Gaussian, or its binning into a small categorical.
+X_MODES = ("gaussian", "discrete")
+
 # Largest n a draw may have: it is held in memory, 80 MB of float64
 # features per million rows at the default ten feature dimensions.
 MAX_ROWS = 10_000_000
@@ -129,7 +132,7 @@ class SimConfig:
             raise SimulateError(f"sigma must be finite and positive, got {self.sigma!r}")
         if self.feature_dim < 1:
             raise SimulateError("feature_dim must be at least 1")
-        if self.x_mode not in ("gaussian", "discrete"):
+        if self.x_mode not in X_MODES:
             raise SimulateError(f"unknown x_mode {self.x_mode!r}")
         if self.x_mode == "discrete" and self.x_support < 2:
             raise SimulateError("discrete features need support of at least 2")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from causalboot.bootstrap import (
     BootstrapError,
     MethodId,
+    NotIdentifiedError,
     ResampleConfig,
     WeightTable,
     cb_resample,
@@ -146,6 +147,13 @@ def test_smoothing_fills_empty_numerator_cells():
 def test_missing_columns_rejected():
     with pytest.raises(EstimateError, match="missing z"):
         cb_weights({"y": np.array([0, 1]), "u": np.array([0, 1])}, "b")
+
+
+def test_weights_need_an_identifiable_graph(unidentifiable_a):
+    cols = {"y": np.array([0, 1, 0, 1]), "u": np.array([0, 0, 1, 1])}
+    with pytest.raises(NotIdentifiedError, match="^hedge"):
+        cb_weights(cols, unidentifiable_a)
+    assert cb_weights(cols, "e").normalized  # other scenarios keep their graph
 
 
 def test_weight_table_validation():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalboot import cli
-from causalboot.bootstrap import BootstrapError
+from causalboot.bootstrap import BootstrapError, NotIdentifiedError
 from causalboot.errors import CausalBootError
 from causalboot.estimate import EstimateError, ZeroSupportError
 from causalboot.graph import GraphError
@@ -183,7 +183,8 @@ def test_error_classes_carry_their_exit_codes():
     assert issubclass(CausalBootError, ValueError)
     codes = {
         BootstrapError: 1, EstimateError: 1, EstimandError: 1, GraphError: 1,
-        ModelError: 1, SimulateError: 1, HarnessError: 2, ZeroSupportError: 3,
+        ModelError: 1, SimulateError: 1, HarnessError: 2, NotIdentifiedError: 2,
+        ZeroSupportError: 3,
     }
     for cls, code in codes.items():
         assert issubclass(cls, CausalBootError)
@@ -498,6 +499,21 @@ def test_bootstrap_refuses_to_overwrite_its_input(tmp_path, monkeypatch, capsys)
             assert cli.main(argv) == 1
             assert "--out must not name the --in file" in capsys.readouterr().err
             assert src.read_bytes() == before
+
+
+def test_bootstrap_cb_exits_2_on_an_unidentifiable_scenario(
+    tmp_path, capsys, unidentifiable_a
+):
+    src = simulate_csv(tmp_path, "s.csv")
+    for method, code in (("cb", 2), ("da", 0)):
+        out_path = tmp_path / f"{method}.csv"
+        argv = ["bootstrap", "--scenario", "a", "--method", method,
+                "--in", str(src), "--out", str(out_path), "--seed", "1"]
+        assert cli.main(argv) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("error: hedge")
+        assert out_path.exists() == (code == 0)
 
 
 def test_simulate_output_feeds_bootstrap(tmp_path):

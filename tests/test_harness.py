@@ -6,7 +6,8 @@ import weakref
 import numpy as np
 import pytest
 
-from causalboot import harness
+from causalboot import bootstrap, harness
+from causalboot.bootstrap import MethodId
 from causalboot.harness import (
     CSV_HEADER,
     ExperimentSpec,
@@ -92,6 +93,15 @@ def test_error_rows_do_not_abort():
     unseen = cells[("a", "simple", 0.95, "unseen", 0)]
     assert unseen.status.startswith("error:")
     assert unseen.auc is None
+
+
+def test_unidentifiable_scenario_fails_its_cb_cells_only(unidentifiable_a):
+    rows = run_experiment(small_spec(methods=("simple", "da", "cb"), seeds=(0,)))
+    for row in rows:
+        if row.method == "cb":
+            assert row.status.startswith("error: hedge") and row.auc is None
+        else:
+            assert row.status == "ok"
 
 
 def test_adding_methods_never_perturbs_existing_cells():
@@ -374,11 +384,13 @@ def test_grid_matches_pinned_digest_whatever_the_stack_size(
 
     train_sets = harness._train_sets
     monkeypatch.setattr(harness, "simulate", counted(harness.simulate, "simulate"))
-    monkeypatch.setattr(harness, "identify", counted(harness.identify, "identify"))
+    monkeypatch.setattr(bootstrap, "identify", counted(bootstrap.identify, "identify"))
     monkeypatch.setattr(harness, "_train_sets", recorded)
+    bootstrap._x_under_do_y.cache_clear()
     assert _digest(spec, tmp_path) == pinned
     cells = len(spec.scenarios) * len(spec.levels) * len(spec.seeds)
-    assert calls == {"simulate": cells * (1 + 4), "identify": len(spec.scenarios)}
+    checked = len(spec.scenarios) if MethodId.CB in spec.methods else 0
+    assert calls == {"simulate": cells * (1 + 4), "identify": checked}
     # one stack per (scenario, level), holding every trainable cell
     assert len(stacks) == len(spec.scenarios) * len(spec.levels)
     assert max(stacks) == len(spec.seeds) * len(spec.methods)

@@ -327,6 +327,15 @@ def test_train_many_validation():
     assert params_vector(empty).tolist() == [0.0] * 4
 
 
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+def test_zero_feature_columns_train_a_bias_only_model(kind):
+    y = np.array([1, 1, 1, 0] * 5)
+    model = train(np.zeros((20, 0)), y, TrainConfig(kind=kind, width=4))
+    assert np.all(np.isfinite(params_vector(model)))
+    p = predict_proba(model, np.zeros((3, 0)))
+    assert p.shape == (3,) and np.all(p == p[0]) and 0.5 < p[0] < 1.0
+
+
 def test_linear_starts_at_zero():
     rng = np.random.default_rng(0)
     x, y = blobs(50, rng)
