@@ -161,6 +161,9 @@ def _read_dataset(path: str) -> Dataset:
         except StopIteration:
             raise EstimateError(f"{path} is empty") from None
 
+        repeated = [h for i, h in enumerate(header) if h in header[:i]]
+        if repeated:
+            raise EstimateError(f"column {repeated[0]!r} appears more than once")
         x_names = [h for h in header if h.startswith("x")]
         if x_names != [f"x{j}" for j in range(len(x_names))] or not x_names:
             raise EstimateError(

@@ -37,6 +37,7 @@ import csv
 import dataclasses
 import io
 from dataclasses import dataclass, field
+from enum import Enum
 from typing import Mapping
 
 import numpy as np
@@ -77,10 +78,6 @@ class HarnessError(CausalBootError):
     exit_code = 2
 
 
-CSV_HEADER = (
-    "scenario,method,qc,regime,seed,auc,n_train,wall_time_ms,status"
-)
-
 _REGIME_ORDER = {r: i for i, r in enumerate(TestRegime)}
 
 # The most feature bytes waiting to train in one stack.  A set joins
@@ -88,6 +85,18 @@ _REGIME_ORDER = {r: i for i, r in enumerate(TestRegime)}
 # beyond training one model at a time: grids of small draws train many
 # models per pass, and a set this large trains alone, at once.
 _STACK_BYTES = 32 << 20
+
+# The grid keys of a spec file, in the order spec.resolved.txt writes
+# them: (key, type, listed), where a listed key holds comma-separated values.
+_SPEC_KEYS = (
+    ("scenarios", str, True),
+    ("qc_grid", float, True),
+    ("methods", str, True),
+    ("seeds", int, True),
+    ("n_train", int, False),
+    ("n_test", int, False),
+    ("complexity_sweep", float, True),
+)
 
 # The knobs of TrainConfig, each typed by its default: what a spec file's
 # train.* keys may set, in the order spec.resolved.txt writes them.
@@ -155,7 +164,7 @@ class ExperimentSpec:
         try:
             for scenario in self.scenarios:
                 for level in self.levels:
-                    _sim_config(self, scenario, level, self.n_train)
+                    _sim_config(self, scenario, level, max(self.n_train, self.n_test))
         except SimulateError as exc:
             raise HarnessError(f"spec sim settings: {exc}") from None
 
@@ -184,16 +193,22 @@ class ResultRow:
             raise HarnessError(f"auc {self.auc!r} outside [0,1]")
 
 
+CSV_HEADER = ",".join(f.name for f in dataclasses.fields(ResultRow))
+
+# How read_results parses each column of results.csv, in ResultRow's order.
+_COLUMN_PARSERS = (
+    str, str, float, str, int, lambda s: None if s == "" else float(s), int, int, str
+)
+
+
 def _sim_config(spec: ExperimentSpec, scenario, level, n) -> SimConfig:
-    kw = dict(spec.sim)
-    if spec.complexity_sweep is not None:
-        dim = int(kw.get("feature_dim", SimConfig.feature_dim))
-        delta_y = np.zeros(dim)
-        delta_y[0] = level
-        kw["delta_y"] = delta_y
-    else:
-        kw["q_c"] = level
-    return SimConfig(scenario=scenario, n=n, **kw)
+    if spec.complexity_sweep is None:
+        return SimConfig(scenario=scenario, n=n, **{**spec.sim, "q_c": level})
+    # the label offset is sized only once SimConfig has checked the width
+    config = SimConfig(scenario=scenario, n=n, **spec.sim)
+    delta_y = np.zeros(config.feature_dim)
+    delta_y[0] = level
+    return dataclasses.replace(config, delta_y=delta_y)
 
 
 def _row(scenario, method, level, regime, seed, n_train, auc=None, status="ok"):
@@ -374,27 +389,25 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
 
 # --- persistence -------------------------------------------------------------
 
-def _format_row(row: ResultRow) -> list[str]:
-    return [
-        row.scenario,
-        row.method,
-        repr(row.qc),
-        row.regime,
-        str(row.seed),
-        "" if row.auc is None else repr(row.auc),
-        str(row.n_train),
-        str(row.wall_time_ms),
-        row.status,
-    ]
+def _text(value) -> str:
+    """A results.csv cell or a spec.resolved.txt value: floats by repr, so
+    reruns are byte-identical, enums by value, and None as empty."""
+    if value is None:
+        return ""
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
 
 
 def write_results(rows, path) -> None:
-    """Fixed-header CSV; floats via repr so reruns are byte-identical."""
+    """Fixed-header CSV, one ResultRow field per column."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_HEADER.split(","))
     for row in rows:
-        writer.writerow(_format_row(row))
+        writer.writerow(map(_text, dataclasses.astuple(row)))
     with open(path, "w", newline="") as fh:
         fh.write(buffer.getvalue())
 
@@ -413,17 +426,7 @@ def read_results(path) -> list[ResultRow]:
                     f"{where}: expected {len(header)} fields, got {len(record)}"
                 )
             try:
-                row = ResultRow(
-                    scenario=record[0],
-                    method=record[1],
-                    qc=float(record[2]),
-                    regime=record[3],
-                    seed=int(record[4]),
-                    auc=None if record[5] == "" else float(record[5]),
-                    n_train=int(record[6]),
-                    wall_time_ms=int(record[7]),
-                    status=record[8],
-                )
+                row = ResultRow(*(f(v) for f, v in zip(_COLUMN_PARSERS, record)))
             except ValueError as exc:
                 raise HarnessError(f"{where}: {exc}") from None
             rows.append(row)
@@ -461,21 +464,12 @@ def parse_spec_text(text: str) -> ExperimentSpec:
         return [convert(key, item, kind) for item in items if item]
 
     kwargs: dict = {
-        key: pop_list(key, kind)
-        for key, kind in (
-            ("scenarios", str),
-            ("qc_grid", float),
-            ("seeds", int),
-            ("methods", str),
-            ("complexity_sweep", float),
-        )
+        key: (pop_list if listed else pop_value)(key, kind)
+        for key, kind, listed in _SPEC_KEYS
         if key in values
     }
     if "scenarios" not in kwargs:
         raise HarnessError("spec needs a scenarios= line")
-    for key in ("n_train", "n_test"):
-        if key in values:
-            kwargs[key] = pop_value(key, int)
 
     sim: dict[str, object] = {}
     train_kw: dict[str, object] = {}
@@ -505,23 +499,16 @@ def parse_spec_text(text: str) -> ExperimentSpec:
 
 def resolved_spec_text(spec: ExperimentSpec) -> str:
     """Every knob written out, defaults included, in a fixed order."""
-    lines = [
-        "scenarios=" + ",".join(s.value for s in spec.scenarios),
-        "qc_grid=" + ",".join(repr(q) for q in spec.qc_grid),
-        "methods=" + ",".join(m.value for m in spec.methods),
-        "seeds=" + ",".join(str(s) for s in spec.seeds),
-        f"n_train={spec.n_train}",
-        f"n_test={spec.n_test}",
-    ]
-    if spec.complexity_sweep is not None:
-        lines.append(
-            "complexity_sweep=" + ",".join(repr(v) for v in spec.complexity_sweep)
-        )
+    lines = []
+    for key, _, listed in _SPEC_KEYS:
+        value = getattr(spec, key)
+        if value is not None:  # complexity_sweep is None outside sweep mode
+            lines.append(f"{key}=" + ",".join(map(_text, value if listed else [value])))
     for name in _SIM_KEYS:
         if name in ("q_c", "qp_c") and name not in spec.sim:
             continue  # q_c is grid-controlled, and qp_c follows it
-        lines.append(f"sim.{name}={spec.sim.get(name, getattr(SimConfig, name))}")
+        value = spec.sim.get(name, getattr(SimConfig, name))
+        lines.append(f"sim.{name}={_text(value)}")
     for name in _TRAIN_KEYS:
-        value = getattr(spec.train, name)
-        lines.append(f"train.{name}={value}")
+        lines.append(f"train.{name}={_text(getattr(spec.train, name))}")
     return "\n".join(lines) + "\n"

@@ -2,8 +2,9 @@
 
 :func:`identify` decides whether P(outcome | do(intervention)) can be
 written purely in terms of the observational joint, and if so returns a
-symbolic estimand: an expression tree of sums, products, conditionals,
-marginals and (rarely) quotients of partial sums.
+symbolic estimand: an expression tree of sums, products, probability
+terms P(targets | given) (a marginal when nothing is given) and (rarely)
+quotients of partial sums.
 The recursion factorises the graph into districts (components connected
 by bidirected edges) and reduces each district's contribution to
 conditionals of the observational distribution; it fails exactly on
@@ -57,18 +58,11 @@ class Ref:
 
 
 @dataclass(frozen=True)
-class Marginal:
-    """P(targets)."""
-
-    targets: tuple[Ref, ...]
-
-
-@dataclass(frozen=True)
 class Cond:
-    """P(targets | given)."""
+    """P(targets | given), or the marginal P(targets) when ``given`` is empty."""
 
     targets: tuple[Ref, ...]
-    given: tuple[Ref, ...]
+    given: tuple[Ref, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -96,7 +90,7 @@ class Quotient:
     den: "Expr"
 
 
-Expr = Union[Marginal, Cond, Product, Sum, Quotient]
+Expr = Union[Cond, Product, Sum, Quotient]
 
 
 @dataclass(frozen=True)
@@ -158,13 +152,9 @@ def _default_aliases(variables: tuple[str, ...]) -> tuple[tuple[str, str], ...]:
 
 
 def _render(expr: Expr, inside_product: bool = False) -> str:
-    if isinstance(expr, Marginal):
-        return "P(%s)" % ",".join(str(r) for r in expr.targets)
     if isinstance(expr, Cond):
-        return "P(%s|%s)" % (
-            ",".join(str(r) for r in expr.targets),
-            ",".join(str(r) for r in expr.given),
-        )
+        given = "|" + ",".join(str(r) for r in expr.given) if expr.given else ""
+        return "P(%s%s)" % (",".join(str(r) for r in expr.targets), given)
     if isinstance(expr, Product):
         return " ".join(_render(f, inside_product=True) for f in expr.factors)
     if isinstance(expr, Sum):
@@ -184,59 +174,61 @@ def estimand_to_text(estimand: Estimand) -> str:
 # structural helpers
 
 
-def _refs(expr: Expr) -> frozenset[Ref]:
-    if isinstance(expr, Marginal):
-        return frozenset(expr.targets)
-    if isinstance(expr, Cond):
-        return frozenset(expr.targets) | frozenset(expr.given)
+def _parts(expr: Expr) -> tuple[Expr, ...]:
+    """The direct subexpressions of ``expr``; a probability term has none."""
     if isinstance(expr, Product):
-        out: frozenset[Ref] = frozenset()
-        for f in expr.factors:
-            out |= _refs(f)
-        return out
+        return expr.factors
     if isinstance(expr, Sum):
-        return _refs(expr.body)
+        return (expr.body,)
     if isinstance(expr, Quotient):
-        return _refs(expr.num) | _refs(expr.den)
-    raise TypeError(f"not an estimand node: {expr!r}")
+        return (expr.num, expr.den)
+    return ()
+
+
+def _rebuild(expr: Expr, fn) -> Expr:
+    """The same node with ``fn`` applied to each direct subexpression."""
+    parts = tuple(fn(part) for part in _parts(expr))
+    if isinstance(expr, Product):
+        return Product(parts)
+    if isinstance(expr, Sum):
+        return Sum(expr.over, *parts)
+    if isinstance(expr, Quotient):
+        return Quotient(*parts)
+    return expr
+
+
+def _refs(expr: Expr) -> frozenset[Ref]:
+    if isinstance(expr, Cond):
+        return frozenset(expr.targets + expr.given)
+    return frozenset().union(*map(_refs, _parts(expr)))
 
 
 def _substitute(expr: Expr, mapping: dict[Ref, str]) -> Expr:
     """Rewrite reference aliases; ``mapping`` sends old refs to new aliases."""
+    if not isinstance(expr, Cond):
+        return _rebuild(expr, lambda part: _substitute(part, mapping))
 
-    def fix(ref: Ref) -> Ref:
-        new = mapping.get(ref)
-        return Ref(ref.var, new) if new is not None else ref
+    def fix(refs: tuple[Ref, ...]) -> tuple[Ref, ...]:
+        return tuple(Ref(r.var, mapping[r]) if r in mapping else r for r in refs)
 
-    if isinstance(expr, Marginal):
-        return Marginal(tuple(fix(r) for r in expr.targets))
-    if isinstance(expr, Cond):
-        return Cond(tuple(fix(r) for r in expr.targets), tuple(fix(r) for r in expr.given))
-    if isinstance(expr, Product):
-        return Product(tuple(_substitute(f, mapping) for f in expr.factors))
-    if isinstance(expr, Sum):
-        return Sum(expr.over, _substitute(expr.body, mapping))
-    if isinstance(expr, Quotient):
-        return Quotient(_substitute(expr.num, mapping), _substitute(expr.den, mapping))
-    raise TypeError(f"not an estimand node: {expr!r}")
+    return Cond(fix(expr.targets), fix(expr.given))
 
 
 def _sums_to_one(expr: Expr, ref: Ref) -> bool:
     """Conservatively decide whether summing ``expr`` over ``ref`` gives 1."""
-    if isinstance(expr, (Marginal, Cond)):
+    if isinstance(expr, Cond):
         return expr.targets == (ref,)
     if isinstance(expr, Sum):
         factors = expr.body.factors if isinstance(expr.body, Product) else (expr.body,)
-        touching = [f for f in factors if ref in _refs(f)]
-        if len(touching) != 1 or not _sums_to_one(touching[0], ref):
-            return False
-        rest = [f for f in factors if ref not in _refs(f)]
-        return _collapses_to_one(expr.over, rest)
+        return _collapses_to_one(expr.over + ((ref.alias, ref.var),), factors)
     return False
 
 
-def _collapses_to_one(binders: tuple[tuple[str, str], ...], factors: list[Expr]) -> bool:
-    """Does Σ over ``binders`` of the product of ``factors`` equal 1?"""
+def _collapses_to_one(
+    binders: tuple[tuple[str, str], ...], factors: Iterable[Expr]
+) -> bool:
+    """Does Σ over ``binders`` of the product of ``factors`` equal 1?
+    The binders are summed out innermost (last) first."""
     remaining = list(factors)
     for alias, var in reversed(binders):
         bref = Ref(var, alias)
@@ -298,7 +290,7 @@ def _initial_dist(state: _State, variables: tuple[str, ...]) -> _Dist:
     for i, v in enumerate(variables):
         target = (state.free_ref(v),)
         given = tuple(state.free_ref(p) for p in variables[:i])
-        factors[v] = (Cond(target, given) if given else Marginal(target),)
+        factors[v] = (Cond(target, given),)
     return _Dist(scope=variables, factors=factors)
 
 
@@ -496,69 +488,45 @@ def _id(state: _State, y: NodeSet, x: NodeSet, dist: _Dist, g: CausalGraph) -> E
 
 
 def _normalize(expr: Expr) -> Expr:
+    """Flatten nested products and merge directly nested sums."""
+    expr = _rebuild(expr, _normalize)
     if isinstance(expr, Product):
-        factors = []
-        for f in expr.factors:
-            f = _normalize(f)
-            if isinstance(f, Product):
-                factors.extend(f.factors)
-            else:
-                factors.append(f)
-        return factors[0] if len(factors) == 1 else Product(tuple(factors))
-    if isinstance(expr, Sum):
-        body = _normalize(expr.body)
-        over = expr.over
-        if isinstance(body, Sum):
-            over = over + body.over
-            body = body.body
-        return Sum(over, body)
-    if isinstance(expr, Quotient):
-        return Quotient(_normalize(expr.num), _normalize(expr.den))
+        return _product(expr.factors)
+    if isinstance(expr, Sum) and isinstance(expr.body, Sum):
+        return Sum(expr.over + expr.body.over, expr.body.body)
     return expr
 
 
 def _assign_display(expr: Expr, reserved: frozenset[str], enclosing: frozenset[str]) -> Expr:
-    if isinstance(expr, Sum):
-        taken = set(enclosing)
-        mapping: dict[Ref, str] = {}
-        binders = []
-        for alias, var in expr.over:
-            display = var.lower()
-            while display in reserved or display in taken:
-                display += "'"
-            taken.add(display)
-            mapping[Ref(var, alias)] = display
-            binders.append((display, var))
-        body = _substitute(expr.body, mapping)
-        body = _assign_display(body, reserved, frozenset(taken))
-        return Sum(tuple(binders), body)
-    if isinstance(expr, Product):
-        return Product(
-            tuple(_assign_display(f, reserved, enclosing) for f in expr.factors)
-        )
-    if isinstance(expr, Quotient):
-        return Quotient(
-            _assign_display(expr.num, reserved, enclosing),
-            _assign_display(expr.den, reserved, enclosing),
-        )
-    return expr
+    """Give each bound variable its display name: the lower-cased node
+    name, primed until it clashes with no free or enclosing name."""
+    if not isinstance(expr, Sum):
+        return _rebuild(expr, lambda part: _assign_display(part, reserved, enclosing))
+    taken = set(enclosing)
+    mapping: dict[Ref, str] = {}
+    binders = []
+    for alias, var in expr.over:
+        display = var.lower()
+        while display in reserved or display in taken:
+            display += "'"
+        taken.add(display)
+        mapping[Ref(var, alias)] = display
+        binders.append((display, var))
+    body = _assign_display(_substitute(expr.body, mapping), reserved, frozenset(taken))
+    return Sum(tuple(binders), body)
 
 
 def _sort_canonical(expr: Expr) -> Expr:
-    if isinstance(expr, Marginal):
-        return Marginal(tuple(sorted(expr.targets, key=lambda r: r.alias)))
     if isinstance(expr, Cond):
         return Cond(
             tuple(sorted(expr.targets, key=lambda r: r.alias)),
             tuple(sorted(expr.given, key=lambda r: r.alias)),
         )
+    expr = _rebuild(expr, _sort_canonical)
     if isinstance(expr, Product):
-        factors = [_sort_canonical(f) for f in expr.factors]
-        return Product(tuple(sorted(factors, key=_render)))
+        return Product(tuple(sorted(expr.factors, key=_render)))
     if isinstance(expr, Sum):
-        return Sum(tuple(sorted(expr.over)), _sort_canonical(expr.body))
-    if isinstance(expr, Quotient):
-        return Quotient(_sort_canonical(expr.num), _sort_canonical(expr.den))
+        return Sum(tuple(sorted(expr.over)), expr.body)
     return expr
 
 
@@ -725,9 +693,9 @@ class _Evaluator:
             raise EstimandError(f"unbound variable {ref.alias!r}") from None
 
     def walk(self, expr: Expr, env: dict[str, object]) -> float:
-        if isinstance(expr, Marginal):
-            return self.prob(expr.targets, env)
         if isinstance(expr, Cond):
+            if not expr.given:
+                return self.prob(expr.targets, env)
             denom = self.prob(expr.given, env)
             if denom == 0.0:
                 binding = ",".join(f"{r.alias}={self._lookup(r, env)!r}" for r in expr.given)

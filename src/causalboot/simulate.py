@@ -136,6 +136,16 @@ class SimConfig:
             raise SimulateError(f"unknown x_mode {self.x_mode!r}")
         if self.x_mode == "discrete" and self.x_support < 2:
             raise SimulateError("discrete features need support of at least 2")
+        # a draw holds at most as many values as MAX_ROWS rows of the default width
+        cap = MAX_ROWS * SimConfig.feature_dim
+        widths = {"feature_dim": self.feature_dim}
+        if self.x_mode == "discrete":
+            widths["x_support"] = self.x_support
+        for name, width in widths.items():
+            if self.n * width > cap:
+                raise SimulateError(
+                    f"n * {name} must be at most {cap}, got {self.n} * {width}"
+                )
         parents = X_PARENTS[self.scenario]
         for var, axis in (("y", 0), ("u", 1), ("z", 0), ("v", 2), ("u2", 3)):
             name = f"delta_{var}"

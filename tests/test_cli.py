@@ -177,6 +177,21 @@ def test_simulate_rejects_sizes_beyond_the_row_limit(tmp_path):
         assert f"error: n must be positive and at most 10000000, got {n}" in out.stderr
         assert "Traceback" not in out.stderr
         assert not path.exists()
+    # a draw's width is capped too: n times feature_dim, and in discrete
+    # mode n times x_support, may not pass 10**8 values
+    for flags, product in (
+        (("--feature-dim", "99999999999"), "n * feature_dim"),
+        (("--x-mode", "discrete", "--x-support", "99999999999"), "n * x_support"),
+    ):
+        path = tmp_path / "o.csv"
+        out = run_cli(
+            "simulate", "--scenario", "a", "--n", 50, "--seed", 1,
+            "--out", path, *flags,
+        )
+        assert out.returncode == 1
+        assert f"error: {product} must be at most 100000000" in out.stderr
+        assert "Traceback" not in out.stderr
+        assert not path.exists()
 
 
 def test_error_classes_carry_their_exit_codes():
@@ -316,6 +331,21 @@ def test_bootstrap_input_validation_exit_code(tmp_path):
     )
     assert out.returncode == 1
     assert "unknown columns" in out.stderr
+    for header, name in (("x0,y,u,u", "u"), ("x0,y,y", "y")):
+        src = tmp_path / "repeated.csv"
+        src.write_text(f"{header}\n0.1,1,0,1\n")
+        out_path = tmp_path / "out.csv"
+        out = run_cli(
+            "bootstrap",
+            "--scenario", "a",
+            "--method", "cb",
+            "--in", src,
+            "--out", out_path,
+            "--seed", 1,
+        )
+        assert out.returncode == 1
+        assert f"error: column '{name}' appears more than once" in out.stderr
+        assert not out_path.exists()
 
 
 @pytest.mark.parametrize("method", ["cb", "da"])

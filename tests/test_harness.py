@@ -310,6 +310,23 @@ def test_spec_validation():
     # scenario c's default hidden-confounder offset needs a third axis
     with pytest.raises(HarnessError, match="spec sim settings: feature_dim 2"):
         ExperimentSpec(scenarios=("a", "c"), sim={"feature_dim": 2})
+    # the sweep's label offset is sized only after the width is checked
+    with pytest.raises(HarnessError, match="spec sim settings: feature_dim must be"):
+        ExperimentSpec(
+            scenarios=("a",), complexity_sweep=(1.0,), sim={"feature_dim": 0}
+        )
+    for sweep in (None, (1.0,)):
+        with pytest.raises(HarnessError, match=r"spec sim settings: n \* feature_dim"):
+            ExperimentSpec(
+                scenarios=("a",),
+                complexity_sweep=sweep,
+                sim={"feature_dim": 99999999999},
+            )
+    # the width is checked at the larger of the training and test sizes
+    with pytest.raises(HarnessError, match=r"n \* feature_dim .* got 10000000 \* 11"):
+        ExperimentSpec(
+            scenarios=("a",), n_train=10, n_test=MAX_ROWS, sim={"feature_dim": 11}
+        )
     for level in (0.0, float("inf"), float("nan")):
         with pytest.raises(HarnessError, match="complexity_sweep"):
             ExperimentSpec(scenarios=("a",), complexity_sweep=(0.5, level))

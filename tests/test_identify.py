@@ -1,5 +1,7 @@
 """Identification, estimand evaluation, and graph-surgery rule checks."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from causalboot.identify import (
     EstimandError,
     Identified,
     JointTable,
-    Marginal,
     Product,
     Quotient,
     Ref,
@@ -75,14 +76,14 @@ def test_scenario_estimand_text_is_canonical():
 
 def test_backdoor_adjustment_structure():
     u, x, y = Ref("U", "u"), Ref("X", "x"), Ref("Y", "y")
-    hand = Sum((("u", "U"),), Product((Marginal((u,)), Cond((x,), (u, y)))))
+    hand = Sum((("u", "U"),), Product((Cond((u,)), Cond((x,), (u, y)))))
     assert identified(scenario_graph("a"), ["X"], ["Y"]).root == hand
 
 
 def test_frontdoor_adjustment_structure():
     x, y, z = Ref("X", "x"), Ref("Y", "y"), Ref("Z", "z")
     y2 = Ref("Y", "y'")
-    inner = Sum((("y'", "Y"),), Product((Cond((x,), (y2, z)), Marginal((y2,)))))
+    inner = Sum((("y'", "Y"),), Product((Cond((x,), (y2, z)), Cond((y2,)))))
     hand = Sum((("z", "Z"),), Product((Cond((z,), (y,)), inner)))
     assert identified(scenario_graph("d"), ["X"], ["Y"]).root == hand
 
@@ -96,7 +97,7 @@ def test_selection_variable_drops_out_numerically():
     with_d = identified(g, ["X"], ["Y"])
     u, x, y = Ref("U", "u"), Ref("X", "x"), Ref("Y", "y")
     plain = Estimand(
-        root=Sum((("u", "U"),), Product((Marginal((u,)), Cond((x,), (u, y))))),
+        root=Sum((("u", "U"),), Product((Cond((u,)), Cond((x,), (u, y))))),
         outcome=("X",),
         intervention=("Y",),
     )
@@ -116,7 +117,7 @@ def test_parent_only_factorizations_agree_numerically():
     hands = {
         "b": Sum(
             (("u", "U"), ("z", "Z")),
-            Product((Cond((x,), (u, z)), Cond((z,), (y,)), Marginal((u,)))),
+            Product((Cond((x,), (u, z)), Cond((z,), (y,)), Cond((u,)))),
         ),
         "c": Sum(
             (("u", "U"), ("z", "Z")),
@@ -124,7 +125,7 @@ def test_parent_only_factorizations_agree_numerically():
                 (
                     Sum((("y'", "Y"),), Product((Cond((x,), (u, y2, z)), Cond((y2,), (u,))))),
                     Cond((z,), (y,)),
-                    Marginal((u,)),
+                    Cond((u,)),
                 )
             ),
         ),
@@ -312,6 +313,31 @@ def test_random_graphs_multi_node_interventions():
     assert checked >= 20
 
 
+# One line per query, the estimand text or the hedge witness, over the five
+# scenario graphs and 500 random ADMGs (seeds 0-499); 79 of the 505 are hedges.
+ENGINE_TEXT_SHA256 = "92f90b0ea312612dbe026a8383de5ea0c6d7f520f82317c7eb849f8349122d2c"
+
+
+def test_engine_text_on_random_graphs_matches_pinned_digest():
+    queries = [(scenario_graph(s), ["X"], ["Y"]) for s in SCENARIOS]
+    for seed in range(500):
+        rng = np.random.default_rng(seed)
+        g = random_admg(rng, int(rng.integers(2, 7)), p_edge=0.5, p_bi=0.3)
+        nodes = list(g.nodes)
+        rng.shuffle(nodes)
+        outcome = nodes[1 : 2 + int(rng.integers(0, min(2, len(nodes) - 1)))]
+        queries.append((g, outcome, nodes[:1]))
+    lines = []
+    for g, outcome, intervention in queries:
+        out = identify(g, outcome, intervention)
+        if isinstance(out, Identified):
+            lines.append(estimand_to_text(out.estimand))
+        else:
+            lines.append(out.witness)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == ENGINE_TEXT_SHA256
+
+
 # ---------------------------------------------------------------------------
 # evaluation mechanics
 
@@ -322,7 +348,7 @@ def test_quotient_of_sums_equals_conditioning():
         ("A", "B"), {"A": (0, 1), "B": (0, 1)}, np.array([[0.1, 0.2], [0.3, 0.4]])
     )
     quotient = Estimand(
-        root=Quotient(Marginal((a, b)), Marginal((b,))),
+        root=Quotient(Cond((a, b)), Cond((b,))),
         outcome=("A",),
         intervention=("B",),
     )
@@ -351,7 +377,7 @@ def test_non_distribution_results_are_rejected():
     x = Ref("X", "x")
     joint = JointTable(("X",), {"X": (0, 1)}, np.array([0.5, 0.5]))
     squared = Estimand(
-        root=Product((Marginal((x,)), Marginal((x,)))), outcome=("X",), intervention=()
+        root=Product((Cond((x,)), Cond((x,)))), outcome=("X",), intervention=()
     )
     with pytest.raises(EstimandError, match="non-distribution"):
         evaluate_estimand(squared, joint, {})
