@@ -120,6 +120,8 @@ class WeightTable:
             )
         if len(set(self.classes)) != len(self.classes):
             raise BootstrapError("classes must be distinct")
+        if not np.isfinite(w).all():
+            raise BootstrapError("weights must be finite")
         if np.any(w < 0):
             raise BootstrapError("weights must be nonnegative")
         object.__setattr__(self, "weights", w)
@@ -182,6 +184,25 @@ class ResampleConfig:
     kernel: KernelSpec = field(default_factory=KernelSpec.delta)
 
 
+def _draw(rng: np.random.Generator, p: np.ndarray, count: int) -> np.ndarray:
+    """``rng.choice(len(p), size=count, replace=True, p=p)``: the same
+    indices, dtype and generator state, by the same steps: the
+    cumulative sum divided by its last element, ``count`` uniforms, and a
+    right-sided search.
+
+    The uniforms are searched in sorted order and the results scattered
+    back, so the search reads the cdf front to back instead of missing
+    the cache on each draw once the cdf outgrows it.
+    """
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    u = rng.random(count)
+    order = np.argsort(u)
+    idx = np.empty(count, dtype=np.int64)
+    idx[order] = cdf.searchsorted(u[order], side="right")
+    return idx
+
+
 def cb_resample(
     data: Dataset, table: WeightTable, config: ResampleConfig
 ) -> Dataset:
@@ -216,9 +237,13 @@ def cb_resample(
             raise ZeroSupportError(
                 f"no samples carry weight for class {c}; cannot resample"
             )
+        if not np.isfinite(total):
+            raise BootstrapError(
+                f"weights for class {c} sum to {total}; cannot resample"
+            )
         count = int((data.y == c).sum())
         rng = stream(config.seed, "resample", c)
-        idx = rng.choice(n, size=count, replace=True, p=w / total)
+        idx = _draw(rng, w / total, count)
         x = data.x[idx]
         if jitter is not None:
             x = x + jitter * rng.standard_normal(x.shape)

@@ -282,14 +282,19 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise ModelError("scores and labels must be matching 1-D arrays")
-    if not set(np.unique(labels)) <= {0, 1}:
-        raise ModelError("labels must be 0 or 1")
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
+    if n_pos + n_neg != len(labels):
+        raise ModelError("labels must be 0 or 1")
     if n_pos == 0 or n_neg == 0:
         raise ModelError("both classes must appear to rank them")
-    order = np.argsort(scores, kind="stable")
+    # any sort will do: a tie group's members all get its midrank, so
+    # the ranks do not depend on the order within ties
+    order = np.argsort(scores)
     sorted_scores = scores[order]
+    # NaNs sort last, and each would be a tie group of its own
+    if np.isnan(sorted_scores[-1]):
+        raise ModelError("scores must not be NaN")
     starts = np.flatnonzero(
         np.concatenate(([True], sorted_scores[1:] != sorted_scores[:-1]))
     )

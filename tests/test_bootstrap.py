@@ -11,6 +11,7 @@ from causalboot.bootstrap import (
     NotIdentifiedError,
     ResampleConfig,
     WeightTable,
+    _draw,
     cb_resample,
     cb_weights,
     da_resample,
@@ -163,6 +164,9 @@ def test_weight_table_validation():
         WeightTable(weights=np.zeros((2, 2)), classes=(1, 1), normalized=False)
     with pytest.raises(BootstrapError, match="must be"):
         WeightTable(weights=np.zeros(3), classes=(1,), normalized=False)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(BootstrapError, match="finite"):
+            WeightTable(weights=np.array([[0.5], [bad]]), classes=(1,), normalized=False)
     table = WeightTable(weights=np.ones((2, 1)), classes=(1,), normalized=False)
     with pytest.raises(BootstrapError, match="no weight column"):
         table.column(0)
@@ -264,6 +268,48 @@ def test_resample_zero_support_class():
     )
     with pytest.raises(ZeroSupportError, match="class 1"):
         cb_resample(data, table, ResampleConfig(seed=0))
+
+
+def test_resample_rejects_a_class_total_beyond_float_range():
+    data = toy_dataset(n=10)
+    table = WeightTable(
+        weights=np.full((10, 1), 1e308), classes=(1,), normalized=False
+    )
+    with np.errstate(over="ignore"), pytest.raises(
+        BootstrapError, match="class 1 sum to inf"
+    ):
+        cb_resample(data, table, ResampleConfig(seed=0))
+
+
+def weight_cases(rng):
+    """(weights, draw count) pairs: sizes 0, 1 and uneven, zero weights
+    scattered, leading and trailing."""
+    n = int(rng.integers(1, 3_000))
+    w = rng.random(n)
+    w[rng.random(n) < 0.4] = 0.0
+    w[rng.integers(n)] = 1.0  # some weight survives
+    trailing = np.concatenate([rng.random(7), np.zeros(5)])
+    leading = np.concatenate([np.zeros(5), rng.random(4)])
+    counts = (0, 1, n, int(rng.integers(2, 2 * n + 2)))
+    return [(w, k) for k in counts] + [
+        (trailing, 301), (leading, 17), (np.ones(1), 3)
+    ]
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_draw_equals_generator_choice(seed):
+    # the resampler's bytes are Generator.choice's: same indices, same
+    # dtype, and the same generator state after, so the Gaussian jitter
+    # drawn next is unchanged too
+    for w, count in weight_cases(np.random.default_rng(seed)):
+        p = w / w.sum()
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _draw(ours, p, count)
+        want = theirs.choice(len(p), size=count, replace=True, p=p)
+        assert got.dtype == want.dtype == np.int64
+        assert got.shape == (count,)
+        assert np.array_equal(got, want)
+        assert ours.random() == theirs.random()
 
 
 # --- balancing --------------------------------------------------------------

@@ -178,10 +178,15 @@ def test_simulate_rejects_sizes_beyond_the_row_limit(tmp_path):
         assert "Traceback" not in out.stderr
         assert not path.exists()
     # a draw's width is capped too: n times feature_dim, and in discrete
-    # mode n times x_support, may not pass 10**8 values
-    for flags, product in (
-        (("--feature-dim", "99999999999"), "n * feature_dim"),
-        (("--x-mode", "discrete", "--x-support", "99999999999"), "n * x_support"),
+    # mode n times x_support, may not pass 10**8 values; the discrete
+    # support itself is capped at 10**4 values
+    for flags, message in (
+        (("--feature-dim", "99999999999"),
+         "n * feature_dim must be at most 100000000"),
+        (("--x-mode", "discrete", "--x-support", "99999999999"),
+         "n * x_support must be at most 100000000"),
+        (("--x-mode", "discrete", "--x-support", "10001"),
+         "x_support must be at most 10000, got 10001"),
     ):
         path = tmp_path / "o.csv"
         out = run_cli(
@@ -189,7 +194,7 @@ def test_simulate_rejects_sizes_beyond_the_row_limit(tmp_path):
             "--out", path, *flags,
         )
         assert out.returncode == 1
-        assert f"error: {product} must be at most 100000000" in out.stderr
+        assert f"error: {message}" in out.stderr
         assert "Traceback" not in out.stderr
         assert not path.exists()
 
@@ -546,6 +551,31 @@ def test_bootstrap_cb_exits_2_on_an_unidentifiable_scenario(
         assert out_path.exists() == (code == 0)
 
 
+@pytest.mark.parametrize("classes", [(0, 1, 2), (-1, 1)])
+def test_bootstrap_resamples_any_integer_labels(tmp_path, classes):
+    # resampling takes any integer labels; only train and run need {0, 1}
+    rng = np.random.default_rng(3)
+    n = 300
+    y = np.array(classes)[rng.integers(0, len(classes), n)]
+    u = rng.integers(0, 2, n)
+    y[: 2 * len(classes)] = np.repeat(classes, 2)
+    u[: 2 * len(classes)] = np.tile([0, 1], len(classes))
+    src = tmp_path / "labels.csv"
+    x = rng.standard_normal(n).tolist()
+    rows = (f"{xv!r},{yv},{uv}" for xv, yv, uv in zip(x, y, u))
+    src.write_text("x0,y,u\n" + "\n".join(rows) + "\n")
+    for method in ("cb", "da"):
+        out_path = tmp_path / f"{method}.csv"
+        argv = ["bootstrap", "--scenario", "a", "--method", method,
+                "--in", str(src), "--out", str(out_path), "--seed", "1"]
+        assert cli.main(argv) == 0
+        got = cli._read_dataset(str(out_path)).y
+        assert set(np.unique(got)) == set(classes)
+        if method == "cb":
+            for c in classes:
+                assert (got == c).sum() == (y == c).sum()
+
+
 def test_simulate_output_feeds_bootstrap(tmp_path):
     path = tmp_path / "c.csv"
     out = run_cli(
@@ -610,6 +640,8 @@ def test_run_rejects_bad_spec(tmp_path):
         ("scenarios=a\nmethods=bogus\n", "unknown method 'bogus'"),
         ("scenarios=a\nsim.sigma=-1\n", "spec sim settings: sigma"),
         ("scenarios=c\nsim.feature_dim=2\n", "spec sim settings: feature_dim"),
+        ("scenarios=a\nsim.x_mode=discrete\nsim.x_support=10001\n",
+         "spec sim settings: x_support must be at most 10000"),
         ("scenarios=a\nn_train=99999999999999999999999\n", "at most 10000000"),
         ("scenarios=a\nn_test=10000001\n", "at most 10000000"),
         ("scenarios=a,a\n", "scenarios lists 'a' more than once"),

@@ -105,11 +105,32 @@ def test_auc_equals_while_loop_on_edge_tie_groups():
         assert auc(scores, labels) == while_loop_auc(scores, labels)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    values=st.integers(1, 6),
+    n=st.integers(2, 400),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_auc_equals_stable_midranks_on_ties(values, n, seed):
+    # the midranks come from an unstable sort; a tie group's members all
+    # get its midrank, so the result keeps the stable reference's bits
+    rng = np.random.default_rng(seed)
+    scores = rng.integers(0, values, n) / 7.0
+    scores[rng.random(n) < 0.1] = -0.0
+    labels = rng.integers(0, 2, n)
+    labels[:2] = [0, 1]
+    assert auc(scores, labels) == while_loop_auc(scores, labels)
+
+
 def test_auc_validation():
     with pytest.raises(ModelError, match="both classes"):
         auc(np.array([0.1, 0.2]), np.array([1, 1]))
-    with pytest.raises(ModelError, match="0 or 1"):
-        auc(np.array([0.1, 0.2]), np.array([1, 2]))
+    for labels in ([1, 2], [0, 2], [0.0, np.nan], [0.0, 1.0, np.nan]):
+        scores = np.linspace(0.1, 0.3, len(labels))
+        with pytest.raises(ModelError, match="0 or 1"):
+            auc(scores, np.array(labels))
+    with pytest.raises(ModelError, match="NaN"):
+        auc(np.array([0.1, np.nan, 0.3]), np.array([0, 1, 1]))
     with pytest.raises(ModelError, match="1-D"):
         auc(np.zeros((2, 2)), np.zeros((2, 2)))
 

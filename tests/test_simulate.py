@@ -10,6 +10,7 @@ from causalboot.graph import X_PARENTS, ScenarioId
 from causalboot.simulate import (
     DELTA_SCALE,
     MAX_ROWS,
+    MAX_X_SUPPORT,
     Dataset,
     SimConfig,
     SimulateError,
@@ -287,6 +288,13 @@ def test_config_validation_errors():
         cfg_for(ScenarioId.OBSERVED_CONF, 10, x_mode="binned")
     with pytest.raises(SimulateError, match="support"):
         cfg_for(ScenarioId.OBSERVED_CONF, 10, x_mode="discrete", x_support=1)
+    # the support is capped whatever n is, before any table is built
+    with pytest.raises(SimulateError, match=f"x_support must be at most {MAX_X_SUPPORT}"):
+        cfg_for(ScenarioId.OBSERVED_CONF, 1, x_mode="discrete", x_support=MAX_X_SUPPORT + 1)
+    widest = cfg_for(
+        ScenarioId.PARTIAL_CONF_MEDIATOR, 1, x_mode="discrete", x_support=MAX_X_SUPPORT
+    )
+    assert 0 <= simulate(widest, TestRegime.CONF, seed=0).x[0] < MAX_X_SUPPORT
     with pytest.raises(SimulateError, match="shape"):
         cfg_for(ScenarioId.OBSERVED_CONF, 10, delta_y=np.zeros(3))
     for bad in (np.inf, -np.inf, np.nan):
