@@ -26,9 +26,13 @@ the scenario's graph: ``cb_weights`` checks that once per scenario per
 process and raises ``NotIdentifiedError`` (exit code 2) otherwise.
 
 All conditionals are plug-in frequency tables (optionally smoothed); the
-indicator numerator is exact and never smoothed.  Class weight columns
-sum to 1 exactly when every cell the formula touches has samples; missing
-cells leave mass unclaimed and clear the normalized flag.
+indicator numerator is exact and never smoothed.  Each column the formula
+reads is coded once per call, as its sorted domain and each row's index
+into it; each table is counted over its own columns with one bincount of
+the codes, the weight is evaluated once per table cell, and every row
+gathers its cell's value.  Class weight columns sum to 1 exactly when
+every cell the formula touches has samples; missing cells leave mass
+unclaimed and clear the normalized flag.
 
 Also here: stratified upsampling to balance an observed confounder
 within each label (the classical alternative), and the feature
@@ -49,7 +53,10 @@ from .estimate import (
     EstimateError,
     KernelSpec,
     ZeroSupportError,
-    fit_conditional,
+    _code_columns,
+    _count_cells,
+    _smoothed,
+    _smoothing,
     silverman_bandwidth,
 )
 from .graph import X_ANCESTOR_COLUMNS, ScenarioId, scenario_graph
@@ -154,24 +161,27 @@ def cb_weights(
             f"scenario {scenario.value!r} needs columns "
             f"{', '.join(needed)}; missing {', '.join(missing)}"
         )
-    cols = {name: np.asarray(columns[name]) for name in needed}
-    y, t = cols["y"], cols[target]
-    n = len(y)
-    classes = tuple(int(c) for c in np.unique(y))
+    alpha = _smoothing(alpha)
+    coded = _code_columns(columns, target, [name for name in needed if name != target])
+    n, classes = len(coded[target][1]), tuple(int(c) for c in coded["y"][0])
 
-    # P(t | y) for the numerator, none when t is the label itself; where
-    # G is the label alone the denominator reads the same table
-    t_num = None
-    if target != "y":
-        t_num = fit_conditional(cols, target, ("y",), alpha=alpha)
-    t_den = t_num
-    if given != ("y",):
-        t_den = fit_conditional(cols, target, given, alpha=alpha)
-    den = n * t_den.prob_rows(t, [cols[name] for name in given])
+    # P(t | G) over its own columns, and the cell each row reads
+    cell, counts = _count_cells(coded, (*given, target))
+    p_den = _smoothed(counts, alpha)
+    # P(t | y) by class for the numerator: the indicator 1[t = c] when t
+    # is the label itself, the same table where G is the label alone
+    if target == "y":
+        p_num = np.eye(len(classes))
+    elif given == ("y",):
+        p_num = p_den
+    else:
+        p_num = _smoothed(_count_cells(coded, ("y", target))[1], alpha)
+    den = n * p_den
     out = np.zeros((n, len(classes)))
-    for k, c in enumerate(classes):
-        num = y == c if t_num is None else t_num.prob_rows(t, (np.full(n, c),))
-        out[:, k] = num / den
+    # cells no row falls in may hold 0/0 or x/0; none is gathered
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(len(classes)):
+            out[:, k] = (p_num[k] / den).take(cell)
 
     sums = out.sum(axis=0)
     normalized = bool(np.allclose(sums, 1.0, atol=1e-9))
@@ -232,7 +242,8 @@ def cb_resample(
     x_parts, y_parts, carry_parts = [], [], {name: [] for name in carried}
     for c in table.classes:
         w = table.column(c)
-        total = w.sum()
+        with np.errstate(over="ignore"):  # an overflowing total is refused below
+            total = w.sum()
         if total <= 0.0:
             raise ZeroSupportError(
                 f"no samples carry weight for class {c}; cannot resample"

@@ -1,7 +1,8 @@
 """Plug-in probability estimation from finite samples.
 
-Categorical conditional tables supply every discrete P(.|.) term the
-resampling weight formula needs; the resampling kernel and its
+Count tables over coded columns supply every discrete P(.|.) term the
+resampling weight formula needs, and :class:`CategoricalTable` answers
+queries by value from one such table; the resampling kernel and its
 normal-reference bandwidth cover continuous features.  Tables are
 immutable after fitting and safe to share across threads.
 
@@ -90,11 +91,16 @@ def _discrete_column(columns: Mapping[str, np.ndarray], name: str) -> np.ndarray
     if raw.size == 0:
         raise EstimateError("empty dataset")
     if np.issubdtype(raw.dtype, np.integer):
-        return raw.astype(np.int64)
-    values = np.asarray(raw, dtype=float)
-    if not np.all(np.isfinite(values)) or np.any(values != np.round(values)):
-        raise EstimateError(f"column {name!r} is not discrete")
-    return values.astype(np.int64)
+        values = raw
+    else:
+        values = np.asarray(raw, dtype=float)
+        if not np.all(np.isfinite(values)) or np.any(values != np.round(values)):
+            raise EstimateError(f"column {name!r} is not discrete")
+    with np.errstate(invalid="ignore"):
+        coded = values.astype(np.int64)
+    if values.dtype != np.int64 and np.any(coded != values):
+        raise EstimateError(f"column {name!r} has a value beyond the int64 range")
+    return coded
 
 
 @dataclass(frozen=True)
@@ -183,6 +189,54 @@ class CategoricalTable:
         return pos_clipped
 
 
+def _smoothing(alpha) -> float:
+    if not 0.0 <= alpha < math.inf:
+        raise EstimateError(
+            f"smoothing must be finite and nonnegative, got {alpha!r}"
+        )
+    return float(alpha)
+
+
+def _code(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # np.unique's inverse costs an argsort whose time varies tenfold with
+    # the order of the rows; a sort and a search into the domain does not
+    ordered = np.sort(values)
+    domain = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    return domain, domain.searchsorted(values)
+
+
+def _code_columns(
+    columns: Mapping[str, np.ndarray], target: str, given: Sequence[str]
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Each named column's sorted domain and each row's index into it;
+    every given column must have the target's length."""
+    coded = {name: _code(_discrete_column(columns, name)) for name in (target, *given)}
+    for name in given:
+        if coded[name][1].shape != coded[target][1].shape:
+            raise EstimateError(f"column {name!r} length differs from {target!r}")
+    return coded
+
+
+def _count_cells(
+    coded: Mapping[str, tuple[np.ndarray, np.ndarray]], names: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's flat cell in the table over the coded columns
+    ``names``, and the float count of rows in every cell."""
+    shape = tuple(len(coded[name][0]) for name in names)
+    cell = np.ravel_multi_index([coded[name][1] for name in names], shape)
+    counts = np.bincount(cell, minlength=math.prod(shape)).astype(float)
+    return cell, counts.reshape(shape)
+
+
+def _smoothed(counts: np.ndarray, alpha: float) -> np.ndarray:
+    """Every cell's (count + alpha) / (group + alpha * |domain|), the
+    target on the last axis; a group without samples reads nan at
+    alpha = 0."""
+    groups = counts.sum(axis=-1, keepdims=True)
+    with np.errstate(invalid="ignore"):
+        return (counts + alpha) / (groups + alpha * counts.shape[-1])
+
+
 def fit_conditional(
     columns: Mapping[str, np.ndarray],
     target: str,
@@ -191,31 +245,18 @@ def fit_conditional(
 ) -> CategoricalTable:
     """Fit the empirical conditional P(target | given) with pseudo-count
     smoothing ``alpha``; domains are the sorted values observed per column."""
-    if not 0.0 <= alpha < math.inf:
-        raise EstimateError(
-            f"smoothing must be finite and nonnegative, got {alpha!r}"
-        )
+    alpha = _smoothing(alpha)
     given = tuple(given)
-    t = _discrete_column(columns, target)
-    gs = [_discrete_column(columns, name) for name in given]
-    for name, col in zip(given, gs):
-        if col.shape != t.shape:
-            raise EstimateError(f"column {name!r} length differs from {target!r}")
-    target_domain = tuple(int(v) for v in np.unique(t))
-    given_domains = tuple(tuple(int(v) for v in np.unique(col)) for col in gs)
-    shape = tuple(len(d) for d in given_domains) + (len(target_domain),)
-    counts = np.zeros(shape)
-    indices = tuple(
-        np.searchsorted(np.asarray(dom), col) for dom, col in zip(given_domains, gs)
-    ) + (np.searchsorted(np.asarray(target_domain), t),)
-    np.add.at(counts, indices, 1.0)
+    coded = _code_columns(columns, target, given)
+    _, counts = _count_cells(coded, (*given, target))
+    domains = {name: tuple(int(v) for v in values) for name, (values, _) in coded.items()}
     return CategoricalTable(
         target=target,
-        target_domain=target_domain,
+        target_domain=domains[target],
         given=given,
-        given_domains=given_domains,
+        given_domains=tuple(domains[name] for name in given),
         counts=counts,
-        alpha=float(alpha),
+        alpha=alpha,
     )
 
 

@@ -1,11 +1,14 @@
 """Weight formulas on hand data, resampler behavior, oracle agreement."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from causalboot.bootstrap import (
+    _WEIGHT_FORMS,
     BootstrapError,
     MethodId,
     NotIdentifiedError,
@@ -17,7 +20,12 @@ from causalboot.bootstrap import (
     da_resample,
     select_features,
 )
-from causalboot.estimate import EstimateError, KernelSpec, ZeroSupportError
+from causalboot.estimate import (
+    EstimateError,
+    KernelSpec,
+    ZeroSupportError,
+    fit_conditional,
+)
 from causalboot.graph import ScenarioId
 from causalboot.simulate import (
     Dataset,
@@ -157,6 +165,112 @@ def test_weights_need_an_identifiable_graph(unidentifiable_a):
     assert cb_weights(cols, "e").normalized  # other scenarios keep their graph
 
 
+def reference_weights(columns, scenario, alpha=0.0):
+    """The weight formula row by row, through the public table API:
+    fitted P(t | y) and P(t | G), each queried once per row and class."""
+    target, given = _WEIGHT_FORMS[ScenarioId.coerce(scenario)]
+    cols = {name: np.asarray(columns[name]) for name in ("y", *given, target)}
+    y, t = cols["y"], cols[target]
+    n = len(y)
+    classes = tuple(int(c) for c in np.unique(y))
+    t_num = None
+    if target != "y":
+        t_num = fit_conditional(cols, target, ("y",), alpha=alpha)
+    t_den = t_num
+    if given != ("y",):
+        t_den = fit_conditional(cols, target, given, alpha=alpha)
+    den = n * t_den.prob_rows(t, [cols[name] for name in given])
+    out = np.zeros((n, len(classes)))
+    for k, c in enumerate(classes):
+        num = y == c if t_num is None else t_num.prob_rows(t, (np.full(n, c),))
+        out[:, k] = num / den
+    normalized = bool(np.allclose(out.sum(axis=0), 1.0, atol=1e-9))
+    return out, classes, normalized
+
+
+# each column's domain choices: sparse, wide and more than two values
+DOMAINS = {
+    "y": [(0, 1), (-1, 1), (0, 2), (0, 1, 2)],
+    "u": [(0, 1), (0, 5), (-2, 3, 7)],
+    "z": [(0, 1), (-3, 10**12), (0, 1, 2)],
+    "d": [(0, 1)],
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    scenario=st.sampled_from(ALL),
+    alpha=st.sampled_from([0.0, 0.5, 1.0]),
+    n=st.integers(1, 50),
+    data=st.data(),
+)
+def test_weights_equal_the_reference_bit_for_bit(scenario, alpha, n, data):
+    cols = {}
+    for name, choices in DOMAINS.items():
+        domain = data.draw(st.sampled_from(choices))
+        values = data.draw(st.lists(st.sampled_from(domain), min_size=n, max_size=n))
+        dtype = data.draw(st.sampled_from([np.int64, np.float64]))
+        cols[name] = np.array(values, dtype=dtype)
+    want, classes, normalized = reference_weights(cols, scenario, alpha)
+    table = cb_weights(cols, scenario, alpha=alpha)
+    assert table.weights.tobytes() == want.tobytes()
+    assert table.classes == classes
+    assert table.normalized == normalized
+
+
+BAD_COLUMNS = [
+    ("u", np.array([0, 0.5, 1, 0]), "column 'u' is not discrete"),
+    ("z", np.array([0, 1, np.nan, 1]), "column 'z' is not discrete"),
+    ("y", np.array([0, 1, 2.5, 1]), "column 'y' is not discrete"),
+    ("u", np.array([0, 1, 1]), "column 'u' length differs from"),
+    ("z", np.array([0, 1, 1, 0, 1]), "length differs from 'z'"),
+    ("u", np.array([0, 1e19, 2e19, 0]), "column 'u' has a value beyond the int64 range"),
+    ("y", np.array([0, 2**64 - 1, 1, 0], dtype=np.uint64), "'y' has a value beyond"),
+]
+
+
+def reads(scenario, name):
+    target, given = _WEIGHT_FORMS[scenario]
+    return name in ("y", target, *given)
+
+
+@pytest.mark.parametrize(
+    "scenario, name, bad, message",
+    [(s, *case) for s in ALL for case in BAD_COLUMNS if reads(s, case[0])],
+)
+def test_bad_columns_fail_as_the_reference_does(scenario, name, bad, message):
+    cols = {key: np.array([0, 1, 1, 0]) for key in ("y", "u", "z")}
+    cols[name] = bad
+    with pytest.raises(EstimateError) as want:
+        reference_weights(cols, scenario)
+    with pytest.raises(EstimateError, match=message) as got:
+        cb_weights(cols, scenario)
+    assert type(got.value) is type(want.value) and got.value.exit_code == 1
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("scenario", ALL)
+def test_empty_columns_fail_as_the_reference_does(scenario):
+    cols = {key: np.array([], dtype=np.int64) for key in ("y", "u", "z")}
+    with pytest.raises(EstimateError) as want:
+        reference_weights(cols, scenario)
+    with pytest.raises(EstimateError, match="^empty dataset$") as got:
+        cb_weights(cols, scenario)
+    assert type(got.value) is type(want.value) and got.value.exit_code == 1
+    assert str(got.value) == str(want.value)
+
+
+def test_an_empty_group_raises_no_warning():
+    # scenario c at alpha 0 has no rows with (y=0, u=1)
+    cols = {"y": np.array([1, 1, 0, 0]), "u": np.array([1, 0, 0, 0]),
+            "z": np.array([1, 0, 0, 1])}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = cb_weights(cols, "c")
+    assert np.isfinite(table.weights).all()
+    assert table.weights.tobytes() == reference_weights(cols, "c")[0].tobytes()
+
+
 def test_weight_table_validation():
     with pytest.raises(BootstrapError, match="nonnegative"):
         WeightTable(weights=np.array([[-0.1]]), classes=(1,), normalized=False)
@@ -275,9 +389,7 @@ def test_resample_rejects_a_class_total_beyond_float_range():
     table = WeightTable(
         weights=np.full((10, 1), 1e308), classes=(1,), normalized=False
     )
-    with np.errstate(over="ignore"), pytest.raises(
-        BootstrapError, match="class 1 sum to inf"
-    ):
+    with pytest.raises(BootstrapError, match="class 1 sum to inf"):
         cb_resample(data, table, ResampleConfig(seed=0))
 
 

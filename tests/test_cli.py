@@ -386,6 +386,9 @@ PINNED = {
     "sim_a.csv": "8520d66cbf95d291f83d88dcc06a01e85327b7399e58930066e609664614cd69",
     "cb_a.csv": "57a13f1820dd5b4840c52c19a6469b0208474ac6b8ed1455606b14cf072cbb67",
     "da_a.csv": "0af29cf9cbe130c6de76e9772b5d2b70726b59fc11235df5ad7cfb0b33eb9d84",
+    "cb_b.csv": "fac306505bead38ae057f7ef54479a5e0ae14b86e12e28430d4613709b9489a3",
+    "cb_d.csv": "b1d4abca46673566b2fc2059f33d21cf6aada5f7e542f8bcb209598a67bccaf8",
+    "cb_e.csv": "9453aac8f3e4d0dee47b9e862a9811adab8d534b8362639cbeee8cb6f179756c",
 }
 
 
@@ -406,6 +409,13 @@ def test_outputs_match_pinned_digests(tmp_path):
                      "--x-mode", "discrete", "--out", str(p["sim_a.csv"])]) == 0
     boot("a", "cb", p["sim_a.csv"], p["cb_a.csv"], 6)
     boot("a", "da", p["sim_a.csv"], p["da_a.csv"], 6)
+    # b's (z | u) denominator, d's shared (z | y) table, e's care column
+    for scenario, n, seed, extra in (("b", 900, 7, ()), ("d", 800, 9, ()),
+                                     ("e", 600, 11, ("--smoothing", 0.5))):
+        sim = tmp_path / f"sim_{scenario}.csv"
+        assert cli.main(["simulate", "--scenario", scenario, "--n", str(n),
+                         "--seed", str(seed), "--out", str(sim)]) == 0
+        boot(scenario, "cb", sim, p[f"cb_{scenario}.csv"], seed + 1, *extra)
     digests = {
         name: hashlib.sha256(path.read_bytes()).hexdigest()
         for name, path in p.items()
