@@ -225,22 +225,28 @@ def cb_resample(
     column, observed or hidden, is carried into the output as a shadow
     column: the resampled set exposes only features and labels for
     training.
+
+    Each output array is allocated once at its full size, and each
+    class's draw is gathered straight into its own slice of rows.
     """
     n = data.n
     if len(table.weights) != n:
         raise BootstrapError("weight table and dataset sizes differ")
 
-    jitter = None
+    source, jitter = data.x, None
     if config.kernel.kind == "gaussian":
-        if np.issubdtype(data.x.dtype, np.integer):
+        if np.issubdtype(source.dtype, np.integer):
             raise BootstrapError("gaussian kernel needs real-valued features")
-        jitter = config.kernel.bandwidth
-        if jitter is None:
-            jitter = silverman_bandwidth(data.x)
+        jitter = config.kernel.bandwidth or silverman_bandwidth(source)
+        # jittered rows take the dtype that adding float noise gives
+        source = source.astype(np.result_type(source.dtype, np.float64), copy=False)
 
+    bounds = np.cumsum([0, *((data.y == c).sum() for c in table.classes)])
     carried = {**data.columns, **data.shadow}
-    x_parts, y_parts, carry_parts = [], [], {name: [] for name in carried}
-    for c in table.classes:
+    sources = [source, *carried.values()]
+    outs = [np.empty((bounds[-1], *col.shape[1:]), col.dtype) for col in sources]
+    y = np.empty(bounds[-1], dtype=data.y.dtype)
+    for c, lo, hi in zip(table.classes, bounds, bounds[1:]):
         w = table.column(c)
         with np.errstate(over="ignore"):  # an overflowing total is refused below
             total = w.sum()
@@ -252,23 +258,17 @@ def cb_resample(
             raise BootstrapError(
                 f"weights for class {c} sum to {total}; cannot resample"
             )
-        count = int((data.y == c).sum())
         rng = stream(config.seed, "resample", c)
-        idx = _draw(rng, w / total, count)
-        x = data.x[idx]
+        idx = _draw(rng, w / total, hi - lo)
+        y[lo:hi] = c
+        # every index _draw returns lies in [0, n) (cdf[-1] is exactly 1.0
+        # and u < 1), so "clip" changes none; it spares take's out= buffer
+        for col, out in zip(sources, outs):
+            np.take(col, idx, axis=0, out=out[lo:hi], mode="clip")
         if jitter is not None:
-            x = x + jitter * rng.standard_normal(x.shape)
-        x_parts.append(x)
-        y_parts.append(np.full(count, c, dtype=data.y.dtype))
-        for name in carried:
-            carry_parts[name].append(carried[name][idx])
+            outs[0][lo:hi] += jitter * rng.standard_normal(outs[0][lo:hi].shape)
 
-    return Dataset(
-        x=np.concatenate(x_parts),
-        y=np.concatenate(y_parts),
-        columns={},
-        shadow={name: np.concatenate(parts) for name, parts in carry_parts.items()},
-    )
+    return Dataset(x=outs[0], y=y, columns={}, shadow=dict(zip(carried, outs[1:])))
 
 
 def da_resample(data: Dataset, seed: int) -> Dataset:

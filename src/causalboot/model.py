@@ -275,31 +275,26 @@ def _train_group(sets, config: TrainConfig, seeds) -> list[Model]:
 def auc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Probability a positive outranks a negative, ties counted half.
 
-    Computed from midranks, so tied scores contribute exactly 0.5 per
-    tied pair.
+    Counted from the two classes sorted apart: each positive beats the
+    negatives below it and ties those equal to it, so twice the
+    Mann-Whitney U is an exact integer and the result is bit for bit
+    the midrank formula's.
     """
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise ModelError("scores and labels must be matching 1-D arrays")
-    n_pos = int((labels == 1).sum())
-    n_neg = int((labels == 0).sum())
+    pos = np.sort(scores[labels == 1])
+    neg = np.sort(scores[labels == 0])
+    n_pos, n_neg = len(pos), len(neg)
     if n_pos + n_neg != len(labels):
         raise ModelError("labels must be 0 or 1")
     if n_pos == 0 or n_neg == 0:
         raise ModelError("both classes must appear to rank them")
-    # any sort will do: a tie group's members all get its midrank, so
-    # the ranks do not depend on the order within ties
-    order = np.argsort(scores)
-    sorted_scores = scores[order]
-    # NaNs sort last, and each would be a tie group of its own
-    if np.isnan(sorted_scores[-1]):
+    # NaNs sort last
+    if np.isnan(pos[-1]) or np.isnan(neg[-1]):
         raise ModelError("scores must not be NaN")
-    starts = np.flatnonzero(
-        np.concatenate(([True], sorted_scores[1:] != sorted_scores[:-1]))
-    )
-    ends = np.append(starts[1:], len(scores)) - 1
-    ranks = np.empty(len(scores))
-    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
-    rank_sum = float(ranks[labels == 1].sum())
-    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    left = neg.searchsorted(pos, "left")
+    right = neg.searchsorted(pos, "right")
+    twice_u = 2 * int(left.sum()) + int((right - left).sum())
+    return (twice_u / 2.0) / (n_pos * n_neg)

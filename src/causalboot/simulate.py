@@ -83,6 +83,9 @@ MAX_ROWS = 10_000_000
 # by value for every parent configuration, about 0.1 s at this size.
 MAX_X_SUPPORT = 10_000
 
+# Rows whose feature means are gathered and added at once.
+_BLOCK_ROWS = 1 << 14
+
 
 def _unit_offset(dim: int, axis: int, scale: float = DELTA_SCALE) -> np.ndarray:
     if axis >= dim:
@@ -315,25 +318,26 @@ def simulate(cfg: SimConfig, regime, seed: int) -> Dataset:
         base = np.where(u == 2, 0.5, base)
         drawn["d"] = draw(base, 1.0 - base)
 
+    # each row's parent configuration as one flat cell, in the row-major
+    # order of the tables below
+    sizes = [len(_offsets(cfg, parent)) for parent in parents]
+    cell = np.ravel_multi_index([drawn[parent] for parent in parents], sizes)
     if cfg.x_mode == "gaussian":
         # X's mean for every parent configuration, summed in parent order
-        # from zeros, then gathered once per row
+        # from zeros, then gathered by cell and added a block of rows at a
+        # time, so no n-row copy of the means is built
         table = np.zeros(cfg.feature_dim)
         for parent in parents:
             table = table[..., None, :] + _offsets(cfg, parent)
+        means = table.reshape(-1, cfg.feature_dim)
         x = rng.standard_normal((n, cfg.feature_dim))
         x *= cfg.sigma
-        x += table[tuple(drawn[parent] for parent in parents)]
+        for lo in range(0, n, _BLOCK_ROWS):
+            rows = slice(lo, lo + _BLOCK_ROWS)
+            x[rows] += means.take(cell[rows], axis=0)
     else:
-        names, tables = _discrete_tables(cfg)
-        prob_rows = np.empty((n, cfg.x_support))
-        key_cols = tuple(drawn[parent] for parent in names)
-        for config, probs in tables.items():
-            mask = np.ones(n, dtype=bool)
-            for col, value in zip(key_cols, config):
-                mask &= col == value
-            prob_rows[mask] = probs
-        cum = np.cumsum(prob_rows, axis=1)
+        probs = np.stack(list(_discrete_tables(cfg)[1].values()))
+        cum = np.cumsum(probs.take(cell, axis=0), axis=1)
         x = (rng.random((n, 1)) < cum).argmax(axis=1).astype(np.int64)
 
     columns = {name: drawn[name] for name in observed}

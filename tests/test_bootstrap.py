@@ -25,8 +25,10 @@ from causalboot.estimate import (
     KernelSpec,
     ZeroSupportError,
     fit_conditional,
+    silverman_bandwidth,
 )
 from causalboot.graph import ScenarioId
+from causalboot.rng import stream
 from causalboot.simulate import (
     Dataset,
     SimConfig,
@@ -393,6 +395,98 @@ def test_resample_rejects_a_class_total_beyond_float_range():
         cb_resample(data, table, ResampleConfig(seed=0))
 
 
+def reference_resample(data, table, config):
+    """The resampler as it was before it gathered into preallocated
+    output: each class's draw copied out, jittered, then every part
+    joined with ``np.concatenate``."""
+    jitter = None
+    if config.kernel.kind == "gaussian":
+        jitter = config.kernel.bandwidth
+        if jitter is None:
+            jitter = silverman_bandwidth(data.x)
+    carried = {**data.columns, **data.shadow}
+    x_parts, y_parts, carry_parts = [], [], {name: [] for name in carried}
+    for c in table.classes:
+        w = table.column(c)
+        count = int((data.y == c).sum())
+        rng = stream(config.seed, "resample", c)
+        idx = _draw(rng, w / w.sum(), count)
+        x = data.x[idx]
+        if jitter is not None:
+            x = x + jitter * rng.standard_normal(x.shape)
+        x_parts.append(x)
+        y_parts.append(np.full(count, c, dtype=data.y.dtype))
+        for name in carried:
+            carry_parts[name].append(carried[name][idx])
+    return Dataset(
+        x=np.concatenate(x_parts),
+        y=np.concatenate(y_parts),
+        columns={},
+        shadow={name: np.concatenate(parts) for name, parts in carry_parts.items()},
+    )
+
+
+def three_class_dataset(label_dtype=np.int64):
+    rng = np.random.default_rng(8)
+    y = rng.integers(0, 3, 900).astype(label_dtype)
+    u = rng.integers(0, 2, 900)
+    x = np.column_stack([y + 0.3 * rng.standard_normal(900), u + 0.0])
+    return Dataset(x=x, y=y, columns={"u": u}, shadow={"_h": rng.integers(0, 4, 900)})
+
+
+def resample_cases():
+    """(name, data, table, kernels) covering every way the resampler
+    lays out its output."""
+    every_kernel = [
+        KernelSpec.delta(), KernelSpec.gaussian(0.2), KernelSpec.gaussian()
+    ]
+    scenario_c = simulate(SimConfig(scenario="c", n=3_000, feature_dim=3), "conf", 4)
+    discrete = simulate(
+        SimConfig(scenario="d", n=2_000, x_mode="discrete"), "conf", seed=5
+    )
+    three = three_class_dataset()
+    three_table = cb_weights(three.weight_columns(), "a")
+    # class 7 has weight but no rows in y, so it draws none
+    extra = np.column_stack(
+        [three_table.weights, np.random.default_rng(9).random(three.n)]
+    )
+    empty_class = WeightTable(
+        weights=extra[:, [0, 3, 1, 2]], classes=(0, 7, 1, 2), normalized=False
+    )
+    narrow = three_class_dataset(np.int32)
+    # jitter makes float64 rows of float32 features, as adding noise does
+    float32_x = Dataset(
+        x=three.x.astype(np.float32), y=three.y, columns=three.columns, shadow={}
+    )
+    return [
+        ("2-D float x, shadow column", scenario_c,
+         cb_weights(scenario_c.weight_columns(), "c"), every_kernel),
+        ("1-D int x", discrete,
+         cb_weights(discrete.weight_columns(), "d"), [KernelSpec.delta()]),
+        ("three classes", three, three_table, every_kernel),
+        ("a class with no rows", three, empty_class, every_kernel),
+        ("int32 labels", narrow,
+         cb_weights(narrow.weight_columns(), "a"), every_kernel),
+        ("float32 x", float32_x, three_table, every_kernel),
+    ]
+
+
+def test_resample_equals_the_concatenating_reference():
+    for name, data, table, kernels in resample_cases():
+        for kernel in kernels:
+            config = ResampleConfig(seed=12, kernel=kernel)
+            got = cb_resample(data, table, config)
+            want = reference_resample(data, table, config)
+            assert got.columns == {}
+            assert list(got.shadow) == list(want.shadow), name
+            pairs = [(got.x, want.x), (got.y, want.y)]
+            pairs += [(got.shadow[key], want.shadow[key]) for key in want.shadow]
+            for ours, theirs in pairs:
+                assert ours.dtype == theirs.dtype, (name, kernel)
+                assert ours.shape == theirs.shape, (name, kernel)
+                assert ours.tobytes() == theirs.tobytes(), (name, kernel)
+
+
 def weight_cases(rng):
     """(weights, draw count) pairs: sizes 0, 1 and uneven, zero weights
     scattered, leading and trailing."""
@@ -422,6 +516,39 @@ def test_draw_equals_generator_choice(seed):
         assert got.shape == (count,)
         assert np.array_equal(got, want)
         assert ours.random() == theirs.random()
+
+
+class LargestUniform:
+    """Draws the largest double below 1 every time."""
+
+    def random(self, count):
+        return np.full(count, np.nextafter(1.0, 0.0))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_draw_indices_lie_in_range(seed):
+    # the resampler gathers with mode="clip", which would hide an index
+    # outside [0, len(p)): every index must fall on a row with weight,
+    # and the largest uniform on the last such row
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 500))
+    body = rng.random(n) + 0.01
+    single_first, single_last = np.zeros(n), np.zeros(n)
+    single_first[0], single_last[-1] = 1.0, 1.0
+    cases = {
+        "leading zeros": np.concatenate([np.zeros(7), body]),
+        "trailing zeros": np.concatenate([body, np.zeros(7)]),
+        "both": np.concatenate([np.zeros(3), body, np.zeros(5)]),
+        "single first": single_first,
+        "single last": single_last,
+    }
+    for name, w in cases.items():
+        p = w / w.sum()
+        idx = _draw(np.random.default_rng(seed), p, 20_000)
+        assert 0 <= idx.min() and idx.max() < len(w), name
+        assert (w[idx] > 0).all(), name
+        last = np.flatnonzero(w)[-1]
+        assert (_draw(LargestUniform(), p, 3) == last).all(), name
 
 
 # --- balancing --------------------------------------------------------------

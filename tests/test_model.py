@@ -122,6 +122,23 @@ def test_auc_equals_stable_midranks_on_ties(values, n, seed):
     assert auc(scores, labels) == while_loop_auc(scores, labels)
 
 
+def test_auc_equals_while_loop_on_rounded_scores_with_signed_zeros():
+    rng = np.random.default_rng(29)
+    scores = np.round(rng.standard_normal(100_000), 1)
+    scores[scores == 0.0] = -0.0
+    scores[rng.random(100_000) < 0.05] = 0.0
+    labels = (rng.random(100_000) < 0.3).astype(np.int64)
+    assert auc(scores, labels) == while_loop_auc(scores, labels)
+
+
+def test_auc_ties_signed_zeros_across_classes():
+    labels = np.array([1, 0, 1, 0])
+    assert auc(np.array([0.0, -0.0, -0.0, 0.0]), labels) == 0.5
+    scores = np.array([0.0, -0.0, 1.0, -1.0])
+    assert auc(scores, labels) == pairwise_auc(scores, labels) == 0.875
+    assert auc(scores, labels) == while_loop_auc(scores, labels)
+
+
 def test_auc_validation():
     with pytest.raises(ModelError, match="both classes"):
         auc(np.array([0.1, 0.2]), np.array([1, 1]))
@@ -131,6 +148,9 @@ def test_auc_validation():
             auc(scores, np.array(labels))
     with pytest.raises(ModelError, match="NaN"):
         auc(np.array([0.1, np.nan, 0.3]), np.array([0, 1, 1]))
+    # a NaN among the negatives only, the positives all finite
+    with pytest.raises(ModelError, match="NaN"):
+        auc(np.array([0.1, np.nan, 0.3, 0.2]), np.array([0, 0, 1, 1]))
     with pytest.raises(ModelError, match="1-D"):
         auc(np.zeros((2, 2)), np.zeros((2, 2)))
 

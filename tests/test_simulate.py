@@ -1,5 +1,7 @@
 """Generator checks: schemas, regime laws, determinism, exact tables."""
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from causalboot.estimate import fit_conditional
 from causalboot.graph import X_PARENTS, ScenarioId
+from causalboot.rng import stream
 from causalboot.simulate import (
     DELTA_SCALE,
     MAX_ROWS,
@@ -15,12 +18,16 @@ from causalboot.simulate import (
     SimConfig,
     SimulateError,
     TestRegime,
+    _BLOCK_ROWS,
     _discrete_tables,
     _offsets,
     exact_interventional,
     exact_observational,
     simulate,
 )
+
+# the module, which the package's own ``simulate`` function shadows
+simulate_module = importlib.import_module("causalboot.simulate")
 
 ALL = list(ScenarioId)
 
@@ -160,6 +167,82 @@ def test_gaussian_features_center_on_parent_offsets(scenario, regime):
         if parent == "u":
             want += (cols["u"] == 2)[:, None] * deltas["delta_u2"]
     assert np.allclose(data.x, want, rtol=0, atol=1e-9)
+
+
+class RecordingGenerator:
+    """A generator that keeps a copy of every array of draws it hands
+    out, so a test can rebuild the features from the same draws."""
+
+    def __init__(self, rng):
+        self.rng, self.draws = rng, []
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def record(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self.draws.append(np.copy(out))
+            return out
+
+        return record
+
+
+def record_draws(monkeypatch):
+    generators = []
+
+    def recording_stream(*key):
+        generators.append(RecordingGenerator(stream(*key)))
+        return generators[-1]
+
+    monkeypatch.setattr(simulate_module, "stream", recording_stream)
+    return generators
+
+
+@pytest.mark.parametrize("feature_dim", [1, 3])
+@pytest.mark.parametrize("regime", list(TestRegime))
+@pytest.mark.parametrize("scenario", ALL)
+def test_features_equal_the_fancy_index_gather(monkeypatch, scenario, regime, feature_dim):
+    # the row-block gather by flat cell gives the bytes of indexing the
+    # mean table with every parent column at once; n is not a multiple
+    # of the block, and the unseen regime reads u's third offset
+    rng = np.random.default_rng(feature_dim)
+    names = ("delta_y", "delta_u", "delta_z", "delta_v", "delta_u2")
+    deltas = {name: rng.normal(size=feature_dim) for name in names}
+    n = 2 * _BLOCK_ROWS + 123
+    cfg = cfg_for(scenario, n, feature_dim=feature_dim, sigma=1.3, **deltas)
+    generators = record_draws(monkeypatch)
+    data = simulate(cfg, regime, seed=17)
+    cols = {"y": data.y, **data.columns, **data.shadow}
+    table = np.zeros(feature_dim)
+    for parent in X_PARENTS[scenario]:
+        table = table[..., None, :] + _offsets(cfg, parent)
+    want = generators[0].draws[-1]  # the Gaussian draw, made last
+    want *= cfg.sigma
+    want += table[tuple(cols[parent] for parent in X_PARENTS[scenario])]
+    assert data.x.dtype == want.dtype and data.x.tobytes() == want.tobytes()
+    if regime is TestRegime.UNSEEN:
+        assert (cols["u"] == 2).all()
+
+
+@pytest.mark.parametrize("regime", list(TestRegime))
+@pytest.mark.parametrize("scenario", ALL)
+def test_discrete_features_equal_the_masked_table_rows(monkeypatch, scenario, regime):
+    # each row's categorical law gathered by flat cell gives the bytes
+    # of filling every parent configuration's rows by mask
+    cfg = cfg_for(scenario, 5_000, x_mode="discrete", x_support=6)
+    generators = record_draws(monkeypatch)
+    data = simulate(cfg, regime, seed=23)
+    names, tables = _discrete_tables(cfg)
+    cols = {"y": data.y, **data.columns, **data.shadow}
+    prob_rows = np.full((cfg.n, cfg.x_support), np.nan)
+    for config, probs in tables.items():
+        mask = np.ones(cfg.n, dtype=bool)
+        for name, value in zip(names, config):
+            mask &= cols[name] == value
+        prob_rows[mask] = probs
+    uniforms = generators[0].draws[-1]  # the feature's uniforms, drawn last
+    want = (uniforms < np.cumsum(prob_rows, axis=1)).argmax(axis=1).astype(np.int64)
+    assert data.x.dtype == want.dtype and data.x.tobytes() == want.tobytes()
 
 
 def test_mechanism_shared_between_conf_and_revconf():
