@@ -21,11 +21,9 @@ from .bootstrap import (
 )
 from .errors import CausalBootError
 from .estimate import (
-    CategoricalTable,
     EstimateError,
     KernelSpec,
     ZeroSupportError,
-    fit_conditional,
     silverman_bandwidth,
 )
 from .graph import (
@@ -90,7 +88,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BootstrapError",
-    "CategoricalTable",
     "CausalBootError",
     "CausalGraph",
     "Dataset",
@@ -130,7 +127,6 @@ __all__ = [
     "evaluate_estimand",
     "exact_interventional",
     "exact_observational",
-    "fit_conditional",
     "graph_to_text",
     "identify",
     "latent_project",

@@ -35,8 +35,9 @@ every cell the formula touches has samples; missing cells leave mass
 unclaimed and clear the normalized flag.
 
 Also here: stratified upsampling to balance an observed confounder
-within each label (the classical alternative), and the feature
-selectors that decide which observed columns a model may see.
+within each label (the classical alternative, its strata counted in
+the same coded cells), and the feature selectors that decide which
+observed columns a model may see.
 """
 
 from __future__ import annotations
@@ -273,35 +274,34 @@ def cb_resample(
 
 def da_resample(data: Dataset, seed: int) -> Dataset:
     """Balance the observed confounder within each label by upsampling
-    every (y, u) stratum to its label's largest stratum."""
+    every (y, u) stratum to its label's largest stratum.  The strata are
+    the cells of the coded (y, u) table, y-major, each keeping its rows
+    in ascending order; the first empty one raises ``ZeroSupportError``."""
     if "u" not in data.columns:
         raise EstimateError("balancing needs an observed confounder column 'u'")
-    if data.n == 0:
-        raise EstimateError("empty dataset")
-    y, u = data.y, data.columns["u"]
-    y_values = [int(v) for v in np.unique(y)]
-    u_values = [int(v) for v in np.unique(u)]
-    carried = {**data.columns, **data.shadow}
+    coded = _code_columns(data.weight_columns(), "y", ["u"])
+    cell, counts = _count_cells(coded, ("y", "u"))
+    y_values, u_values = coded["y"][0].tolist(), coded["u"][0].tolist()
+    empty = np.flatnonzero(counts.ravel() == 0)
+    if empty.size:
+        i, j = divmod(int(empty[0]), len(u_values))
+        raise ZeroSupportError(
+            f"empty stratum y={y_values[i]}, u={u_values[j]}; cannot balance"
+        )
 
+    bounds = np.cumsum(counts.ravel(), dtype=np.int64)[:-1]
+    strata = np.split(np.argsort(cell, kind="stable"), bounds)
     keep = []
-    for yv in y_values:
-        counts = {uv: int(((y == yv) & (u == uv)).sum()) for uv in u_values}
-        target = max(counts.values())
-        for uv in u_values:
-            if counts[uv] == 0:
-                raise ZeroSupportError(
-                    f"empty stratum y={yv}, u={uv}; cannot balance"
-                )
-            rows = np.flatnonzero((y == yv) & (u == uv))
-            keep.append(rows)
-            extra = target - counts[uv]
-            if extra > 0:
-                rng = stream(seed, "balance", yv, uv)
-                keep.append(rng.choice(rows, size=extra, replace=True))
+    for (i, j), rows in zip(np.ndindex(counts.shape), strata):
+        keep.append(rows)
+        extra = int(counts[i].max()) - len(rows)
+        if extra > 0:
+            rng = stream(seed, "balance", y_values[i], u_values[j])
+            keep.append(rng.choice(rows, size=extra, replace=True))
     idx = np.concatenate(keep)
     return Dataset(
         x=data.x[idx],
-        y=y[idx],
+        y=data.y[idx],
         columns={name: data.columns[name][idx] for name in data.columns},
         shadow={name: data.shadow[name][idx] for name in data.shadow},
     )

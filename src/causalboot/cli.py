@@ -238,12 +238,15 @@ def _cmd_bootstrap(args) -> int:
     method = MethodId.coerce(args.method)
     if method not in (MethodId.CB, MethodId.DA):
         raise BootstrapError("bootstrap method must be cb or da")
+    if method is MethodId.DA and (args.kernel, args.smoothing) != (None, None):
+        raise BootstrapError("--kernel and --smoothing apply to --method cb only")
     if Path(args.out).resolve() == Path(getattr(args, "in")).resolve():
         raise BootstrapError("--out must not name the --in file")
     data = _read_dataset(getattr(args, "in"))
     if method is MethodId.CB:
-        table = cb_weights(data.weight_columns(), scenario, alpha=args.smoothing)
-        kernel = KernelSpec.parse(args.kernel)
+        alpha = 0.0 if args.smoothing is None else args.smoothing
+        table = cb_weights(data.weight_columns(), scenario, alpha=alpha)
+        kernel = KernelSpec.parse("delta" if args.kernel is None else args.kernel)
         out = cb_resample(data, table, ResampleConfig(args.seed, kernel))
     else:
         kernel = KernelSpec.delta()
@@ -318,9 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", required=True, help="input CSV (x0..,y[,u][,z][,d])")
     p.add_argument("--out", required=True, help="output CSV (x0..,y)")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--smoothing", type=float, default=0.0, help="pseudo-count")
+    p.add_argument("--smoothing", type=float, help="pseudo-count (cb only, default 0)")
     p.add_argument(
-        "--kernel", default="delta", help="delta | gaussian | gaussian:<h>"
+        "--kernel", help="delta | gaussian | gaussian:<h> (cb only, default delta)"
     )
     p.set_defaults(func=_cmd_bootstrap)
 

@@ -1,24 +1,26 @@
 """Plug-in probability estimation from finite samples.
 
-Count tables over coded columns supply every discrete P(.|.) term the
-resampling weight formula needs, and :class:`CategoricalTable` answers
-queries by value from one such table; the resampling kernel and its
-normal-reference bandwidth cover continuous features.  Tables are
-immutable after fitting and safe to share across threads.
+Discrete columns are validated and coded here, once per call, as each
+column's sorted observed domain and each row's index into it; one
+bincount over the codes counts every cell of a table.  The resampling
+weights (``bootstrap.cb_weights``) and the stratified upsampler
+(``bootstrap.da_resample``) both count through these coded cells.  The
+resampling kernel and its normal-reference bandwidth cover continuous
+features.
 
 Smoothing follows the pseudo-count convention: with smoothing ``alpha``,
 a cell's probability is (count + alpha) / (group + alpha * |domain|).
-With alpha = 0 the table reproduces exact empirical frequencies, and
-querying an empty conditioning group is an error (:class:`ZeroSupportError`)
-rather than a silent clamp, because these probabilities sit in weight
-denominators where an invented value would bias everything downstream.
+With alpha = 0 the table reproduces exact empirical frequencies, and a
+conditioning group without samples reads nan rather than a clamped
+value, because these probabilities sit in weight denominators where an
+invented value would bias everything downstream.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -26,11 +28,12 @@ from .errors import CausalBootError
 
 
 class EstimateError(CausalBootError):
-    """Bad inputs to fitting or querying."""
+    """Bad input data, smoothing or kernel."""
 
 
 class ZeroSupportError(EstimateError):
-    """A conditioning assignment with zero unsmoothed mass was queried."""
+    """Nothing to resample from: a class whose weights are all zero
+    (``cb_resample``) or an empty (y, u) stratum (``da_resample``)."""
 
     exit_code = 3
 
@@ -82,10 +85,7 @@ class KernelSpec:
 
 
 def _discrete_column(columns: Mapping[str, np.ndarray], name: str) -> np.ndarray:
-    try:
-        raw = np.asarray(columns[name])
-    except KeyError:
-        raise EstimateError(f"no column named {name!r}") from None
+    raw = np.asarray(columns[name])
     if raw.ndim != 1:
         raise EstimateError(f"column {name!r} is not one-dimensional")
     if raw.size == 0:
@@ -101,92 +101,6 @@ def _discrete_column(columns: Mapping[str, np.ndarray], name: str) -> np.ndarray
     if values.dtype != np.int64 and np.any(coded != values):
         raise EstimateError(f"column {name!r} has a value beyond the int64 range")
     return coded
-
-
-@dataclass(frozen=True)
-class CategoricalTable:
-    """Smoothed empirical conditional P(target | given)."""
-
-    target: str
-    target_domain: tuple[int, ...]
-    given: tuple[str, ...]
-    given_domains: tuple[tuple[int, ...], ...]
-    counts: np.ndarray  # shape: given domain sizes + (target domain size,)
-    alpha: float
-
-    def _axis_index(self, domain: tuple[int, ...], name: str, value) -> int:
-        try:
-            return domain.index(int(value))
-        except (ValueError, TypeError):
-            raise EstimateError(
-                f"value {value!r} outside the domain of {name!r}"
-            ) from None
-
-    def prob(self, target_value, given_values: Sequence = ()) -> float:
-        """Smoothed plug-in probability of one cell."""
-        given_values = tuple(given_values)
-        if len(given_values) != len(self.given):
-            raise EstimateError(
-                f"expected {len(self.given)} conditioning values, got {len(given_values)}"
-            )
-        cell = tuple(
-            self._axis_index(dom, name, v)
-            for dom, name, v in zip(self.given_domains, self.given, given_values)
-        )
-        t = self._axis_index(self.target_domain, self.target, target_value)
-        group = float(self.counts[cell].sum())
-        if group == 0.0 and self.alpha == 0.0:
-            assignment = ",".join(
-                f"{n}={v}" for n, v in zip(self.given, given_values)
-            )
-            raise ZeroSupportError(
-                f"no samples with {assignment}; cannot estimate "
-                f"P({self.target}|{assignment}) without smoothing"
-            )
-        k = len(self.target_domain)
-        return (float(self.counts[cell + (t,)]) + self.alpha) / (
-            group + self.alpha * k
-        )
-
-    def prob_rows(
-        self, target_values: np.ndarray, given_rows: Sequence[np.ndarray] = ()
-    ) -> np.ndarray:
-        """Vectorized :meth:`prob` over aligned value arrays."""
-        given_rows = tuple(given_rows)
-        if len(given_rows) != len(self.given):
-            raise EstimateError(
-                f"expected {len(self.given)} conditioning columns, got {len(given_rows)}"
-            )
-        idx = [self._axis_indices(d, n, np.asarray(v))
-               for d, n, v in zip(self.given_domains, self.given, given_rows)]
-        t = self._axis_indices(self.target_domain, self.target, np.asarray(target_values))
-        groups = self.counts.sum(axis=-1)[tuple(idx)] if idx else np.full(
-            t.shape, self.counts.sum()
-        )
-        if self.alpha == 0.0 and np.any(groups == 0):
-            n = int(np.argmax(groups == 0))
-            bad = ",".join(
-                f"{name}={np.asarray(v)[n]}" for name, v in zip(self.given, given_rows)
-            )
-            raise ZeroSupportError(
-                f"no samples with {bad}; cannot estimate "
-                f"P({self.target}|{bad}) without smoothing"
-            )
-        cells = self.counts[tuple(idx) + (t,)]
-        k = len(self.target_domain)
-        return (cells + self.alpha) / (groups + self.alpha * k)
-
-    def _axis_indices(
-        self, domain: tuple[int, ...], name: str, values: np.ndarray
-    ) -> np.ndarray:
-        dom = np.asarray(domain)
-        pos = np.searchsorted(dom, values)
-        pos_clipped = np.clip(pos, 0, len(dom) - 1)
-        bad = dom[pos_clipped] != values
-        if np.any(bad):
-            v = np.asarray(values)[np.argmax(bad)]
-            raise EstimateError(f"value {v!r} outside the domain of {name!r}")
-        return pos_clipped
 
 
 def _smoothing(alpha) -> float:
@@ -235,29 +149,6 @@ def _smoothed(counts: np.ndarray, alpha: float) -> np.ndarray:
     groups = counts.sum(axis=-1, keepdims=True)
     with np.errstate(invalid="ignore"):
         return (counts + alpha) / (groups + alpha * counts.shape[-1])
-
-
-def fit_conditional(
-    columns: Mapping[str, np.ndarray],
-    target: str,
-    given: Iterable[str] = (),
-    alpha: float = 0.0,
-) -> CategoricalTable:
-    """Fit the empirical conditional P(target | given) with pseudo-count
-    smoothing ``alpha``; domains are the sorted values observed per column."""
-    alpha = _smoothing(alpha)
-    given = tuple(given)
-    coded = _code_columns(columns, target, given)
-    _, counts = _count_cells(coded, (*given, target))
-    domains = {name: tuple(int(v) for v in values) for name, (values, _) in coded.items()}
-    return CategoricalTable(
-        target=target,
-        target_domain=domains[target],
-        given=given,
-        given_domains=tuple(domains[name] for name in given),
-        counts=counts,
-        alpha=alpha,
-    )
 
 
 def silverman_bandwidth(samples: np.ndarray) -> float:

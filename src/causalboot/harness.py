@@ -101,6 +101,7 @@ _SPEC_KEYS = (
 # The knobs of TrainConfig, each typed by its default: what a spec file's
 # train.* keys may set, in the order spec.resolved.txt writes them.
 _TRAIN_KEYS = {f.name: type(f.default) for f in dataclasses.fields(TrainConfig)}
+del _TRAIN_KEYS["seed"]  # every cell trains under a seed of its own
 
 
 def _reject_repeats(name: str, values) -> None:
@@ -155,6 +156,8 @@ class ExperimentSpec:
         unknown = set(self.sim) - set(_SIM_KEYS)
         if unknown:
             raise HarnessError(f"unknown sim overrides {sorted(unknown)}")
+        if self.complexity_sweep is None and "q_c" in self.sim:
+            raise HarnessError("sim.q_c is set by each qc_grid level; list it there")
         if self.complexity_sweep is not None:
             sweep = tuple(float(v) for v in self.complexity_sweep)
             if not sweep or not all(0 < v < np.inf for v in sweep):
@@ -470,6 +473,8 @@ def parse_spec_text(text: str) -> ExperimentSpec:
     }
     if "scenarios" not in kwargs:
         raise HarnessError("spec needs a scenarios= line")
+    if "qc_grid" in kwargs and "complexity_sweep" in kwargs:
+        raise HarnessError("qc_grid has no effect with complexity_sweep; set sim.q_c")
 
     sim: dict[str, object] = {}
     train_kw: dict[str, object] = {}
@@ -499,14 +504,16 @@ def parse_spec_text(text: str) -> ExperimentSpec:
 
 def resolved_spec_text(spec: ExperimentSpec) -> str:
     """Every knob written out, defaults included, in a fixed order."""
+    sweep = spec.complexity_sweep is not None
     lines = []
     for key, _, listed in _SPEC_KEYS:
+        if key == ("qc_grid" if sweep else "complexity_sweep"):
+            continue  # the level axis is one or the other
         value = getattr(spec, key)
-        if value is not None:  # complexity_sweep is None outside sweep mode
-            lines.append(f"{key}=" + ",".join(map(_text, value if listed else [value])))
+        lines.append(f"{key}=" + ",".join(map(_text, value if listed else [value])))
     for name in _SIM_KEYS:
-        if name in ("q_c", "qp_c") and name not in spec.sim:
-            continue  # q_c is grid-controlled, and qp_c follows it
+        if name not in spec.sim and (name == "qp_c" or (name == "q_c" and not sweep)):
+            continue  # each qc_grid level sets q_c, and an unset qp_c follows it
         value = spec.sim.get(name, getattr(SimConfig, name))
         lines.append(f"sim.{name}={_text(value)}")
     for name in _TRAIN_KEYS:

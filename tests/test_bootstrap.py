@@ -1,6 +1,8 @@
 """Weight formulas on hand data, resampler behavior, oracle agreement."""
 
+import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,7 +26,6 @@ from causalboot.estimate import (
     EstimateError,
     KernelSpec,
     ZeroSupportError,
-    fit_conditional,
     silverman_bandwidth,
 )
 from causalboot.graph import ScenarioId
@@ -168,24 +169,34 @@ def test_weights_need_an_identifiable_graph(unidentifiable_a):
 
 
 def reference_weights(columns, scenario, alpha=0.0):
-    """The weight formula row by row, through the public table API:
-    fitted P(t | y) and P(t | G), each queried once per row and class."""
+    """The weight formula row by row in Python ints and floats: each
+    plug-in probability (count + alpha) / (group + alpha * k) from
+    ``Counter`` tallies, then num / (n * den) for every row and class."""
     target, given = _WEIGHT_FORMS[ScenarioId.coerce(scenario)]
-    cols = {name: np.asarray(columns[name]) for name in ("y", *given, target)}
-    y, t = cols["y"], cols[target]
-    n = len(y)
-    classes = tuple(int(c) for c in np.unique(y))
-    t_num = None
-    if target != "y":
-        t_num = fit_conditional(cols, target, ("y",), alpha=alpha)
-    t_den = t_num
-    if given != ("y",):
-        t_den = fit_conditional(cols, target, given, alpha=alpha)
-    den = n * t_den.prob_rows(t, [cols[name] for name in given])
+    rows = [
+        {name: int(columns[name][i]) for name in ("y", *given, target)}
+        for i in range(len(columns["y"]))
+    ]
+    n = len(rows)
+    classes = tuple(sorted({row["y"] for row in rows}))
+    k = len({row[target] for row in rows})
+
+    def conditional(names):
+        cells = Counter(tuple(row[name] for name in (*names, target)) for row in rows)
+        groups = Counter(tuple(row[name] for name in names) for row in rows)
+        return lambda t, *g: (cells[(*g, t)] + alpha) / (groups[g] + alpha * k)
+
+    p_den = conditional(given)
+    p_num = conditional(("y",))
     out = np.zeros((n, len(classes)))
-    for k, c in enumerate(classes):
-        num = y == c if t_num is None else t_num.prob_rows(t, (np.full(n, c),))
-        out[:, k] = num / den
+    for i, row in enumerate(rows):
+        den = n * p_den(row[target], *(row[name] for name in given))
+        for j, c in enumerate(classes):
+            if target == "y":
+                num = 1.0 if row["y"] == c else 0.0
+            else:
+                num = p_num(row[target], c)
+            out[i, j] = num / den
     normalized = bool(np.allclose(out.sum(axis=0), 1.0, atol=1e-9))
     return out, classes, normalized
 
@@ -202,7 +213,7 @@ DOMAINS = {
 @settings(max_examples=60, deadline=None)
 @given(
     scenario=st.sampled_from(ALL),
-    alpha=st.sampled_from([0.0, 0.5, 1.0]),
+    alpha=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
     n=st.integers(1, 50),
     data=st.data(),
 )
@@ -240,26 +251,30 @@ def reads(scenario, name):
     "scenario, name, bad, message",
     [(s, *case) for s in ALL for case in BAD_COLUMNS if reads(s, case[0])],
 )
-def test_bad_columns_fail_as_the_reference_does(scenario, name, bad, message):
+def test_bad_columns_are_input_errors(scenario, name, bad, message):
     cols = {key: np.array([0, 1, 1, 0]) for key in ("y", "u", "z")}
     cols[name] = bad
-    with pytest.raises(EstimateError) as want:
-        reference_weights(cols, scenario)
     with pytest.raises(EstimateError, match=message) as got:
         cb_weights(cols, scenario)
-    assert type(got.value) is type(want.value) and got.value.exit_code == 1
-    assert str(got.value) == str(want.value)
+    assert type(got.value) is EstimateError and got.value.exit_code == 1
 
 
 @pytest.mark.parametrize("scenario", ALL)
-def test_empty_columns_fail_as_the_reference_does(scenario):
+def test_empty_columns_are_input_errors(scenario):
     cols = {key: np.array([], dtype=np.int64) for key in ("y", "u", "z")}
-    with pytest.raises(EstimateError) as want:
-        reference_weights(cols, scenario)
     with pytest.raises(EstimateError, match="^empty dataset$") as got:
         cb_weights(cols, scenario)
-    assert type(got.value) is type(want.value) and got.value.exit_code == 1
-    assert str(got.value) == str(want.value)
+    assert type(got.value) is EstimateError and got.value.exit_code == 1
+
+
+@pytest.mark.parametrize("alpha", [-0.5, math.nan, math.inf])
+def test_unusable_smoothing_is_an_input_error(alpha):
+    cols = {"y": np.array([0, 1, 1, 0]), "u": np.array([0, 1, 0, 1])}
+    with pytest.raises(
+        EstimateError, match="^smoothing must be finite and nonnegative, got"
+    ) as got:
+        cb_weights(cols, "a", alpha=alpha)
+    assert type(got.value) is EstimateError and got.value.exit_code == 1
 
 
 def test_an_empty_group_raises_no_warning():
@@ -587,6 +602,12 @@ def test_balancing_errors():
     data = dataset_from(np.zeros((0, 1)), [], columns={"u": []})
     with pytest.raises(EstimateError, match="empty dataset"):
         da_resample(data, seed=0)
+    # 0 and 0.5 are distinct strata that integer keys would merge
+    u = np.array([0, 0, 0.5, 1, 1, 0, 1, 0.5])
+    data = Dataset(x=np.zeros((8, 1)), y=np.array([0, 1] * 4), columns={"u": u}, shadow={})
+    with pytest.raises(EstimateError, match="^column 'u' is not discrete$") as got:
+        da_resample(data, seed=0)
+    assert got.value.exit_code == 1
 
 
 def test_balancing_deterministic():
@@ -594,6 +615,86 @@ def test_balancing_deterministic():
     a = da_resample(data, seed=6)
     b = da_resample(data, seed=6)
     assert np.array_equal(a.x, b.x)
+
+
+def reference_balance(data, seed):
+    """The balancer that found the strata with ``np.unique`` and one
+    boolean mask per (y, u) pair."""
+    y, u = data.y, data.columns["u"]
+    y_values = [int(v) for v in np.unique(y)]
+    u_values = [int(v) for v in np.unique(u)]
+    keep = []
+    for yv in y_values:
+        counts = {uv: int(((y == yv) & (u == uv)).sum()) for uv in u_values}
+        target = max(counts.values())
+        for uv in u_values:
+            if counts[uv] == 0:
+                raise ZeroSupportError(
+                    f"empty stratum y={yv}, u={uv}; cannot balance"
+                )
+            rows = np.flatnonzero((y == yv) & (u == uv))
+            keep.append(rows)
+            extra = target - counts[uv]
+            if extra > 0:
+                rng = stream(seed, "balance", yv, uv)
+                keep.append(rng.choice(rows, size=extra, replace=True))
+    idx = np.concatenate(keep)
+    return Dataset(
+        x=data.x[idx],
+        y=y[idx],
+        columns={name: data.columns[name][idx] for name in data.columns},
+        shadow={name: data.shadow[name][idx] for name in data.shadow},
+    )
+
+
+def assert_same_dataset(got, want):
+    pairs = [(got.x, want.x), (got.y, want.y)]
+    assert list(got.columns) == list(want.columns)
+    assert list(got.shadow) == list(want.shadow)
+    pairs += [(got.columns[k], want.columns[k]) for k in want.columns]
+    pairs += [(got.shadow[k], want.shadow[k]) for k in want.shadow]
+    for a, b in pairs:
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def assert_balanced_as_the_reference(sample, seed):
+    try:
+        want = reference_balance(sample, seed)
+    except ZeroSupportError as exc:
+        with pytest.raises(ZeroSupportError) as got:
+            da_resample(sample, seed)
+        assert type(got.value) is ZeroSupportError and str(got.value) == str(exc)
+    else:
+        assert_same_dataset(da_resample(sample, seed), want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    y_domain=st.sampled_from([(0, 1), (-1, 2), (0, 2, 5), (-1, 0, 2, 5)]),
+    u_domain=st.sampled_from([(0, 1), (0, 5), (-2, 3, 7), (4,)]),
+    n=st.integers(1, 60),
+    seed=st.integers(0, 2**32),
+    data=st.data(),
+)
+def test_balancing_equals_the_mask_reference(y_domain, u_domain, n, seed, data):
+    y = np.array(data.draw(st.lists(st.sampled_from(y_domain), min_size=n, max_size=n)))
+    u = np.array(data.draw(st.lists(st.sampled_from(u_domain), min_size=n, max_size=n)))
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, 3)) if data.draw(st.booleans()) else np.arange(n) * 2
+    columns = {"u": u, "z": rng.integers(0, 2, n).astype(np.int32)}
+    shadow = {"v": rng.integers(0, 2, n), "row": np.arange(n, dtype=np.uint16)}
+    assert_balanced_as_the_reference(
+        Dataset(x=x, y=y, columns=columns, shadow=shadow), seed
+    )
+
+
+@pytest.mark.parametrize("scenario", ["a", "b", "c", "e"])
+def test_balancing_simulated_draws_equals_the_mask_reference(scenario):
+    # scenario c's 40-row draw has an empty stratum, which both refuse
+    for n, seed in ((40, 0), (3000, 1)):
+        sample = simulate(SimConfig(scenario=scenario, n=n), "conf", seed=seed)
+        assert_balanced_as_the_reference(sample, seed + 5)
 
 
 # --- feature selection -------------------------------------------------------

@@ -296,6 +296,22 @@ def test_bootstrap_da_and_smoothing_kernel_flags(tmp_path):
     assert out.returncode == 0, out.stderr
 
 
+def test_bootstrap_da_refuses_the_cb_only_flags(tmp_path, capsys):
+    src = simulate_csv(tmp_path, "train.csv")
+    out_path = tmp_path / "da.csv"
+    boot = ["bootstrap", "--scenario", "a", "--method", "da",
+            "--in", str(src), "--out", str(out_path), "--seed", "3"]
+    for flags in (["--kernel", "gaussian:5"], ["--smoothing", "3"],
+                  ["--kernel", "delta"], ["--smoothing", "0"],
+                  ["--kernel", "gaussian:5", "--smoothing", "3"]):
+        capsys.readouterr()
+        assert cli.main(boot + flags) == BootstrapError.exit_code == 1
+        err = capsys.readouterr().err
+        assert "--kernel and --smoothing apply to --method cb only" in err
+        assert not out_path.exists()
+    assert cli.main(boot) == 0 and out_path.exists()
+
+
 def test_bootstrap_zero_support_exit_code(tmp_path):
     src = tmp_path / "degenerate.csv"
     src.write_text("x0,y,u\n0.1,1,1\n0.2,1,1\n0.3,0,0\n0.4,0,0\n")
@@ -658,6 +674,10 @@ def test_run_rejects_bad_spec(tmp_path):
         ("scenarios=a\nmethods=simple,simple\n", "methods lists 'simple'"),
         ("scenarios=a\nseeds=1,1\n", "seeds lists 1 more than once"),
         ("scenarios=a\nqc_grid=0.75,0.75\n", "qc_grid lists 0.75 more"),
+        ("scenarios=a\ntrain.seed=3\n", "unknown spec key 'train.seed'"),
+        ("scenarios=a\nsim.q_c=0.8\n", "sim.q_c is set by each qc_grid level"),
+        ("scenarios=a\nqc_grid=0.9\ncomplexity_sweep=1.0\n",
+         "qc_grid has no effect with complexity_sweep"),
     )):
         result, out_dir = run_spec(tmp_path, text, name=f"s{k + 3}.txt", out=f"o{k}")
         assert result.returncode == 2

@@ -21,6 +21,7 @@ from causalboot.harness import (
     write_results,
 )
 from causalboot.model import TrainConfig
+from causalboot.simulate import SimConfig
 
 
 def small_spec(**kw):
@@ -238,6 +239,16 @@ def test_parse_spec_errors():
         parse_spec_text("scenarios=a\nscenarios=b\n")
     with pytest.raises(HarnessError, match="key=value"):
         parse_spec_text("scenarios\n")
+    # settings that change no output are refused, not echoed
+    with pytest.raises(HarnessError, match="unknown spec key 'train.seed'"):
+        parse_spec_text("scenarios=a\ntrain.seed=3\n")
+    with pytest.raises(HarnessError, match="sim.q_c is set by each qc_grid level"):
+        parse_spec_text("scenarios=a\nsim.q_c=0.8\n")
+    with pytest.raises(HarnessError, match="qc_grid has no effect with complexity_sweep"):
+        parse_spec_text("scenarios=a\nqc_grid=0.9\ncomplexity_sweep=1.0\n")
+    assert parse_spec_text("scenarios=a\nsim.q_c=0.8\ncomplexity_sweep=1.0\n").sim == {
+        "q_c": 0.8
+    }
     with pytest.raises(HarnessError, match="nonempty"):
         parse_spec_text("scenarios=a\nmethods=\n")
     for line in (
@@ -263,7 +274,15 @@ def test_parse_spec_errors():
             parse_spec_text(f"scenarios=a\n{line}\n")
 
 
-def test_resolved_spec_round_trip():
+@pytest.mark.parametrize(
+    "sweep, sim",
+    [
+        (None, {"r1": 0.9, "x_mode": "gaussian"}),
+        ((0.5, 2.0), {"r1": 0.9}),
+        ((0.5, 2.0), {"q_c": 0.8, "qp_c": 0.6}),
+    ],
+)
+def test_resolved_spec_round_trip(sweep, sim):
     spec = ExperimentSpec(
         scenarios=("a", "c"),
         qc_grid=(0.7, 0.95),
@@ -271,20 +290,32 @@ def test_resolved_spec_round_trip():
         seeds=(1, 2),
         n_train=300,
         n_test=200,
-        sim={"r1": 0.9, "x_mode": "gaussian"},
+        sim=sim,
         train=TrainConfig(kind="mlp", epochs=5),
+        complexity_sweep=sweep,
     )
     text = resolved_spec_text(spec)
     again = parse_spec_text(text)
     assert again.scenarios == spec.scenarios
-    assert again.qc_grid == spec.qc_grid
+    assert again.levels == spec.levels
+    assert again.complexity_sweep == spec.complexity_sweep
     assert again.methods == spec.methods
     assert again.seeds == spec.seeds
     assert again.train == spec.train
-    assert again.sim["r1"] == 0.9
-    # defaults materialized
+    assert all(again.sim[name] == value for name, value in sim.items())
+    assert resolved_spec_text(again) == text
+    # defaults materialized, but only the settings that reach a cell: the
+    # level axis in force, q_c where no grid level sets it, a set qp_c
     assert "sim.p=0.5" in text
     assert "train.lr=0.1" in text
+    assert "train.seed=" not in text
+    assert ("qc_grid=" in text) == (sweep is None)
+    assert ("complexity_sweep=" in text) == (sweep is not None)
+    if sweep is None:
+        assert "sim.q_c=" not in text
+    else:
+        assert f"sim.q_c={sim.get('q_c', SimConfig.q_c)!r}\n" in text
+    assert ("sim.qp_c=" in text) == ("qp_c" in sim)
 
 
 def test_spec_validation():
@@ -301,6 +332,8 @@ def test_spec_validation():
             ExperimentSpec(scenarios=("a",), n_test=size)
     with pytest.raises(HarnessError, match="unknown sim overrides"):
         ExperimentSpec(scenarios=("a",), sim={"bogus": 1})
+    with pytest.raises(HarnessError, match="sim.q_c is set by each qc_grid level"):
+        ExperimentSpec(scenarios=("a",), sim={"q_c": 0.8})
     with pytest.raises(HarnessError, match="unknown scenario"):
         ExperimentSpec(scenarios=("zz",))
     with pytest.raises(HarnessError, match="unknown method"):
