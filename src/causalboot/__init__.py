@@ -61,7 +61,6 @@ from .identify import (
     evaluate_estimand,
     identify,
     latent_project,
-    rule_applicable,
 )
 from .model import (
     LinearModel,
@@ -137,7 +136,6 @@ __all__ = [
     "predict_proba",
     "read_results",
     "resolved_spec_text",
-    "rule_applicable",
     "run_experiment",
     "scenario_graph",
     "select_features",

@@ -42,6 +42,8 @@ observed columns a model may see.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
@@ -195,23 +197,80 @@ class ResampleConfig:
     kernel: KernelSpec = field(default_factory=KernelSpec.delta)
 
 
-def _draw(rng: np.random.Generator, p: np.ndarray, count: int) -> np.ndarray:
-    """``rng.choice(len(p), size=count, replace=True, p=p)``: the same
-    indices, dtype and generator state, by the same steps: the
-    cumulative sum divided by its last element, ``count`` uniforms, and a
-    right-sided search.
+def _draw(
+    rng: np.random.Generator, cdf: np.ndarray, u: np.ndarray, idx: np.ndarray
+) -> np.ndarray:
+    """``rng.choice(len(cdf), size=len(idx), replace=True, p=cdf)``: the
+    same indices, dtype and generator state, by the same steps: the
+    cumulative sum divided by its last element, ``len(idx)`` uniforms,
+    and a right-sided search.
 
-    The uniforms are searched in sorted order and the results scattered
-    back, so the search reads the cdf front to back instead of missing
-    the cache on each draw once the cdf outgrows it.
+    The caller allocates every buffer: ``cdf`` comes in holding p and is
+    summed in place, ``u`` receives the uniforms and ``idx`` (int64) the
+    indices, which are returned.  The uniforms are searched in sorted
+    order and the results scattered back, so the search reads the cdf
+    front to back instead of missing the cache on each draw once the cdf
+    outgrows it.
     """
-    cdf = np.cumsum(p)
+    np.cumsum(cdf, out=cdf)
     cdf /= cdf[-1]
-    u = rng.random(count)
+    rng.random(out=u)
     order = np.argsort(u)
-    idx = np.empty(count, dtype=np.int64)
-    idx[order] = cdf.searchsorted(u[order], side="right")
+    # the sorted uniforms borrow idx's memory until the search has read
+    # them; order is a permutation, so "clip" changes nothing but spares
+    # take's out= buffer
+    ordered = np.take(u, order, out=idx.view(np.float64), mode="clip")
+    idx[order] = cdf.searchsorted(ordered, side="right")
     return idx
+
+
+def _pin(cpus) -> None:
+    """Bind the calling thread to ``cpus``; placement is only a hint, so
+    a set the kernel refuses leaves it to the kernel."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
+
+
+def _together(first, second=None) -> None:
+    """Run ``first`` in the calling thread while a thread runs
+    ``second``, if given; either one's exception is raised once both
+    finish.
+
+    Where the process may use several CPUs (Linux), the two threads
+    split them until both finish, and the calling thread then gets its
+    whole set back: a thread starts on its creator's CPU, and a kernel
+    that balances no load across CPUs (a cpuset with load balancing
+    off) would leave both time-sharing that one CPU, slower than
+    drawing one class after the other.
+    """
+    if second is None:
+        return first()
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+    half = len(cpus) // 2
+    errors = []
+
+    def run_second():
+        try:
+            if half:
+                _pin(cpus[half:])
+            second()
+        except BaseException as exc:  # re-raised in the calling thread
+            errors.append(exc)
+
+    worker = threading.Thread(target=run_second)
+    worker.start()
+    try:
+        if half:
+            _pin(cpus[:half])
+        first()
+    finally:
+        worker.join()
+        if half:
+            _pin(cpus)
+    if errors:
+        raise errors[0]
 
 
 def cb_resample(
@@ -228,7 +287,9 @@ def cb_resample(
     training.
 
     Each output array is allocated once at its full size, and each
-    class's draw is gathered straight into its own slice of rows.
+    class's draw is gathered straight into its own slice of rows.  Every
+    class total is checked before any draw; then the classes draw in
+    pairs, the second of each pair in a thread of its own.
     """
     n = data.n
     if len(table.weights) != n:
@@ -243,14 +304,10 @@ def cb_resample(
         source = source.astype(np.result_type(source.dtype, np.float64), copy=False)
 
     bounds = np.cumsum([0, *((data.y == c).sum() for c in table.classes)])
-    carried = {**data.columns, **data.shadow}
-    sources = [source, *carried.values()]
-    outs = [np.empty((bounds[-1], *col.shape[1:]), col.dtype) for col in sources]
-    y = np.empty(bounds[-1], dtype=data.y.dtype)
-    for c, lo, hi in zip(table.classes, bounds, bounds[1:]):
-        w = table.column(c)
+    totals = []
+    for c in table.classes:
         with np.errstate(over="ignore"):  # an overflowing total is refused below
-            total = w.sum()
+            total = table.column(c).sum()
         if total <= 0.0:
             raise ZeroSupportError(
                 f"no samples carry weight for class {c}; cannot resample"
@@ -259,15 +316,40 @@ def cb_resample(
             raise BootstrapError(
                 f"weights for class {c} sum to {total}; cannot resample"
             )
-        rng = stream(config.seed, "resample", c)
-        idx = _draw(rng, w / total, hi - lo)
-        y[lo:hi] = c
-        # every index _draw returns lies in [0, n) (cdf[-1] is exactly 1.0
-        # and u < 1), so "clip" changes none; it spares take's out= buffer
-        for col, out in zip(sources, outs):
-            np.take(col, idx, axis=0, out=out[lo:hi], mode="clip")
-        if jitter is not None:
-            outs[0][lo:hi] += jitter * rng.standard_normal(outs[0][lo:hi].shape)
+        totals.append(total)
+    carried = {**data.columns, **data.shadow}
+    sources = [source, *carried.values()]
+    outs = [np.empty((bounds[-1], *col.shape[1:]), col.dtype) for col in sources]
+    y = np.empty(bounds[-1], dtype=data.y.dtype)
+
+    def drawer(c, lo, hi, total):
+        # the calling thread allocates every buffer the draw needs: what a
+        # worker thread frees stays in its own malloc arena, where later
+        # allocations in this thread never reuse it
+        cdf, u = np.divide(table.column(c), total), np.empty(hi - lo)
+        idx = np.empty(hi - lo, dtype=np.int64)
+
+        def draw():
+            rng = stream(config.seed, "resample", c)
+            _draw(rng, cdf, u, idx)
+            y[lo:hi] = c
+            # every index _draw returns lies in [0, n) (cdf[-1] is exactly
+            # 1.0 and u < 1), so "clip" changes none; it spares take's
+            # out= buffer
+            for col, out in zip(sources, outs):
+                np.take(col, idx, axis=0, out=out[lo:hi], mode="clip")
+            if jitter is not None:  # scaled in place: one temporary per class
+                noise = rng.standard_normal(outs[0][lo:hi].shape)
+                noise *= jitter
+                outs[0][lo:hi] += noise
+
+        return draw
+
+    # a class reads only its weight column and its stream and writes only
+    # its own rows, so two classes draw at once and give the same bytes
+    jobs = list(zip(table.classes, bounds, bounds[1:], totals))
+    for pair in (jobs[i:i + 2] for i in range(0, len(jobs), 2)):
+        _together(*(drawer(*job) for job in pair))
 
     return Dataset(x=outs[0], y=y, columns={}, shadow=dict(zip(carried, outs[1:])))
 

@@ -116,6 +116,10 @@ def _code(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # the order of the rows; a sort and a search into the domain does not
     ordered = np.sort(values)
     domain = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    # a run of consecutive integers needs no search: each value's index
+    # is its offset from the first (written so that nothing overflows)
+    if domain[-1] - (len(domain) - 1) == domain[0]:
+        return domain, values - domain[0]
     return domain, domain.searchsorted(values)
 
 

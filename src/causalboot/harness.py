@@ -116,7 +116,7 @@ def _reject_repeats(name: str, values) -> None:
 @dataclass(frozen=True)
 class ExperimentSpec:
     scenarios: tuple[ScenarioId, ...]
-    qc_grid: tuple[float, ...] = (0.65, 0.75, 0.85, 0.95)
+    qc_grid: tuple[float, ...] | None = None
     methods: tuple[MethodId, ...] = (
         MethodId.SIMPLE,
         MethodId.IF,
@@ -138,14 +138,22 @@ class ExperimentSpec:
             raise HarnessError(str(exc)) from None
         object.__setattr__(self, "scenarios", scenarios)
         object.__setattr__(self, "methods", methods)
-        object.__setattr__(self, "qc_grid", tuple(float(q) for q in self.qc_grid))
+        if self.train.seed != TrainConfig.seed:
+            raise HarnessError("train.seed has no effect; each cell trains under its own")
+        if self.complexity_sweep is None:
+            qc_grid = (0.65, 0.75, 0.85, 0.95) if self.qc_grid is None else self.qc_grid
+            object.__setattr__(self, "qc_grid", tuple(float(q) for q in qc_grid))
+        elif self.qc_grid is not None:
+            raise HarnessError("qc_grid has no effect with complexity_sweep; set sim.q_c")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         for name in ("scenarios", "qc_grid", "methods", "seeds"):
             values = getattr(self, name)
+            if values is None:  # a sweep has no qc_grid
+                continue
             if not values:
                 raise HarnessError(f"{name} must be nonempty")
             _reject_repeats(name, values)
-        for q in self.qc_grid:
+        for q in self.qc_grid or ():
             if not 0.0 <= q <= 1.0:
                 raise HarnessError(f"qc value {q!r} outside [0,1]")
         if not (1 <= self.n_train <= MAX_ROWS and 1 <= self.n_test <= MAX_ROWS):
@@ -473,8 +481,6 @@ def parse_spec_text(text: str) -> ExperimentSpec:
     }
     if "scenarios" not in kwargs:
         raise HarnessError("spec needs a scenarios= line")
-    if "qc_grid" in kwargs and "complexity_sweep" in kwargs:
-        raise HarnessError("qc_grid has no effect with complexity_sweep; set sim.q_c")
 
     sim: dict[str, object] = {}
     train_kw: dict[str, object] = {}

@@ -16,9 +16,7 @@ variables are displayed as the lower-cased node name, primed when that
 name is already taken (``Σ_{y'} P(x|u,y',z) P(y'|u)``).
 
 :func:`evaluate_estimand` computes an estimand exactly against a
-:class:`JointTable`, and :func:`rule_applicable` checks the three
-graph-surgery rules that license moving a ``do()`` in or out of a
-conditional probability.
+:class:`JointTable`.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ from .graph import (
     GraphError,
     NodeSet,
     ancestors,
-    d_separated,
     mutilate,
     topological_order,
 )
@@ -587,44 +584,6 @@ def identify(
             context=context,
         )
     )
-
-
-def rule_applicable(
-    g: CausalGraph,
-    rule: int,
-    x: Iterable[str],
-    y: Iterable[str],
-    z: Iterable[str],
-    w: Iterable[str] = (),
-) -> bool:
-    """Check one of the three do-calculus licences on ``g``.
-
-    With sets in the roles P(x | do(y), z-or-do(z), w):
-
-    * rule 1 (insert/delete observation z):   x ⟂ z | y,w  after barring y
-    * rule 2 (exchange do(z) with seeing z):  x ⟂ z | y,w  after barring y
-      and underlining z
-    * rule 3 (insert/delete do(z)):           x ⟂ z | y,w  after barring y
-      and z(w), where z(w) = z minus ancestors of w in the y-barred graph
-    """
-    x = g._check_set(x)
-    y = g._check_set(y)
-    z = g._check_set(z)
-    w = g._check_set(w)
-    if not x or not z:
-        raise GraphError("x and z must be non-empty")
-    for a, b in combinations([x, y, z, w], 2):
-        if a & b:
-            raise GraphError("x, y, z, w must be disjoint")
-    if rule == 1:
-        return d_separated(mutilate(g, bar=y), x, z, y | w)
-    if rule == 2:
-        return d_separated(mutilate(g, bar=y, underline=z), x, z, y | w)
-    if rule == 3:
-        barred = mutilate(g, bar=y)
-        zw = z - (ancestors(barred, w) if w else frozenset())
-        return d_separated(mutilate(g, bar=y | zw), x, z, y | w)
-    raise GraphError(f"rule must be 1, 2 or 3, got {rule!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -81,7 +81,8 @@ class TrainConfig:
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    den = 1.0 + e
+    return np.where(z >= 0, 1.0 / den, e / den)
 
 
 def predict_proba(model: Model, x: np.ndarray) -> np.ndarray:

@@ -261,7 +261,7 @@ def test_a5_bow_graph_is_unidentifiable():
 def _grid(**kw):
     base = dict(
         scenarios=("a",),
-        qc_grid=(0.95,),
+        qc_grid=None if "complexity_sweep" in kw else (0.95,),
         seeds=(0, 1, 2, 3, 4),
         n_train=2000,
         n_test=2000,

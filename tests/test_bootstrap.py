@@ -1,6 +1,8 @@
 """Weight formulas on hand data, resampler behavior, oracle agreement."""
 
 import math
+import os
+import threading
 import warnings
 from collections import Counter
 
@@ -410,6 +412,60 @@ def test_resample_rejects_a_class_total_beyond_float_range():
         cb_resample(data, table, ResampleConfig(seed=0))
 
 
+def test_resample_checks_every_class_before_any_draw(monkeypatch):
+    calls = []
+    monkeypatch.setattr("causalboot.bootstrap._draw", lambda *args: calls.append(args))
+    data = toy_dataset(n=10)
+    table = WeightTable(
+        weights=np.column_stack([np.ones(10), np.zeros(10)]),
+        classes=(0, 1),
+        normalized=False,
+    )
+    with pytest.raises(ZeroSupportError, match="class 1"):
+        cb_resample(data, table, ResampleConfig(seed=0))
+    assert calls == []
+
+
+def cpu_set():
+    return os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+
+
+def test_resample_raises_the_threaded_class_error(monkeypatch):
+    # the second class of a pair draws in a thread of its own: its error
+    # surfaces from cb_resample, the thread has ended by then, and the
+    # calling thread has its CPU set back
+    data = toy_dataset()
+    table = cb_weights(data.weight_columns(), "a")
+    second = int((data.y == table.classes[1]).sum())
+    assert second != (data.y == table.classes[0]).sum()
+
+    def failing(rng, cdf, u, idx):
+        if len(idx) == second:
+            raise RuntimeError("second class failed")
+        return _draw(rng, cdf, u, idx)
+
+    monkeypatch.setattr("causalboot.bootstrap._draw", failing)
+    threads, cpus = threading.active_count(), cpu_set()
+    with pytest.raises(RuntimeError, match="second class failed"):
+        cb_resample(data, table, ResampleConfig(seed=0))
+    assert threading.active_count() == threads
+    assert cpu_set() == cpus
+
+
+def test_resample_gives_the_calling_thread_its_cpus_back():
+    data = three_class_dataset()
+    cpus = cpu_set()
+    cb_resample(data, cb_weights(data.weight_columns(), "a"), ResampleConfig(seed=0))
+    assert cpu_set() == cpus
+
+
+def draw(rng, p, count):
+    """``_draw`` of ``count`` indices into buffers of its own; ``p`` is
+    left as it is."""
+    buffers = np.array(p, dtype=float), np.empty(count), np.empty(count, np.int64)
+    return _draw(rng, *buffers)
+
+
 def reference_resample(data, table, config):
     """The resampler as it was before it gathered into preallocated
     output: each class's draw copied out, jittered, then every part
@@ -425,7 +481,7 @@ def reference_resample(data, table, config):
         w = table.column(c)
         count = int((data.y == c).sum())
         rng = stream(config.seed, "resample", c)
-        idx = _draw(rng, w / w.sum(), count)
+        idx = draw(rng, w / w.sum(), count)
         x = data.x[idx]
         if jitter is not None:
             x = x + jitter * rng.standard_normal(x.shape)
@@ -525,7 +581,7 @@ def test_draw_equals_generator_choice(seed):
     for w, count in weight_cases(np.random.default_rng(seed)):
         p = w / w.sum()
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = _draw(ours, p, count)
+        got = draw(ours, p, count)
         want = theirs.choice(len(p), size=count, replace=True, p=p)
         assert got.dtype == want.dtype == np.int64
         assert got.shape == (count,)
@@ -536,8 +592,9 @@ def test_draw_equals_generator_choice(seed):
 class LargestUniform:
     """Draws the largest double below 1 every time."""
 
-    def random(self, count):
-        return np.full(count, np.nextafter(1.0, 0.0))
+    def random(self, out):
+        out[...] = np.nextafter(1.0, 0.0)
+        return out
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -559,11 +616,11 @@ def test_draw_indices_lie_in_range(seed):
     }
     for name, w in cases.items():
         p = w / w.sum()
-        idx = _draw(np.random.default_rng(seed), p, 20_000)
+        idx = draw(np.random.default_rng(seed), p, 20_000)
         assert 0 <= idx.min() and idx.max() < len(w), name
         assert (w[idx] > 0).all(), name
         last = np.flatnonzero(w)[-1]
-        assert (_draw(LargestUniform(), p, 3) == last).all(), name
+        assert (draw(LargestUniform(), p, 3) == last).all(), name
 
 
 # --- balancing --------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from causalboot.bootstrap import ResampleConfig, cb_resample, cb_weights
-from causalboot.estimate import EstimateError, KernelSpec, silverman_bandwidth
+from causalboot.estimate import EstimateError, KernelSpec, _code, silverman_bandwidth
 from causalboot.simulate import Dataset
 
 
@@ -50,3 +50,41 @@ def test_gaussian_kernel_defaults_to_silverman():
     np.testing.assert_array_equal(auto.x, manual.x)
     wider = cb_resample(data, table, ResampleConfig(3, KernelSpec.gaussian(2 * h)))
     assert not np.array_equal(auto.x, wider.x)
+
+
+# ---------------------------------------------------------------------------
+# coding discrete columns
+
+LOW, HIGH = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [
+        [0, 1, 2, 3, 4],
+        [7, 8, 9, 10],
+        [0, 1, 3],
+        [-3, -2, -1, 0, 1, 2],
+        [-5, -1, 0, 4],
+        [5],
+        [0],
+        [HIGH - 2, HIGH - 1, HIGH],
+        [LOW, LOW + 1, LOW + 2],
+        [LOW, HIGH],
+        [LOW, 0, HIGH],
+        [HIGH],
+        [LOW],
+    ],
+)
+def test_code_equals_a_search_into_the_domain(domain):
+    # contiguous domains are coded by offset, the rest by a search: the
+    # codes are the search's either way
+    domain = np.array(domain, dtype=np.int64)
+    rng = np.random.default_rng(len(domain))
+    values = np.concatenate([domain, rng.choice(domain, size=500)])
+    rng.shuffle(values)
+    got_domain, codes = _code(values)
+    assert got_domain.tobytes() == domain.tobytes()
+    want = domain.searchsorted(values)
+    assert codes.dtype == want.dtype
+    assert codes.tobytes() == want.tobytes()

@@ -27,7 +27,7 @@ from causalboot.simulate import SimConfig
 def small_spec(**kw):
     base = dict(
         scenarios=("a",),
-        qc_grid=(0.95,),
+        qc_grid=None if "complexity_sweep" in kw else (0.95,),
         methods=("simple", "cb"),
         seeds=(0, 1, 2),
         n_train=400,
@@ -285,7 +285,7 @@ def test_parse_spec_errors():
 def test_resolved_spec_round_trip(sweep, sim):
     spec = ExperimentSpec(
         scenarios=("a", "c"),
-        qc_grid=(0.7, 0.95),
+        qc_grid=(0.7, 0.95) if sweep is None else None,
         methods=("cb",),
         seeds=(1, 2),
         n_train=300,
@@ -316,6 +316,23 @@ def test_resolved_spec_round_trip(sweep, sim):
     else:
         assert f"sim.q_c={sim.get('q_c', SimConfig.q_c)!r}\n" in text
     assert ("sim.qp_c=" in text) == ("qp_c" in sim)
+
+
+def test_spec_refuses_qc_grid_in_sweep_mode():
+    # a spec file refuses it too: the sweep's levels replace the q_c grid
+    with pytest.raises(HarnessError, match="qc_grid has no effect") as err:
+        ExperimentSpec(scenarios=("a",), complexity_sweep=(1.0,), qc_grid=(0.7,))
+    assert err.value.exit_code == 2
+    assert ExperimentSpec(scenarios=("a",), complexity_sweep=(1.0,)).qc_grid is None
+    assert ExperimentSpec(scenarios=("a",)).qc_grid == (0.65, 0.75, 0.85, 0.95)
+
+
+def test_spec_refuses_a_training_seed():
+    # a spec file refuses it too: every cell trains under a seed of its own
+    with pytest.raises(HarnessError, match="train.seed has no effect") as err:
+        ExperimentSpec(scenarios=("a",), train=TrainConfig(seed=5))
+    assert err.value.exit_code == 2
+    assert ExperimentSpec(scenarios=("a",), train=TrainConfig(epochs=3)).train.epochs == 3
 
 
 def test_spec_validation():

@@ -21,7 +21,6 @@ from causalboot.identify import (
     evaluate_estimand,
     identify,
     latent_project,
-    rule_applicable,
 )
 from bruteforce import random_admg
 from scm import DiscreteSCM
@@ -206,54 +205,6 @@ def test_identify_rejects_bad_queries():
     latent = parse_graph("latent U; U -> Y; U -> X; Y -> X;")
     with pytest.raises(GraphError):
         identify(latent, ["U"], ["Y"])
-
-
-# ---------------------------------------------------------------------------
-# graph-surgery rules
-
-
-def test_rule_two_licences_dropping_do_for_the_mediator():
-    # With the flow into the mediator cut, no other open route remains.
-    assert rule_applicable(scenario_graph("b"), 2, x=["Z"], y=[], z=["Y"])
-
-
-def test_rule_two_refuses_confounded_exchange():
-    assert not rule_applicable(scenario_graph("a"), 2, x=["X"], y=[], z=["Y"])
-
-
-def test_rule_three_licences_deleting_an_action():
-    # Forcing Y cannot move U: the only connecting path is a blocked collider.
-    assert rule_applicable(scenario_graph("a"), 3, x=["U"], y=[], z=["Y"])
-
-
-def test_rule_one_licences_dropping_an_observation():
-    # Seeing both the mediator and the cause screens X off from Y.
-    assert rule_applicable(scenario_graph("b"), 1, x=["X"], y=[], z=["Y"], w=["Z", "U"])
-    assert not rule_applicable(scenario_graph("b"), 1, x=["X"], y=[], z=["Y"], w=["Z"])
-
-
-def test_rule_one_on_a_chain():
-    g = parse_graph("A -> B; B -> C;")
-    assert rule_applicable(g, 1, x=["C"], y=[], z=["A"], w=["B"])
-
-
-def test_rule_one_is_symmetric_in_the_separated_sets():
-    for scenario in SCENARIOS:
-        g = scenario_graph(scenario)
-        w = [n for n in g.nodes if n not in ("X", "Y")]
-        assert rule_applicable(g, 1, x=["X"], y=[], z=["Y"], w=w) == (
-            rule_applicable(g, 1, x=["Y"], y=[], z=["X"], w=w)
-        )
-
-
-def test_rule_checks_validate_inputs():
-    g = scenario_graph("a")
-    with pytest.raises(GraphError):
-        rule_applicable(g, 4, x=["X"], y=[], z=["Y"])
-    with pytest.raises(GraphError):
-        rule_applicable(g, 1, x=["X"], y=[], z=["X"])
-    with pytest.raises(GraphError):
-        rule_applicable(g, 1, x=[], y=[], z=["Y"])
 
 
 # ---------------------------------------------------------------------------

@@ -254,11 +254,18 @@ def masked_sigmoid(z):
 
 def test_sigmoid_equals_masked_form():
     z = np.concatenate(
-        [np.linspace(-800.0, 800.0, 20_001), [0.0, -0.0, 1e-300, -1e-300]]
+        [
+            np.linspace(-800.0, 800.0, 20_001),
+            [0.0, -0.0, 1e-300, -1e-300, np.inf, -np.inf, 1e300, -1e300],
+            np.random.default_rng(3).normal(scale=20.0, size=10_000),
+        ]
     )
     with np.errstate(over="raise"):
         got = _sigmoid(z)
     assert got.tobytes() == masked_sigmoid(z).tobytes()
+    # and the bits of forming 1 + e in each branch, as it once did
+    e = np.exp(-np.abs(z))
+    assert got.tobytes() == np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).tobytes()
 
 
 def oracle_grad(model, x, y, l2):
