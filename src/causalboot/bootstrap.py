@@ -1,50 +1,37 @@
 """Weighted resampling that emulates drawing features under a forced label.
 
-Each scenario admits per-sample weights w_n(c) such that resampling row n
-with probability proportional to w_n(c), then relabeling it to c, draws
-from the interventional feature law for class c.  Every scenario's weight
-has one shape,
+Resampling row n with probability proportional to its weight w_n(c),
+then relabeling it to c, draws from the interventional feature law for
+class c.  Following Little and Badawy, the weights are read off the
+estimand of P(x | do(y)) in the scenario's graph, pruned by its
+d-separations (``identify.prune``): the one factor P(x | S) becomes the
+point mass 1[S = S_n] / (N P(S_n)), which collapses every sum onto row
+n, and the factors without y, a chain-rule prefix P(G) of P(S), cancel
+against it.  What is left is
 
     w_n(c) = P(t_n | y=c) / (N P(t_n | G_n)),
 
-where t is the label or the mediator and G is the set of columns the
-formula conditions on:
+t being the one variable of S besides G, with the indicator 1[y_n = c]
+as numerator when t is y.  An unidentifiable query raises
+``NotIdentifiedError`` (exit code 2).
 
-    scenario                             t    G
-    a  observed confounder               y    u
-    b  observed confounder + mediator    z    u
-    c  partially observed confounder     z    y, u
-    d  unobserved confounder             z    y
-    e  biased care level                 y    u
-
-With t = y the numerator is the indicator 1[y_n = c].  In scenario e the
-care factors P(d | y, u) of numerator and denominator agree on every row
-that carries weight, so they cancel and the care column is never read.
-
-The weights are licensed only where P(x | do(y)) is identifiable in
-the scenario's graph: ``cb_weights`` checks that once per scenario per
-process and raises ``NotIdentifiedError`` (exit code 2) otherwise.
-
-All conditionals are plug-in frequency tables (optionally smoothed); the
-indicator numerator is exact and never smoothed.  Each column the formula
-reads is coded once per call, as its sorted domain and each row's index
-into it; each table is counted over its own columns with one bincount of
-the codes, the weight is evaluated once per table cell, and every row
-gathers its cell's value.  Class weight columns sum to 1 exactly when
-every cell the formula touches has samples; missing cells leave mass
-unclaimed and clear the normalized flag.
+All conditionals are plug-in frequency tables (optionally smoothed),
+counted in coded cells (``estimate._count_cells``); the indicator
+numerator is exact and never smoothed.  The weight is evaluated once per
+table cell and every row gathers its cell's value.  Class weight columns
+sum to 1 exactly when every cell the formula touches has samples;
+missing cells leave mass unclaimed and clear the normalized flag.
 
 Also here: stratified upsampling to balance an observed confounder
-within each label (the classical alternative, its strata counted in
-the same coded cells), and the feature selectors that decide which
-observed columns a model may see.
+within each label (the classical alternative, counted in the same coded
+cells), and the selectors of the observed columns a model may see.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cache
 from typing import Mapping
@@ -63,7 +50,16 @@ from .estimate import (
     silverman_bandwidth,
 )
 from .graph import X_ANCESTOR_COLUMNS, ScenarioId, scenario_graph
-from .identify import EstimandError, Unidentifiable, identify
+from .identify import (
+    Cond,
+    EstimandError,
+    Ref,
+    Unidentifiable,
+    _terms,
+    estimand_to_text,
+    identify,
+    prune,
+)
 from .rng import stream
 from .simulate import Dataset
 
@@ -97,21 +93,35 @@ class MethodId(Enum):
         raise BootstrapError(f"unknown method {value!r}")
 
 
-# (t, G) of each scenario's weight formula; see the module docstring.
-_WEIGHT_FORMS = {
-    ScenarioId.OBSERVED_CONF: ("y", ("u",)),
-    ScenarioId.OBSERVED_CONF_MEDIATOR: ("z", ("u",)),
-    ScenarioId.PARTIAL_CONF_MEDIATOR: ("z", ("y", "u")),
-    ScenarioId.UNOBSERVED_CONF_MEDIATOR: ("z", ("y",)),
-    ScenarioId.BIASED_CARE: ("y", ("u",)),
-}
-
-
 @cache
-def _x_under_do_y(scenario: ScenarioId):
-    """The outcome of identifying X under do(Y) in the scenario's
-    graph, computed once per scenario per process."""
-    return identify(scenario_graph(scenario), ("X",), ("Y",))
+def _weight_form(scenario: ScenarioId) -> tuple[str, tuple[str, ...]]:
+    """(t, G) of the scenario's weight, read off the pruned estimand of
+    P(x | do(y)) in its graph once per scenario per process."""
+    g = scenario_graph(scenario)
+    outcome = identify(g, ("X",), ("Y",))
+    if isinstance(outcome, Unidentifiable):
+        raise NotIdentifiedError(outcome.witness)
+    estimand = replace(outcome.estimand, root=prune(outcome.estimand.root, g))
+    x, y = (Ref(v, estimand.alias_of(v)) for v in ("X", "Y"))
+    terms = _terms(estimand.root)
+    own = [f for f in terms if x in f.targets + f.given]
+    s = set(own[0].given) if len(own) == 1 and own[0].targets == (x,) else set()
+    # the factors without x or y in chain-rule order; G is their targets
+    bare = [f for f in terms if not {x, y} & {*f.targets, *f.given}]
+    prefix = sorted(bare, key=lambda f: len(f.given))
+    seen = tuple(f.targets[0] for f in prefix)
+    left = s - set(seen)
+    t = left.pop() if len(left) == 1 else None
+    if (
+        t is None
+        or not set(seen) <= s
+        or any(f.targets != seen[i : i + 1] for i, f in enumerate(prefix))
+        or any(set(f.given) != set(seen[:i]) for i, f in enumerate(prefix))
+        or [f for f in terms if f not in own + prefix]
+        != ([] if t == y else [Cond((t,), (y,))])
+    ):
+        raise EstimandError(f"no weight formula for {estimand_to_text(estimand)}")
+    return t.var.lower(), tuple(ref.var.lower() for ref in seen)
 
 
 @dataclass(frozen=True)
@@ -149,14 +159,11 @@ def cb_weights(
     scenario,
     alpha: float = 0.0,
 ) -> WeightTable:
-    """Importance weights for every class, from observed columns only.
-    Raises ``NotIdentifiedError`` where the scenario's graph does not
-    license them."""
+    """Importance weights for every class from observed columns only, by
+    the formula read off the scenario's pruned estimand; raises
+    ``NotIdentifiedError`` where its graph does not license them."""
     scenario = ScenarioId.coerce(scenario)
-    outcome = _x_under_do_y(scenario)
-    if isinstance(outcome, Unidentifiable):
-        raise NotIdentifiedError(outcome.witness)
-    target, given = _WEIGHT_FORMS[scenario]
+    target, given = _weight_form(scenario)
     needed = tuple(dict.fromkeys(("y", *given, target)))
     missing = [name for name in needed if name not in columns]
     if missing:
@@ -170,16 +177,12 @@ def cb_weights(
 
     # P(t | G) over its own columns, and the cell each row reads
     cell, counts = _count_cells(coded, (*given, target))
-    p_den = _smoothed(counts, alpha)
-    # P(t | y) by class for the numerator: the indicator 1[t = c] when t
-    # is the label itself, the same table where G is the label alone
+    den = n * _smoothed(counts, alpha)
+    # the numerator P(t | y) by class, or the indicator 1[t = c] if t is y
     if target == "y":
         p_num = np.eye(len(classes))
-    elif given == ("y",):
-        p_num = p_den
     else:
         p_num = _smoothed(_count_cells(coded, ("y", target))[1], alpha)
-    den = n * p_den
     out = np.zeros((n, len(classes)))
     # cells no row falls in may hold 0/0 or x/0; none is gathered
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -217,8 +217,7 @@ def _read_dataset(path: str) -> Dataset:
 
 def _cmd_dsep(args) -> int:
     g = _load_graph(args.graph)
-    given = _names(args.given) if args.given else ()
-    result = d_separated(g, _names(args.a), _names(args.b), given)
+    result = d_separated(g, _names(args.a), _names(args.b), _names(args.given))
     print("true" if result else "false")
     return 0
 

@@ -324,7 +324,7 @@ def d_separated(
     """Test whether ``given`` blocks every path between ``a`` and ``b``.
 
     Bidirected edges are expanded into fresh latent fork parents before
-    the reachability test, so they behave as hidden common causes.  The
+    the separation test, so they behave as hidden common causes.  The
     three sets must be disjoint and non-empty for ``a`` and ``b``.
     """
     a = g._check_set(a)
@@ -335,37 +335,14 @@ def d_separated(
     if a & b or a & given or b & given:
         raise GraphError("a, b, given must be disjoint")
 
+    # given must cut a from b in the moral graph of their ancestral set
     gx = _expand_bidirected(g)
-    opened = ancestors(gx, given) if given else frozenset()
-
-    # Bayes-ball reachability over (node, direction) states.  'up' means the
-    # trail arrived from a child, 'down' means it arrived from a parent.
-    visit: deque[tuple[str, str]] = deque((n, "up") for n in a)
-    seen: set[tuple[str, str]] = set()
-    reached: set[str] = set()
-    while visit:
-        state = visit.popleft()
-        if state in seen:
-            continue
-        seen.add(state)
-        node, direction = state
-        if node not in given:
-            reached.add(node)
-            if node in b:
-                return False
-        if direction == "up" and node not in given:
-            for parent in gx.parents(node):
-                visit.append((parent, "up"))
-            for child in gx.children(node):
-                visit.append((child, "down"))
-        elif direction == "down":
-            if node not in given:
-                for child in gx.children(node):
-                    visit.append((child, "down"))
-            if node in opened:
-                for parent in gx.parents(node):
-                    visit.append((parent, "up"))
-    return True
+    links: dict[str, set[str]] = {}
+    for node in ancestors(gx, a | b | given):
+        family = gx.parents(node) | {node}
+        for member in family:
+            links.setdefault(member, set()).update(family - {member})
+    return not _reach(gx, a, lambda node: links[node] - given) & b
 
 
 _SCENARIO_TEXT = {

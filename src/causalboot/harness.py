@@ -13,9 +13,9 @@ alone.  Method pipelines:
            mediator columns, available at test time too
 * da     - stratified upsampling to balance the observed confounder,
            then features only
-* cb     - identification check (once per scenario, inside
-           ``cb_weights``), importance weights, weighted resampling,
-           then features only
+* cb     - weight formula read off the pruned estimand (once per
+           scenario, inside ``cb_weights``), importance weights,
+           weighted resampling, then features only
 
 Cells that cannot run are rows, not crashes: "na" where a method does
 not apply (balancing without an observed confounder, extra-column
@@ -222,19 +222,6 @@ def _sim_config(spec: ExperimentSpec, scenario, level, n) -> SimConfig:
     return dataclasses.replace(config, delta_y=delta_y)
 
 
-def _row(scenario, method, level, regime, seed, n_train, auc=None, status="ok"):
-    return ResultRow(
-        scenario=scenario.value,
-        method=method.value,
-        qc=level,
-        regime=regime.value,
-        seed=seed,
-        auc=auc,
-        n_train=n_train,
-        status=status,
-    )
-
-
 def _error(exc) -> str:
     return "error: " + " ".join(str(exc).split())
 
@@ -332,7 +319,10 @@ def _run_level(spec: ExperimentSpec, scenario, level) -> list[ResultRow]:
 
     def report(method, seed, regime, auc=None, status="ok"):
         rows.append(
-            _row(scenario, method, level, regime, seed, spec.n_train, auc, status)
+            ResultRow(
+                scenario.value, method.value, level, regime.value, seed, auc,
+                spec.n_train, status=status,
+            )
         )
 
     stacks = _Stacks()

@@ -15,8 +15,8 @@ the intervention variables.  Everything else is bound by a sum.  Bound
 variables are displayed as the lower-cased node name, primed when that
 name is already taken (``Σ_{y'} P(x|u,y',z) P(y'|u)``).
 
-:func:`evaluate_estimand` computes an estimand exactly against a
-:class:`JointTable`.
+:func:`prune` simplifies an estimand by d-separation; :func:`evaluate_estimand`
+computes one exactly against a :class:`JointTable`.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .graph import (
     GraphError,
     NodeSet,
     ancestors,
+    d_separated,
     mutilate,
     topological_order,
 )
@@ -200,6 +201,15 @@ def _refs(expr: Expr) -> frozenset[Ref]:
     return frozenset().union(*map(_refs, _parts(expr)))
 
 
+def _terms(expr: Expr) -> list[Cond]:
+    """The probability terms of a sum-product ``expr``, in order."""
+    if isinstance(expr, Quotient):
+        raise EstimandError("a quotient of sums has no terms of its own")
+    if isinstance(expr, Cond):
+        return [expr]
+    return [term for part in _parts(expr) for term in _terms(part)]
+
+
 def _substitute(expr: Expr, mapping: dict[Ref, str]) -> Expr:
     """Rewrite reference aliases; ``mapping`` sends old refs to new aliases."""
     if not isinstance(expr, Cond):
@@ -216,24 +226,25 @@ def _sums_to_one(expr: Expr, ref: Ref) -> bool:
     if isinstance(expr, Cond):
         return expr.targets == (ref,)
     if isinstance(expr, Sum):
-        factors = expr.body.factors if isinstance(expr.body, Product) else (expr.body,)
-        return _collapses_to_one(expr.over + ((ref.alias, ref.var),), factors)
+        return _collapse(expr.over + ((ref.alias, ref.var),), expr.body) == ((), [])
     return False
 
 
-def _collapses_to_one(
-    binders: tuple[tuple[str, str], ...], factors: Iterable[Expr]
-) -> bool:
-    """Does Σ over ``binders`` of the product of ``factors`` equal 1?
-    The binders are summed out innermost (last) first."""
-    remaining = list(factors)
+def _collapse(
+    binders: tuple[tuple[str, str], ...], body: Expr
+) -> tuple[tuple[tuple[str, str], ...], list[Expr]]:
+    """The binders and factors left of Σ over ``binders`` of ``body`` once
+    each binder whose one touching factor sums to 1 over it is summed
+    away, innermost (last) first."""
+    remaining = list(body.factors if isinstance(body, Product) else (body,))
+    kept = list(binders)
     for alias, var in reversed(binders):
         bref = Ref(var, alias)
         touching = [f for f in remaining if bref in _refs(f)]
-        if len(touching) != 1 or not _sums_to_one(touching[0], bref):
-            return False
-        remaining.remove(touching[0])
-    return not remaining
+        if len(touching) == 1 and _sums_to_one(touching[0], bref):
+            remaining.remove(touching[0])
+            kept.remove((alias, var))
+    return tuple(kept), remaining
 
 
 # ---------------------------------------------------------------------------
@@ -584,6 +595,26 @@ def identify(
             context=context,
         )
     )
+
+
+def prune(expr: Expr, g: CausalGraph) -> Expr:
+    """``expr`` with each conditional's given variables that ``g`` (latent
+    nodes included) d-separates from its targets dropped, in given order
+    against what is left, then each bound variable whose only factor is
+    a conditional on it summed away."""
+    if isinstance(expr, Cond):
+        targets, given = [r.var for r in expr.targets], list(expr.given)
+        for ref in expr.given:
+            if d_separated(g, targets, [ref.var], [r.var for r in given if r != ref]):
+                given.remove(ref)
+        return Cond(expr.targets, tuple(given))
+    expr = _normalize(_rebuild(expr, lambda part: prune(part, g)))
+    if not isinstance(expr, Sum):
+        return expr
+    binders, left = _collapse(expr.over, expr.body)
+    if not left:  # nothing could stand in for a sum that vanishes whole
+        return expr
+    return _normalize(Sum(binders, _product(left))) if binders else _product(left)
 
 
 # ---------------------------------------------------------------------------

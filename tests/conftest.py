@@ -20,6 +20,6 @@ def unidentifiable_a(monkeypatch):
         return real(scenario)
 
     monkeypatch.setattr(bootstrap, "scenario_graph", graph)
-    bootstrap._x_under_do_y.cache_clear()
+    bootstrap._weight_form.cache_clear()
     yield ScenarioId.OBSERVED_CONF
-    bootstrap._x_under_do_y.cache_clear()
+    bootstrap._weight_form.cache_clear()

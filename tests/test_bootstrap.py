@@ -1,7 +1,9 @@
 """Weight formulas on hand data, resampler behavior, oracle agreement."""
 
+import dataclasses
 import math
 import os
+import re
 import threading
 import warnings
 from collections import Counter
@@ -11,14 +13,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from causalboot import bootstrap
 from causalboot.bootstrap import (
-    _WEIGHT_FORMS,
     BootstrapError,
     MethodId,
     NotIdentifiedError,
     ResampleConfig,
     WeightTable,
     _draw,
+    _weight_form,
     cb_resample,
     cb_weights,
     da_resample,
@@ -30,7 +33,18 @@ from causalboot.estimate import (
     ZeroSupportError,
     silverman_bandwidth,
 )
-from causalboot.graph import ScenarioId
+from causalboot.graph import ScenarioId, scenario_graph
+from causalboot.identify import (
+    Cond,
+    EstimandError,
+    Product,
+    Quotient,
+    Ref,
+    Sum,
+    estimand_to_text,
+    identify,
+    prune,
+)
 from causalboot.rng import stream
 from causalboot.simulate import (
     Dataset,
@@ -168,6 +182,92 @@ def test_weights_need_an_identifiable_graph(unidentifiable_a):
     with pytest.raises(NotIdentifiedError, match="^hedge"):
         cb_weights(cols, unidentifiable_a)
     assert cb_weights(cols, "e").normalized  # other scenarios keep their graph
+
+
+# (t, G) of each scenario's weight w_n(c) = P(t_n | y=c) / (N P(t_n | G_n)),
+# written out by hand for the reference
+_WEIGHT_FORMS = {
+    ScenarioId.OBSERVED_CONF: ("y", ("u",)),
+    ScenarioId.OBSERVED_CONF_MEDIATOR: ("z", ("u",)),
+    ScenarioId.PARTIAL_CONF_MEDIATOR: ("z", ("y", "u")),
+    ScenarioId.UNOBSERVED_CONF_MEDIATOR: ("z", ("y",)),
+    ScenarioId.BIASED_CARE: ("y", ("u",)),
+}
+
+
+PRUNED_ESTIMANDS = {
+    ScenarioId.OBSERVED_CONF: "Σ_{u} P(u) P(x|u,y)",
+    ScenarioId.OBSERVED_CONF_MEDIATOR: "Σ_{u,z} P(u) P(x|u,z) P(z|y)",
+    ScenarioId.PARTIAL_CONF_MEDIATOR: (
+        "Σ_{u,z} P(u) P(z|y) (Σ_{y'} P(x|u,y',z) P(y'|u))"
+    ),
+    ScenarioId.UNOBSERVED_CONF_MEDIATOR: "Σ_{z} P(z|y) (Σ_{y'} P(x|y',z) P(y'))",
+    ScenarioId.BIASED_CARE: "Σ_{u} P(u) P(x|u,y)",
+}
+
+
+@pytest.mark.parametrize("scenario", ALL)
+def test_weight_form_is_read_off_the_pruned_estimand(scenario):
+    g = scenario_graph(scenario)
+    estimand = identify(g, ("X",), ("Y",)).estimand
+    pruned = dataclasses.replace(estimand, root=prune(estimand.root, g))
+    assert estimand_to_text(pruned) == PRUNED_ESTIMANDS[scenario]
+    target, given = _weight_form(scenario)
+    want_target, want_given = _WEIGHT_FORMS[scenario]
+    assert (target, sorted(given)) == (want_target, sorted(want_given))
+
+
+@pytest.fixture
+def pruned_as(monkeypatch):
+    """Makes ``_weight_form`` read ``fn(expr, g)`` in place of the pruned
+    estimand; its cache is cleared before and after, so no other test
+    sees the forms read."""
+
+    def use(fn):
+        monkeypatch.setattr(bootstrap, "prune", fn)
+        _weight_form.cache_clear()
+
+    yield use
+    _weight_form.cache_clear()
+
+
+@pytest.mark.parametrize("scenario", ["b", "c", "e"])
+def test_an_estimand_of_another_shape_has_no_weight_form(pruned_as, scenario):
+    # unpruned, b, c and e condition x or the mediator on more than the
+    # weight formula reads, so no (t, G) fits them
+    pruned_as(lambda expr, g: expr)
+    with pytest.raises(EstimandError, match="^no weight formula for Σ") as got:
+        cb_weights({"y": np.array([0, 1]), "u": np.array([0, 1])}, scenario)
+    assert type(got.value) is EstimandError
+
+
+U, W, X, Y = (Ref(name, name.lower()) for name in "UWXY")
+HAND_SHAPES = {
+    # the factors without y are no chain-rule prefix of any P(S)
+    "no weight formula for Σ_{u,w} P(u|w) P(w|u) P(x|u,w,y)": Sum(
+        (("u", "U"), ("w", "W")),
+        Product((Cond((U,), (W,)), Cond((W,), (U,)), Cond((X,), (U, W, Y)))),
+    ),
+    # ... or reach beyond S
+    "no weight formula for Σ_{u,w} P(u) P(w|u) P(x|u,y)": Sum(
+        (("u", "U"), ("w", "W")),
+        Product((Cond((U,)), Cond((W,), (U,)), Cond((X,), (U, Y)))),
+    ),
+    # S holds two variables besides G
+    "no weight formula for Σ_{u} P(x|u,y)": Sum((("u", "U"),), Cond((X,), (U, Y))),
+    "a quotient of sums has no terms of its own": Quotient(
+        Cond((X, Y)), Cond((Y,))
+    ),
+}
+
+
+@pytest.mark.parametrize("message, root", HAND_SHAPES.items())
+def test_hand_estimands_of_another_shape_have_no_weight_form(
+    pruned_as, message, root
+):
+    pruned_as(lambda expr, g: root)
+    with pytest.raises(EstimandError, match=f"^{re.escape(message)}$"):
+        _weight_form(ScenarioId.OBSERVED_CONF)
 
 
 def reference_weights(columns, scenario, alpha=0.0):

@@ -1,8 +1,12 @@
 """Command-line checks, via subprocess or `cli.main`, and the CSV reader and writer."""
 
+import contextlib
 import hashlib
+import io
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,6 +60,58 @@ def test_identify_unidentifiable_exit_code(tmp_path):
     out = run_cli("identify", "--graph", path, "--outcome", "X", "--do", "Y")
     assert out.returncode == 2
     assert out.stdout.startswith("UNIDENTIFIABLE:")
+
+
+# Small graph texts: X, Y and at most four more names, Z among those
+# drawn from, each declared and then joined by edges of either kind
+# (cycles included), with latent flags and, now and then, a self loop
+# or junk.
+MORE_NAMES = ["Z", "U", "V", "latent", "N_1"]
+FAULTS = ["X -> X", "Y <-> Y", "->", "X ->", "<-> Y", "1X", "X - > Y", "X Y", "("]
+
+
+@st.composite
+def graph_texts(draw):
+    more = draw(st.lists(st.sampled_from(MORE_NAMES), max_size=4, unique=True))
+    names = ["X", "Y", *more]
+    name = st.sampled_from(names)
+    pair = st.permutations(names).map(lambda p: p[:2])
+    edge = st.builds("{0[0]} {1} {0[1]}".format, pair, st.sampled_from(["->", "<->"]))
+    statement = st.one_of(edge, st.builds("latent {}".format, name), name)
+    statements = [*names, *draw(st.lists(statement, max_size=8))]
+    if draw(st.integers(0, 4)) == 4:
+        at = draw(st.integers(0, len(statements)))
+        statements.insert(at, draw(st.sampled_from(FAULTS)))
+    return draw(st.sampled_from(["; ", "\n"])).join(statements)
+
+
+# node arguments, the first of each a valid query: known and unknown
+# names, empty lists, repeats and overlaps
+A_ARGS = st.sampled_from(["X", "X,Z", "Z", "Y", "X,X", "Q", "", " , "])
+B_ARGS = st.sampled_from(["Y", "Y,Z", "U", "X", "Q", ""])
+GIVEN_ARGS = st.sampled_from(["", "Z", "U", "Z,U", "Y", "Q"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=graph_texts(),
+    command=st.sampled_from(["dsep", "identify"]),
+    nodes=st.tuples(A_ARGS, B_ARGS, GIVEN_ARGS),
+)
+def test_graph_commands_end_with_an_exit_code(text, command, nodes):
+    # hypothesis refuses tmp_path inside @given, so each example makes its own
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "graph.txt"
+        path.write_text(text)
+        if command == "dsep":
+            flags = ["--a", nodes[0], "--b", nodes[1], "--given", nodes[2]]
+        else:
+            flags = ["--outcome", nodes[0], "--do", nodes[1]]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command, "--graph", str(path), *flags])
+    assert code in (0, 1, 2)
+    assert (code == 1) == err.getvalue().startswith("error: ")
 
 
 def test_missing_graph_file_is_input_error(tmp_path):

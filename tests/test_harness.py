@@ -453,7 +453,7 @@ def test_grid_matches_pinned_digest_whatever_the_stack_size(
     monkeypatch.setattr(harness, "simulate", counted(harness.simulate, "simulate"))
     monkeypatch.setattr(bootstrap, "identify", counted(bootstrap.identify, "identify"))
     monkeypatch.setattr(harness, "_train_sets", recorded)
-    bootstrap._x_under_do_y.cache_clear()
+    bootstrap._weight_form.cache_clear()
     assert _digest(spec, tmp_path) == pinned
     cells = len(spec.scenarios) * len(spec.levels) * len(spec.seeds)
     checked = len(spec.scenarios) if MethodId.CB in spec.methods else 0

@@ -1,5 +1,6 @@
 """Identification, estimand evaluation, and graph-surgery rule checks."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -21,6 +22,7 @@ from causalboot.identify import (
     evaluate_estimand,
     identify,
     latent_project,
+    prune,
 )
 from bruteforce import random_admg
 from scm import DiscreteSCM
@@ -40,6 +42,11 @@ def identified(g, outcome, intervention) -> Estimand:
     return out.estimand
 
 
+def with_pruned(estimand: Estimand, g) -> tuple[Estimand, Estimand]:
+    """The estimand and its pruned form in ``g``, which must agree."""
+    return estimand, dataclasses.replace(estimand, root=prune(estimand.root, g))
+
+
 # ---------------------------------------------------------------------------
 # the five standard scenarios
 
@@ -51,11 +58,11 @@ def test_scenario_estimands_match_exact_intervention(scenario, cardinality):
     rng = np.random.default_rng(hash(("id", scenario, cardinality)) % 2**32)
     scm = DiscreteSCM.random(rng, g, cardinality=cardinality)
     joint = joint_from(scm)
-    estimand = identified(g, ["X"], ["Y"])
-    for value in range(cardinality):
-        got = evaluate_estimand(estimand, joint, value)
-        want = scm.interventional({"Y": value}, ("X",))
-        assert np.allclose(got, want, atol=1e-9, rtol=0)
+    for estimand in with_pruned(identified(g, ["X"], ["Y"]), g):
+        for value in range(cardinality):
+            got = evaluate_estimand(estimand, joint, value)
+            want = scm.interventional({"Y": value}, ("X",))
+            assert np.allclose(got, want, atol=1e-9, rtol=0)
 
 
 def test_scenario_estimand_text_is_canonical():
@@ -230,12 +237,13 @@ def test_random_graphs_match_enumeration():
         identified_count += 1
         scm = DiscreteSCM.random(rng, g)
         joint = joint_from(scm)
-        for value in (0, 1):
-            got = evaluate_estimand(out.estimand, joint, {intervention[0]: value})
-            want = scm.interventional(
-                {intervention[0]: value}, out.estimand.outcome
-            ).ravel()
-            assert np.allclose(got, want, atol=1e-9, rtol=0), (seed, g)
+        for estimand in with_pruned(out.estimand, g):
+            for value in (0, 1):
+                got = evaluate_estimand(estimand, joint, {intervention[0]: value})
+                want = scm.interventional(
+                    {intervention[0]: value}, estimand.outcome
+                ).ravel()
+                assert np.allclose(got, want, atol=1e-9, rtol=0), (seed, g)
     assert identified_count >= 30
     assert blocked_count >= 10
 
@@ -255,12 +263,13 @@ def test_random_graphs_multi_node_interventions():
         checked += 1
         scm = DiscreteSCM.random(rng, g)
         joint = joint_from(scm)
-        for v0 in (0, 1):
-            for v1 in (0, 1):
-                do = {intervention[0]: v0, intervention[1]: v1}
-                got = evaluate_estimand(out.estimand, joint, do)
-                want = scm.interventional(do, out.estimand.outcome).ravel()
-                assert np.allclose(got, want, atol=1e-9, rtol=0), (seed, g)
+        for estimand in with_pruned(out.estimand, g):
+            for v0 in (0, 1):
+                for v1 in (0, 1):
+                    do = {intervention[0]: v0, intervention[1]: v1}
+                    got = evaluate_estimand(estimand, joint, do)
+                    want = scm.interventional(do, estimand.outcome).ravel()
+                    assert np.allclose(got, want, atol=1e-9, rtol=0), (seed, g)
     assert checked >= 20
 
 
@@ -287,6 +296,33 @@ def test_engine_text_on_random_graphs_matches_pinned_digest():
             lines.append(out.witness)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == ENGINE_TEXT_SHA256
+
+
+# ---------------------------------------------------------------------------
+# pruning
+
+
+def test_prune_keeps_a_sum_that_collapses_whole():
+    # Σ_u P(u) is 1, but inside a quotient or a product nothing could
+    # stand in for it, so it stays; the idle y beside it is dropped
+    g = parse_graph("U -> X; Y")
+    u, x, y = Ref("U", "u"), Ref("X", "x"), Ref("Y", "y")
+    whole = Sum((("u", "U"),), Cond((u,)))
+    joint = joint_from(DiscreteSCM.random(np.random.default_rng(3), g))
+    cases = [
+        (Quotient(Cond((x,), (y,)), whole), "(P(x)) / (Σ_{u} P(u))"),
+        (Product((Cond((x,), (y,)), whole)), "P(x) (Σ_{u} P(u))"),
+    ]
+    for root, text in cases:
+        before, after = with_pruned(Estimand(root, ("X",), ("Y",)), g)
+        assert estimand_to_text(after) == text
+        for value in (0, 1):
+            assert np.allclose(
+                evaluate_estimand(before, joint, value),
+                evaluate_estimand(after, joint, value),
+                atol=1e-12,
+            )
+    assert prune(whole, g) == whole
 
 
 # ---------------------------------------------------------------------------
