@@ -29,8 +29,6 @@ cells), and the selectors of the observed columns a model may see.
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cache
@@ -60,7 +58,7 @@ from .identify import (
     identify,
     prune,
 )
-from .rng import stream
+from .rng import _together, stream
 from .simulate import Dataset
 
 
@@ -183,7 +181,9 @@ def cb_weights(
         p_num = np.eye(len(classes))
     else:
         p_num = _smoothed(_count_cells(coded, ("y", target))[1], alpha)
-    out = np.zeros((n, len(classes)))
+    # column-major, so each class's column is contiguous for its sum
+    # and for the draw
+    out = np.zeros((n, len(classes)), order="F")
     # cells no row falls in may hold 0/0 or x/0; none is gathered
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(len(classes)):
@@ -225,55 +225,6 @@ def _draw(
     ordered = np.take(u, order, out=idx.view(np.float64), mode="clip")
     idx[order] = cdf.searchsorted(ordered, side="right")
     return idx
-
-
-def _pin(cpus) -> None:
-    """Bind the calling thread to ``cpus``; placement is only a hint, so
-    a set the kernel refuses leaves it to the kernel."""
-    try:
-        os.sched_setaffinity(0, cpus)
-    except OSError:
-        pass
-
-
-def _together(first, second=None) -> None:
-    """Run ``first`` in the calling thread while a thread runs
-    ``second``, if given; either one's exception is raised once both
-    finish.
-
-    Where the process may use several CPUs (Linux), the two threads
-    split them until both finish, and the calling thread then gets its
-    whole set back: a thread starts on its creator's CPU, and a kernel
-    that balances no load across CPUs (a cpuset with load balancing
-    off) would leave both time-sharing that one CPU, slower than
-    drawing one class after the other.
-    """
-    if second is None:
-        return first()
-    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
-    half = len(cpus) // 2
-    errors = []
-
-    def run_second():
-        try:
-            if half:
-                _pin(cpus[half:])
-            second()
-        except BaseException as exc:  # re-raised in the calling thread
-            errors.append(exc)
-
-    worker = threading.Thread(target=run_second)
-    worker.start()
-    try:
-        if half:
-            _pin(cpus[:half])
-        first()
-    finally:
-        worker.join()
-        if half:
-            _pin(cpus)
-    if errors:
-        raise errors[0]
 
 
 def cb_resample(

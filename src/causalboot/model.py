@@ -296,6 +296,9 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
     if np.isnan(pos[-1]) or np.isnan(neg[-1]):
         raise ModelError("scores must not be NaN")
     left = neg.searchsorted(pos, "left")
-    right = neg.searchsorted(pos, "right")
-    twice_u = 2 * int(left.sum()) + int((right - left).sum())
+    # a positive ties some negative only if it equals the one at its left
+    # index (past the end, clip reads the largest, which is below it)
+    tied = np.flatnonzero(neg.take(left, mode="clip") == pos)
+    ties = neg.searchsorted(pos[tied], "right") - left[tied]
+    twice_u = 2 * int(left.sum()) + int(ties.sum())
     return (twice_u / 2.0) / (n_pos * n_neg)

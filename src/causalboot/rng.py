@@ -1,17 +1,32 @@
-"""Deterministic random stream derivation.
+"""Deterministic random stream derivation, and the two-thread draws.
 
 Every random draw in the package comes from a Philox counter-based
 generator whose 64-bit key is derived by hashing a seed together with a
 sequence of string/number labels.  Two runs with the same seed and labels
 therefore produce identical draws, and adding a new labelled stream never
 perturbs existing ones.
+
+Philox reaches any position of its stream without drawing up to it, so
+one large block of standard normals can be drawn by two threads from the
+same stream (``_standard_normal``), and ``_together`` is the one way the
+package runs two jobs at once.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
+import os
+import threading
+from bisect import bisect_left
 
 import numpy as np
+
+# Fewest values a block of normals must hold to be drawn by two threads,
+# and how many values the second thread draws between two marks of its
+# position in the stream.
+_SPLIT_VALUES = 1 << 20
+_PIECE = 1 << 14
 
 
 def derive_key(*parts: object) -> int:
@@ -26,3 +41,136 @@ def derive_key(*parts: object) -> int:
 def stream(*parts: object) -> np.random.Generator:
     """Return a Philox generator keyed by ``derive_key(*parts)``."""
     return np.random.Generator(np.random.Philox(key=derive_key(*parts)))
+
+
+def _pin(cpus) -> None:
+    """Bind the calling thread to ``cpus``; placement is only a hint, so
+    a set the kernel refuses leaves it to the kernel."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
+
+
+def _together(first, second=None) -> None:
+    """Run ``first`` in the calling thread while a thread runs
+    ``second``, if given; either one's exception is raised once both
+    finish.
+
+    Where the process may use several CPUs (Linux), the two threads
+    split them until both finish, and the calling thread then gets its
+    whole set back: a thread starts on its creator's CPU, and a kernel
+    that balances no load across CPUs (a cpuset with load balancing
+    off) would leave both time-sharing that one CPU, slower than
+    running one job after the other.
+    """
+    if second is None:
+        return first()
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+    half = len(cpus) // 2
+    errors = []
+
+    def run_second():
+        try:
+            if half:
+                _pin(cpus[half:])
+            second()
+        except BaseException as exc:  # re-raised in the calling thread
+            errors.append(exc)
+
+    worker = threading.Thread(target=run_second)
+    worker.start()
+    try:
+        if half:
+            _pin(cpus[:half])
+        first()
+    finally:
+        worker.join()
+        if half:
+            _pin(cpus)
+    if errors:
+        raise errors[0]
+
+
+def _raw_position(bit_generator: np.random.Philox) -> int:
+    """How many 64-bit outputs the generator has handed out since its
+    counter was 0: four per counter step, less those still buffered."""
+    state = bit_generator.state
+    words = state["state"]["counter"]
+    counter = sum(int(word) << (64 * i) for i, word in enumerate(words))
+    return 4 * counter + state["buffer_pos"] - 4
+
+
+def _standard_normal(rng: np.random.Generator, shape, lead: int = 0, first=None) -> np.ndarray:
+    """``first()``, if given, then ``rng.standard_normal(shape)``: the
+    same bytes, dtype and final generator state, drawn by two threads
+    when the block holds at least ``_SPLIT_VALUES`` values and ``rng``
+    is Philox.  ``first`` runs in the calling thread; ``lead`` is how
+    many raw outputs it takes from ``rng``, which places the split and
+    so decides only the speed, never the bytes.
+
+    Each normal takes one raw output or more, so after ``first`` and the
+    head of ``h`` values the stream stands at least ``lead + h`` outputs
+    on.  A second Philox with the same key starts there and draws the
+    tail in pieces of ``_PIECE`` values, marking its position at the
+    start of each.  The calling thread draws ``first`` and the head
+    meanwhile, then walks on until its position equals a mark, so that
+    piece and all after it are the serial draw's, and shifts them into
+    place.  A walk that finds no mark it can reach without writing over
+    the piece it aims at finishes the block serially.
+    """
+    size = math.prod(shape)
+    bit_generator = rng.bit_generator
+    if size < _SPLIT_VALUES or not isinstance(bit_generator, np.random.Philox):
+        if first is not None:
+            first()
+        return rng.standard_normal(shape)
+
+    out = np.empty(shape)
+    flat = out.reshape(-1)
+    head = max(0, (size - lead) // 2)  # each column value costs about a normal
+    start = _raw_position(bit_generator) + lead + head
+    tail = np.random.Philox(key=bit_generator.state["state"]["key"])
+    tail.advance(start // 4)
+    tail.random_raw(start % 4)
+    marks = []
+
+    def draw_head():
+        if first is not None:
+            first()
+        rng.standard_normal(out=flat[:head])
+
+    def draw_tail():
+        normals = np.random.Generator(tail)
+        for lo in range(head, size, _PIECE):
+            marks.append(_raw_position(tail))
+            normals.standard_normal(out=flat[lo : lo + _PIECE])
+
+    _together(draw_head, draw_tail)
+
+    done, position = head, _raw_position(bit_generator)
+    k = bisect_left(marks, position)
+    while k < len(marks) and marks[k] != position:
+        # at most half the gap, so the walk overshoots a mark only where
+        # a normal that takes several outputs spans it
+        step = max(1, (marks[k] - position) // 2)
+        if done + step > head + k * _PIECE:
+            break
+        rng.standard_normal(out=flat[done : done + step])
+        done, position = done + step, _raw_position(bit_generator)
+        k = bisect_left(marks, position)
+    if k == len(marks) or marks[k] != position:
+        rng.standard_normal(out=flat[done:])
+        return out
+
+    # piece k holds the values from index `done` on; a 1-D copy to lower
+    # addresses runs front to back, so it needs no temporary
+    shift = head + k * _PIECE - done
+    if shift:
+        flat[done : size - shift] = flat[done + shift :]
+        np.random.Generator(tail).standard_normal(out=flat[size - shift :])
+    # normals leave the generator's buffered 32-bit half as it was
+    final, state = tail.state, bit_generator.state
+    final["has_uint32"], final["uinteger"] = state["has_uint32"], state["uinteger"]
+    bit_generator.state = final
+    return out

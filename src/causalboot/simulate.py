@@ -41,7 +41,7 @@ from .graph import (
     descendants,
     scenario_graph,
 )
-from .rng import stream
+from .rng import _SPLIT_VALUES, _standard_normal, _together, stream
 
 
 class SimulateError(CausalBootError):
@@ -288,36 +288,49 @@ def _discrete_tables(cfg: SimConfig):
 def simulate(cfg: SimConfig, regime, seed: int) -> Dataset:
     """Draw one dataset; identical inputs give identical bytes.
 
-    Draw order is fixed: y, u, v (scenario c), z, d (scenario e), x.
+    Draw order in the stream is fixed: y, u, v (scenario c), z, d
+    (scenario e), x.  A large Gaussian block is drawn by two threads
+    (``rng._standard_normal``), the second starting at the block's own
+    place in the stream while the first draws the columns, so the order
+    and every byte are those of drawing one after the other.
     """
     regime = TestRegime.coerce(regime)
+    rates = _rates(cfg, regime)
+    if rates["u"] is None and cfg.delta_u2 is None:
+        raise SimulateError("config lacks an offset for the unseen domain")
     rng = stream(seed, "simulate", cfg.scenario.value, regime.value)
     n = cfg.n
     parents = X_PARENTS[cfg.scenario]
     observed = OBSERVED_COLUMNS[cfg.scenario]
-    rates = _rates(cfg, regime)
 
-    def draw(rate_1, rate_0) -> np.ndarray:
-        """0/1 column with P(.=1) = rate_1 where y = 1, else rate_0."""
-        threshold = np.where(y == 1, rate_1, rate_0)
-        return (rng.random(n) < threshold).astype(np.int64)
-
-    y = (rng.random(n) < cfg.p).astype(np.int64)
-    if rates["u"] is None:
-        if cfg.delta_u2 is None:
-            raise SimulateError("config lacks an offset for the unseen domain")
-        u = np.full(n, 2, dtype=np.int64)
+    # the 0/1 columns after y in draw order, each by its (P(.=1) where
+    # y = 1, P(.=1) where y = 0); d's follow u, so they wait for its draw
+    if rates["u"] is None:  # pinned to the unseen domain
+        laws, drawn = {}, {"u": np.full(n, 2, dtype=np.int64)}
     else:
-        u = draw(*rates["u"])
-    drawn = {"y": y, "u": u}
-    for name in ("v", "z"):
-        if name in parents:
-            drawn[name] = draw(*rates[name])
+        laws, drawn = {"u": rates["u"]}, {}
+    laws.update((name, rates[name]) for name in ("v", "z") if name in parents)
     if "d" in observed:
-        base = np.where(u == 1, cfg.f11, cfg.f10)
-        base = np.where(u == 2, 0.5, base)
-        drawn["d"] = draw(base, 1.0 - base)
+        laws["d"] = None
 
+    def draw_columns() -> None:
+        """Each column takes n uniforms, one raw output of the stream
+        apiece."""
+        y = drawn["y"] = (rng.random(n) < cfg.p).astype(np.int64)
+        for name, law in laws.items():
+            if law is None:
+                base = np.where(drawn["u"] == 1, cfg.f11, cfg.f10)
+                base = np.where(drawn["u"] == 2, 0.5, base)
+                law = (base, 1.0 - base)
+            threshold = np.where(y == 1, *law)
+            drawn[name] = (rng.random(n) < threshold).astype(np.int64)
+
+    if cfg.x_mode == "gaussian":
+        x = _standard_normal(
+            rng, (n, cfg.feature_dim), lead=n * (1 + len(laws)), first=draw_columns
+        )
+    else:
+        draw_columns()
     # each row's parent configuration as one flat cell, in the row-major
     # order of the tables below
     sizes = [len(_offsets(cfg, parent)) for parent in parents]
@@ -330,11 +343,19 @@ def simulate(cfg: SimConfig, regime, seed: int) -> Dataset:
         for parent in parents:
             table = table[..., None, :] + _offsets(cfg, parent)
         means = table.reshape(-1, cfg.feature_dim)
-        x = rng.standard_normal((n, cfg.feature_dim))
-        x *= cfg.sigma
-        for lo in range(0, n, _BLOCK_ROWS):
-            rows = slice(lo, lo + _BLOCK_ROWS)
-            x[rows] += means.take(cell[rows], axis=0)
+
+        def finish(lo: int, hi: int) -> None:
+            for start in range(lo, hi, _BLOCK_ROWS):
+                rows = slice(start, min(start + _BLOCK_ROWS, hi))
+                x[rows] *= cfg.sigma
+                x[rows] += means.take(cell[rows], axis=0)
+
+        # each row is scaled and shifted on its own, so two threads each
+        # take half the rows of a block large enough to split
+        if x.size >= _SPLIT_VALUES:
+            _together(lambda: finish(0, n // 2), lambda: finish(n // 2, n))
+        else:
+            finish(0, n)
     else:
         probs = np.stack(list(_discrete_tables(cfg)[1].values()))
         cum = np.cumsum(probs.take(cell, axis=0), axis=1)
@@ -342,7 +363,7 @@ def simulate(cfg: SimConfig, regime, seed: int) -> Dataset:
 
     columns = {name: drawn[name] for name in observed}
     shadow = {name: drawn[name] for name in SHADOW_COLUMNS[cfg.scenario]}
-    return Dataset(x=x, y=y, columns=columns, shadow=shadow)
+    return Dataset(x=x, y=drawn["y"], columns=columns, shadow=shadow)
 
 
 # ---------------------------------------------------------------------------

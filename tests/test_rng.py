@@ -1,0 +1,120 @@
+"""The two-thread normal draw gives the serial draw's bytes and state."""
+
+import bisect
+import importlib
+
+import numpy as np
+import pytest
+
+from causalboot.rng import _SPLIT_VALUES, _standard_normal, stream
+
+# the module, which holds the threshold and piece size the tests patch
+rng_module = importlib.import_module("causalboot.rng")
+
+
+def serial(seed, shape, lead):
+    """The draw made one call after the other: ``lead`` uniforms, one
+    raw output apiece, then the block; and the generator left after."""
+    rng = stream(seed, "split")
+    rng.random(lead)
+    return rng.standard_normal(shape), rng.bit_generator.state
+
+
+def assert_serial(got, rng, want, state):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert repr(rng.bit_generator.state) == repr(state)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(_SPLIT_VALUES - 1,), (_SPLIT_VALUES,), (_SPLIT_VALUES // 4 + 1, 4)],
+    ids=["below", "at", "above"],
+)
+@pytest.mark.parametrize("lead", range(8))
+def test_split_draw_equals_the_serial_draw(lead, shape):
+    # every offset of the block within Philox's four-output counter step,
+    # twice over, and block sizes on both sides of the split
+    rng, calls = stream(3, "split"), []
+
+    def first():
+        calls.append(rng.random(lead))
+
+    got = _standard_normal(rng, shape, lead=lead, first=first)
+    assert len(calls) == 1
+    assert_serial(got, rng, *serial(3, shape, lead))
+
+
+def walk(monkeypatch, rng, size, lead):
+    """Draw ``size`` normals by ``_standard_normal`` and name the way its
+    calling thread got back in step: every raw position it reads of its
+    own generator after placing the second, and every mark the second
+    reads of its own, tell which."""
+    reads = []
+    raw_position = rng_module._raw_position
+
+    def spy(bit_generator):
+        position = raw_position(bit_generator)
+        reads.append((bit_generator is rng.bit_generator, position))
+        return position
+
+    monkeypatch.setattr(rng_module, "_raw_position", spy)
+    got = _standard_normal(rng, (size,), lead=lead)
+    own = [position for mine, position in reads if mine][1:]
+    marks = sorted(position for mine, position in reads if not mine)
+    if own[-1] not in marks:
+        return got, "serial finish"
+    if len(own) == 1:
+        return got, "zero shift" if own[0] == marks[0] else "landing"
+    aims = [marks[bisect.bisect_left(marks, p)] for p in own[:-1]]
+    overshot = any(after > aim for aim, after in zip(aims, own[1:]))
+    return got, "overshoot" if overshot else "landing"
+
+
+@pytest.mark.parametrize(
+    "seed, piece, size, lead, path",
+    [
+        (2, 2, 41, 0, "landing"),  # walks onto a later mark
+        (17623, 2, 41, -1, "overshoot"),  # the first mark it aims at splits a normal
+        (4, 8, 9, 0, "serial finish"),  # the head outruns the one mark
+        (0, 2, 41, 0, "zero shift"),  # the head ends on the first mark
+        (0, 2, 41, 3, "serial finish"),  # the second thread starts past the head
+    ],
+)
+def test_every_way_back_into_step_gives_the_serial_draw(
+    monkeypatch, seed, piece, size, lead, path
+):
+    # a small threshold and piece size put every branch of the walk
+    # within a few dozen values; a lead is only where the second thread
+    # starts, so one that is off changes the way, never the bytes
+    monkeypatch.setattr(rng_module, "_SPLIT_VALUES", 8)
+    monkeypatch.setattr(rng_module, "_PIECE", piece)
+    rng = stream(seed, "split")
+    got, way = walk(monkeypatch, rng, size, lead)
+    assert way == path
+    assert_serial(got, rng, *serial(seed, (size,), 0))
+
+
+def test_a_generator_other_than_philox_draws_serially(monkeypatch):
+    def no_thread(first, second=None):
+        raise AssertionError("a second thread was started")
+
+    monkeypatch.setattr(rng_module, "_together", no_thread)
+    rng, want = (np.random.Generator(np.random.PCG64(5)) for _ in range(2))
+    calls = []
+    got = _standard_normal(rng, (_SPLIT_VALUES,), lead=1, first=lambda: calls.append(rng.random()))
+    want.random()
+    assert len(calls) == 1
+    assert_serial(got, rng, want.standard_normal(_SPLIT_VALUES), want.bit_generator.state)
+
+
+def test_the_buffered_half_of_a_raw_output_survives_the_split():
+    # a 32-bit draw keeps the other half of its raw output for the next
+    # one; normals never read it, so the state after keeps it too
+    rng, want = stream(4, "split"), stream(4, "split")
+    got = _standard_normal(
+        rng, (_SPLIT_VALUES,), lead=1, first=lambda: rng.integers(2**32, dtype=np.uint32)
+    )
+    want.integers(2**32, dtype=np.uint32)
+    assert want.bit_generator.state["has_uint32"] == 1
+    assert_serial(got, rng, want.standard_normal(_SPLIT_VALUES), want.bit_generator.state)

@@ -1,6 +1,8 @@
 """Generator checks: schemas, regime laws, determinism, exact tables."""
 
 import importlib
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalboot.graph import X_PARENTS, ScenarioId
-from causalboot.rng import stream
+from causalboot.rng import _SPLIT_VALUES, _raw_position, stream
 from causalboot.simulate import (
     DELTA_SCALE,
     MAX_ROWS,
@@ -169,21 +171,20 @@ def test_gaussian_features_center_on_parent_offsets(scenario, regime):
 
 
 class RecordingGenerator:
-    """A generator that keeps a copy of every array of draws it hands
-    out, so a test can rebuild the features from the same draws."""
+    """A generator that keeps a copy of every array of uniforms it hands
+    out, so a test can rebuild the features from the same draws; every
+    other attribute is the generator's own."""
 
     def __init__(self, rng):
-        self.rng, self.draws = rng, []
+        self.rng, self.uniforms = rng, []
+
+    def random(self, *args, **kwargs):
+        out = self.rng.random(*args, **kwargs)
+        self.uniforms.append(np.copy(out))
+        return out
 
     def __getattr__(self, name):
-        method = getattr(self.rng, name)
-
-        def record(*args, **kwargs):
-            out = method(*args, **kwargs)
-            self.draws.append(np.copy(out))
-            return out
-
-        return record
+        return getattr(self.rng, name)
 
 
 def record_draws(monkeypatch):
@@ -195,6 +196,23 @@ def record_draws(monkeypatch):
 
     monkeypatch.setattr(simulate_module, "stream", recording_stream)
     return generators
+
+
+def serial_features(cfg, regime, seed, data, uniforms):
+    """X as one serial draw makes it: the Gaussian block drawn from a
+    fresh stream after the same uniforms, scaled, plus the mean table
+    indexed with every parent column at once."""
+    fresh = stream(seed, "simulate", cfg.scenario.value, regime.value)
+    for drawn in uniforms:
+        assert fresh.random(drawn.shape).tobytes() == drawn.tobytes()
+    want = fresh.standard_normal((cfg.n, cfg.feature_dim))
+    want *= cfg.sigma
+    cols = {"y": data.y, **data.columns, **data.shadow}
+    table = np.zeros(cfg.feature_dim)
+    for parent in X_PARENTS[cfg.scenario]:
+        table = table[..., None, :] + _offsets(cfg, parent)
+    want += table[tuple(cols[parent] for parent in X_PARENTS[cfg.scenario])]
+    return want
 
 
 @pytest.mark.parametrize("feature_dim", [1, 3])
@@ -212,15 +230,49 @@ def test_features_equal_the_fancy_index_gather(monkeypatch, scenario, regime, fe
     generators = record_draws(monkeypatch)
     data = simulate(cfg, regime, seed=17)
     cols = {"y": data.y, **data.columns, **data.shadow}
-    table = np.zeros(feature_dim)
-    for parent in X_PARENTS[scenario]:
-        table = table[..., None, :] + _offsets(cfg, parent)
-    want = generators[0].draws[-1]  # the Gaussian draw, made last
-    want *= cfg.sigma
-    want += table[tuple(cols[parent] for parent in X_PARENTS[scenario])]
+    want = serial_features(cfg, regime, 17, data, generators[0].uniforms)
     assert data.x.dtype == want.dtype and data.x.tobytes() == want.tobytes()
     if regime is TestRegime.UNSEEN:
         assert (cols["u"] == 2).all()
+
+
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("regime", list(TestRegime))
+@pytest.mark.parametrize("scenario", ALL)
+def test_features_either_side_of_the_split_equal_the_serial_draw(
+    monkeypatch, scenario, regime, split
+):
+    # the Gaussian block one row short of the two-thread draw, and one
+    # row into it
+    n = _SPLIT_VALUES // SimConfig.feature_dim + split
+    cfg = cfg_for(scenario, n)
+    assert (n * cfg.feature_dim >= _SPLIT_VALUES) == split
+    generators = record_draws(monkeypatch)
+    data = simulate(cfg, regime, seed=5)
+    want = serial_features(cfg, regime, 5, data, generators[0].uniforms)
+    assert data.x.tobytes() == want.tobytes()
+
+
+def cpu_set():
+    return os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+
+
+def test_simulate_raises_the_threaded_draw_error(monkeypatch):
+    # the tail of a large Gaussian block draws in a thread of its own:
+    # its error surfaces from simulate, the thread has ended by then,
+    # and the calling thread has its CPU set back
+    def failing(bit_generator):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("tail draw failed")
+        return _raw_position(bit_generator)
+
+    monkeypatch.setattr("causalboot.rng._raw_position", failing)
+    cfg = cfg_for(ScenarioId.OBSERVED_CONF, _SPLIT_VALUES // SimConfig.feature_dim + 1)
+    threads, cpus = threading.active_count(), cpu_set()
+    with pytest.raises(RuntimeError, match="tail draw failed"):
+        simulate(cfg, "conf", seed=0)
+    assert threading.active_count() == threads
+    assert cpu_set() == cpus
 
 
 @pytest.mark.parametrize("regime", list(TestRegime))
@@ -239,7 +291,7 @@ def test_discrete_features_equal_the_masked_table_rows(monkeypatch, scenario, re
         for name, value in zip(names, config):
             mask &= cols[name] == value
         prob_rows[mask] = probs
-    uniforms = generators[0].draws[-1]  # the feature's uniforms, drawn last
+    uniforms = generators[0].uniforms[-1]  # the feature's, drawn last
     want = (uniforms < np.cumsum(prob_rows, axis=1)).argmax(axis=1).astype(np.int64)
     assert data.x.dtype == want.dtype and data.x.tobytes() == want.tobytes()
 
@@ -386,11 +438,19 @@ def test_config_validation_errors():
         simulate(cfg_for(ScenarioId.OBSERVED_CONF, 10), "shifted", seed=0)
 
 
-def test_unseen_requires_third_offset():
-    cfg = cfg_for(ScenarioId.OBSERVED_CONF, 10, feature_dim=2)
-    assert cfg.delta_u2 is None
-    with pytest.raises(SimulateError, match="unseen"):
-        simulate(cfg, "unseen", seed=0)
+def test_unseen_requires_third_offset(monkeypatch):
+    # u's unseen offset lies on axis 3, so two or three feature
+    # dimensions have none, and the draw is refused before it starts
+    generators = record_draws(monkeypatch)
+    cfgs = [cfg_for(ScenarioId.OBSERVED_CONF, 10, feature_dim=2)]
+    cfgs += [cfg_for(scenario, 10, feature_dim=3) for scenario in ALL]
+    for cfg in cfgs:
+        assert cfg.delta_u2 is None
+        with pytest.raises(
+            SimulateError, match="^config lacks an offset for the unseen domain$"
+        ):
+            simulate(cfg, "unseen", seed=0)
+    assert not any(generator.uniforms for generator in generators)
 
 
 def test_scenario_specific_offsets_left_unset():
