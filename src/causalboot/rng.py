@@ -8,8 +8,11 @@ perturbs existing ones.
 
 Philox reaches any position of its stream without drawing up to it, so
 one large block of standard normals can be drawn by two threads from the
-same stream (``_standard_normal``), and ``_together`` is the one way the
-package runs two jobs at once.
+same stream (``_standard_normal``).  The package runs two jobs at once in
+one of two ways, both here and both splitting the CPUs between them:
+``_together`` for numpy work that releases the interpreter lock, in a
+thread, and ``_forked`` for Python work that holds it, in a forked
+process.
 """
 
 from __future__ import annotations
@@ -17,7 +20,10 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import signal
+import tempfile
 import threading
+import warnings
 from bisect import bisect_left
 
 import numpy as np
@@ -90,6 +96,74 @@ def _together(first, second=None) -> None:
             _pin(cpus)
     if errors:
         raise errors[0]
+
+
+def _forked(first, second=None):
+    """Run ``first()`` in the calling process while a child forked for
+    the purpose runs ``second(spill)``, if given, with ``spill`` a text
+    file that is never linked into any directory.  Return the spill
+    rewound once both finish, or ``None``, and then the caller does
+    ``second``'s work itself.
+
+    ``None`` is the one fallback for every case where the split cannot
+    help or did not work: no ``second``, no ``os.fork``, fewer than two
+    CPUs, a spill that cannot be made, or a child that did not exit
+    with status 0.  The CPUs are split as ``_together`` splits them, and
+    the caller gets its whole set back afterwards.  The child always
+    leaves through ``os._exit``, so it runs no exit handler and flushes
+    no inherited buffer; an exception in ``first`` (``KeyboardInterrupt``
+    included) kills and reaps it before it propagates.  ``second`` must
+    only compute from memory and write to the spill: a lock another
+    thread held at the fork stays held in the child.
+    """
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+    half = len(cpus) // 2
+    spill = None
+    if second is not None and half and hasattr(os, "fork"):
+        try:
+            spill = tempfile.TemporaryFile("w+", newline="")
+        except OSError:
+            pass
+    if spill is None:
+        first()
+        return None
+
+    # Python 3.12 and later warn on a fork in a process with threads
+    # (numpy's BLAS starts some at import).  The child is safe as long
+    # as ``second`` keeps to the rule above: it then takes no lock
+    # another thread may hold, and it leaves through os._exit.
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", r".*fork\(\)", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            _pin(cpus[half:])
+            second(spill)
+            spill.flush()
+            code = 0
+        finally:
+            os._exit(code)
+
+    try:
+        _pin(cpus[:half])
+        first()
+        _, status = os.waitpid(pid, 0)
+    except BaseException:
+        try:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        except (ProcessLookupError, ChildProcessError):
+            pass  # reaped already
+        spill.close()
+        raise
+    finally:
+        _pin(cpus)
+    if os.waitstatus_to_exitcode(status) != 0:
+        spill.close()
+        return None
+    spill.seek(0)
+    return spill
 
 
 def _raw_position(bit_generator: np.random.Philox) -> int:

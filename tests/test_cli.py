@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import os
 import subprocess
 import sys
 import tempfile
@@ -545,6 +546,141 @@ def test_write_read_round_trip_across_chunks(tmp_path_factory, n, d, data):
         mp.undo()
 
 
+def two_cpus():
+    """Whether the write may split: os.fork and at least two CPUs."""
+    return (
+        hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) >= 2
+    )
+
+
+def counting_forks(mp):
+    """Patch os.fork to note, in the calling process, each child's pid."""
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    mp.setattr(os, "fork", counted)
+    return pids
+
+
+def written(path, data, *index):
+    cli._write_dataset(str(path), data, *index)
+    return path.read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(0, 11),
+    d=st.integers(1, 3),
+    split=st.integers(1, 4),
+    chunk=st.integers(1, 4),
+    data=st.data(),
+)
+def test_split_write_equals_the_serial_write(tmp_path_factory, n, d, split, chunk, data):
+    x = np.array(data.draw(st.lists(edge_floats, min_size=n * d, max_size=n * d)))
+    x = x.reshape(n, d)
+    labels = st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n)
+    y, u = (np.array(data.draw(labels), dtype=np.int64) for _ in range(2))
+    dataset = Dataset(x=x, y=y, columns={"u": u}, shadow={cli._SOURCE: np.arange(n)})
+    # an index of the same length as y, so the indexed path writes n rows
+    drawn = np.array(
+        data.draw(st.lists(st.integers(0, max(n - 1, 0)), min_size=n, max_size=n)),
+        dtype=np.int64,
+    )
+    tmp = tmp_path_factory.mktemp("split")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_CHUNK", chunk)
+        serial = [
+            written(tmp / "a.csv", dataset, True),
+            written(tmp / "b.csv", dataset, False, x, drawn),
+        ]
+        mp.setattr(cli, "_SPLIT_ROWS", split)
+        pids = counting_forks(mp)
+        halves = [
+            written(tmp / "c.csv", dataset, True),
+            written(tmp / "d.csv", dataset, False, x, drawn),
+        ]
+    assert halves == serial
+    assert len(pids) == (2 if n >= split and two_cpus() else 0)
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def raise_in_a_child(mp):
+    parent, text = os.getpid(), cli._text
+
+    def text_here_only(rows):
+        if os.getpid() != parent:
+            raise RuntimeError("fault in the child")
+        return text(rows)
+
+    mp.setattr(cli, "_text", text_here_only)
+
+
+def no_spill(mp):
+    def refused(*args, **kwargs):
+        raise OSError("no room for a spill")
+
+    mp.setattr(tempfile, "TemporaryFile", refused)
+
+
+@pytest.mark.parametrize(
+    "fault, forks",
+    [
+        (raise_in_a_child, 2),
+        (no_spill, 0),
+        (lambda mp: mp.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False), 0),
+        (lambda mp: mp.delattr(os, "fork", raising=False), 0),
+    ],
+    ids=["child-fails", "no-spill", "one-cpu", "no-fork"],
+)
+def test_every_fallback_writes_the_serial_bytes(tmp_path, monkeypatch, fault, forks):
+    rng = np.random.default_rng(8)
+    n = 9
+    x = rng.standard_normal((n, 2))
+    y = rng.integers(0, 2, n)
+    dataset = Dataset(x=x, y=y, columns={"u": y ^ 1}, shadow={cli._SOURCE: np.arange(n)})
+    drawn = rng.integers(0, n, n)
+    serial = [
+        written(tmp_path / "a.csv", dataset, True),
+        written(tmp_path / "b.csv", dataset, False, x, drawn),
+    ]
+    monkeypatch.setattr(cli, "_SPLIT_ROWS", 2)
+    pids = counting_forks(monkeypatch) if hasattr(os, "fork") else []
+    fault(monkeypatch)
+    assert [
+        written(tmp_path / "c.csv", dataset, True),
+        written(tmp_path / "d.csv", dataset, False, x, drawn),
+    ] == serial
+    assert len(pids) == (forks if two_cpus() else 0)
+
+
+@pytest.mark.skipif(not two_cpus(), reason="the split needs os.fork and two CPUs")
+def test_forked_writes_match_the_pinned_digests(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_SPLIT_ROWS", 2)
+    pids = counting_forks(monkeypatch)
+    p = {name: tmp_path / name for name in ("sim_c.csv", "cb_c.csv", "cbg_c.csv", "da_c.csv")}
+    assert cli.main(["simulate", "--scenario", "c", "--n", "1500", "--seed", "3",
+                     "--out", str(p["sim_c.csv"])]) == 0
+    for name, method, *extra in (("cb_c.csv", "cb"),
+                                 ("cbg_c.csv", "cb", "--kernel", "gaussian:0.3",
+                                  "--smoothing", "1"),
+                                 ("da_c.csv", "da")):
+        assert cli.main(["bootstrap", "--scenario", "c", "--method", method,
+                         "--in", str(p["sim_c.csv"]), "--out", str(p[name]),
+                         "--seed", "5", *extra]) == 0
+    assert len(pids) == 4
+    for name, path in p.items():
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED[name], name
+
+
 @pytest.mark.parametrize(
     "body, message",
     [
@@ -568,6 +704,69 @@ def test_read_errors_name_the_global_row(tmp_path, monkeypatch, body, message):
     with pytest.raises(EstimateError) as err:
         cli._read_dataset(str(path))
     assert str(err.value) == message
+
+
+# Short CSV texts for bootstrap: a header, mostly a usable one, then
+# rows of valid cells, with either line ending.  About half the texts
+# carry one or two faults: a junk cell, a short or long row, a blank line.
+CSV_HEADERS = ["x0,y,u", "x0,x1,y,u,z", "x0,y,u,z,d", "x0,y,u,z,_v"]
+CSV_BAD_HEADERS = ["x0,y", "x1,y,u", "x0,y,y", "x0,y,w", "y,u", "", '"x0",y,u', "x0,y,u,"]
+CSV_CELLS = {"x": ["0.5", "-1.25", "3", "1e-3", "-0.0"], "other": ["0", "1", "1", "2"]}
+CSV_JUNK = [
+    "", " ", "abc", "nan", "inf", "-inf", "1e400", "1_0", "0x1", "1.5", "+1", "٣",
+    '"1"', '"', '""', '"1,0"', '"1\n0"', "9223372036854775807",
+    "9223372036854775808", "-9223372036854775809", "99999999999999999999",
+]
+
+
+@st.composite
+def csv_texts(draw):
+    header = draw(st.sampled_from(CSV_HEADERS * 3 + CSV_BAD_HEADERS))
+    names = header.split(",")
+    rows = [
+        [draw(st.sampled_from(CSV_CELLS["x" if c.startswith("x") else "other"]))
+         for c in names]
+        for _ in range(draw(st.integers(0, 12)))
+    ]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2])) if rows else 0):
+        cells = rows[draw(st.integers(0, len(rows) - 1))]
+        fault = draw(st.sampled_from(["junk", "short", "long", "blank"]))
+        if fault == "junk" and cells:
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(CSV_JUNK))
+        elif fault == "short" and cells:
+            cells.pop()
+        elif fault == "long":
+            cells.append("0")
+        elif fault == "blank":
+            cells.clear()
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [header, *map(",".join, rows)]
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=csv_texts(),
+    scenario=st.sampled_from("abcde"),
+    method=st.sampled_from([
+        ("cb",), ("cb", "--kernel", "gaussian:0.3"), ("cb", "--smoothing", "1"),
+        ("da",), ("da",), ("da", "--smoothing", "1"),
+    ]),
+)
+def test_bootstrap_ends_with_an_exit_code_on_malformed_csv(text, scenario, method):
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_SPLIT_ROWS", 2)
+        src, out_path = Path(tmp) / "in.csv", Path(tmp) / "out.csv"
+        src.write_text(text, newline="")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["bootstrap", "--scenario", scenario, "--method", *method,
+                             "--in", str(src), "--out", str(out_path), "--seed", "1"])
+        assert code in range(5)
+        assert "Traceback" not in err.getvalue()
+        assert out_path.exists() == (code == 0)
+        if code == 0:
+            assert cli._read_dataset(str(out_path)).n > 0
 
 
 def test_header_only_file_reads_as_empty_and_bootstrap_rejects_it(tmp_path):
@@ -710,13 +909,24 @@ def test_run_reports_failed_cells(tmp_path):
     assert "error:" in content
 
 
-def test_run_rejects_bad_spec(tmp_path):
-    result, _ = run_spec(tmp_path, "scenarios=a\nwidgets=9\n")
+def main_spec(tmp_path, capsys, text, name, out):
+    """`run` on a spec text through cli.main: the exit code, stderr and
+    the output directory."""
+    spec = tmp_path / name
+    spec.write_text(text)
+    code = cli.main(["run", "--spec", str(spec), "--out", str(tmp_path / out)])
+    return code, capsys.readouterr().err, tmp_path / out
+
+
+def test_run_rejects_bad_spec(tmp_path, capsys):
+    # one case through the console entry point, the rest in process
+    result, out_dir = run_spec(tmp_path, "scenarios=a\nwidgets=9\n")
     assert result.returncode == 2
     assert "unknown spec key" in result.stderr
-    result, _ = run_spec(tmp_path, "scenarios=a\nn_train=abc\n", name="s2.txt")
-    assert result.returncode == 2
-    assert "spec key 'n_train': bad value 'abc'" in result.stderr
+    assert not out_dir.exists()
+    code, err, _ = main_spec(tmp_path, capsys, "scenarios=a\nn_train=abc\n", "s2.txt", "o")
+    assert code == 2
+    assert "spec key 'n_train': bad value 'abc'" in err
     for k, (text, message) in enumerate((
         ("scenarios=zz\n", "unknown scenario 'zz'"),
         ("scenarios=a\nmethods=bogus\n", "unknown method 'bogus'"),
@@ -735,16 +945,16 @@ def test_run_rejects_bad_spec(tmp_path):
         ("scenarios=a\nqc_grid=0.9\ncomplexity_sweep=1.0\n",
          "qc_grid has no effect with complexity_sweep"),
     )):
-        result, out_dir = run_spec(tmp_path, text, name=f"s{k + 3}.txt", out=f"o{k}")
-        assert result.returncode == 2
-        assert message in result.stderr
+        code, err, out_dir = main_spec(tmp_path, capsys, text, f"s{k + 3}.txt", f"o{k}")
+        assert code == 2
+        assert message in err
         assert not out_dir.exists()
 
 
-def test_run_rejects_unusable_train_settings(tmp_path):
+def test_run_rejects_unusable_train_settings(tmp_path, capsys):
     for k, line in enumerate(("train.epochs=0", "train.kind=tree", "train.lr=inf")):
         text = f"scenarios=a\nseeds=0\nn_train=100\nn_test=100\n{line}\n"
-        result, out_dir = run_spec(tmp_path, text, name=f"s{k}.txt", out=f"o{k}")
-        assert result.returncode == 2
-        assert "error: spec train settings" in result.stderr
+        code, err, out_dir = main_spec(tmp_path, capsys, text, f"s{k}.txt", f"o{k}")
+        assert code == 2
+        assert "error: spec train settings" in err
         assert not out_dir.exists()

@@ -1,12 +1,17 @@
-"""The two-thread normal draw gives the serial draw's bytes and state."""
+"""The two-thread normal draw gives the serial draw's bytes and state, and
+the forked job leaves no process, file or CPU set behind."""
 
 import bisect
 import importlib
+import os
+import tempfile
+import time
+import warnings
 
 import numpy as np
 import pytest
 
-from causalboot.rng import _SPLIT_VALUES, _standard_normal, stream
+from causalboot.rng import _SPLIT_VALUES, _forked, _standard_normal, stream
 
 # the module, which holds the threshold and piece size the tests patch
 rng_module = importlib.import_module("causalboot.rng")
@@ -118,3 +123,82 @@ def test_the_buffered_half_of_a_raw_output_survives_the_split():
     want.integers(2**32, dtype=np.uint32)
     assert want.bit_generator.state["has_uint32"] == 1
     assert_serial(got, rng, want.standard_normal(_SPLIT_VALUES), want.bit_generator.state)
+
+
+# --- _forked ----------------------------------------------------------------
+
+two_cpus = pytest.mark.skipif(
+    not hasattr(os, "fork")
+    or not hasattr(os, "sched_getaffinity")
+    or len(os.sched_getaffinity(0)) < 2,
+    reason="the split needs os.fork and two CPUs",
+)
+
+
+@two_cpus
+def test_forked_returns_the_childs_text_rewound():
+    calls = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spill = _forked(lambda: calls.append(os.getpid()), lambda out: out.write("tail\n" * 3))
+    with spill:
+        assert spill.read() == "tail\n" * 3
+    assert calls == [os.getpid()]
+
+
+@two_cpus
+def test_a_failed_child_returns_none():
+    calls = []
+
+    def second(out):
+        out.write("part")
+        raise RuntimeError("fault in the child")
+
+    assert _forked(lambda: calls.append(1), second) is None
+    assert calls == [1]
+
+
+@two_cpus
+@pytest.mark.parametrize("fault", [RuntimeError, KeyboardInterrupt])
+def test_a_fault_in_the_caller_kills_and_reaps_the_child(tmp_path, monkeypatch, fault):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    pids, spills, fork, spill_file = [], [], os.fork, tempfile.TemporaryFile
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    def noted(*args, **kwargs):
+        spills.append(spill_file(*args, **kwargs))
+        return spills[-1]
+
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(tempfile, "TemporaryFile", noted)
+    cpus = os.sched_getaffinity(0)
+
+    def first():
+        raise fault("fault in the caller")
+
+    start = time.monotonic()
+    with pytest.raises(fault):
+        _forked(first, lambda out: time.sleep(60))
+    assert time.monotonic() - start < 30  # killed, not waited for
+    assert len(pids) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pids[0], os.WNOHANG)
+    assert os.sched_getaffinity(0) == cpus
+    assert [spill.closed for spill in spills] == [True]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_no_second_job_runs_first_alone(monkeypatch):
+    def no_fork():
+        raise AssertionError("a process was forked")
+
+    if hasattr(os, "fork"):
+        monkeypatch.setattr(os, "fork", no_fork)
+    calls = []
+    assert _forked(lambda: calls.append(1)) is None
+    assert calls == [1]
