@@ -46,7 +46,6 @@ from .harness import (
     HarnessError,
     ResultRow,
     parse_spec_text,
-    read_results,
     resolved_spec_text,
     run_experiment,
     write_results,
@@ -134,7 +133,6 @@ __all__ = [
     "parse_graph",
     "parse_spec_text",
     "predict_proba",
-    "read_results",
     "resolved_spec_text",
     "run_experiment",
     "scenario_graph",

@@ -21,7 +21,7 @@ import dataclasses
 import itertools
 import shutil
 import sys
-from operator import itemgetter
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -76,8 +76,8 @@ def _load_graph(path: str):
 
 # --- csv schema ---------------------------------------------------------------
 
-# Rows parsed or formatted per step: a read holds the text of one chunk
-# of records at a time, never the whole file's.
+# Rows formatted per step, and records checked per step when a read
+# fails: neither holds the whole file's text at once.
 _CHUNK = 1024
 
 # Fewest rows a write splits between two processes.  A fork costs a few
@@ -171,18 +171,36 @@ def _first_bad_record(chunk, first_row: int, width: int, fields) -> None:
         if len(record) != width:
             raise EstimateError(f"row {row} has {len(record)} fields")
         for name, i, kind in fields:
+            cell = record[i]
             try:
-                value = kind(record[i])
+                value = kind(cell)
             except ValueError as exc:
                 raise EstimateError(f"row {row}: {exc}") from None
             if kind is int and not _INT64.min <= value <= _INT64.max:
                 raise EstimateError(
-                    f"row {row}: {name} value {record[i]} does not fit in int64"
+                    f"row {row}: {name} value {cell} does not fit in int64"
+                )
+            # what int() and float() read beyond the strict syntax
+            if "_" in cell or not cell.strip().isascii():
+                raise EstimateError(
+                    f"row {row}: {name} value {cell!r} is not a plain ASCII number"
                 )
 
 
+def _noting_blanks(fh, blanks: list):
+    """fh's lines, appending to blanks each line that is only a line end:
+    np.loadtxt skips such a line, where csv.reader reads an empty record."""
+    for line in fh:
+        if line in ("\n", "\r\n", "\r"):
+            blanks.append(line)
+        yield line
+
+
 def _read_dataset(path: str) -> Dataset:
-    with open(path, newline="") as fh:
+    """One np.loadtxt pass over the records, every number in the strict
+    syntax.  On any fault the records are read again with csv.reader,
+    a chunk at a time, to name the first bad record's row."""
+    with open(path, newline="", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -204,39 +222,60 @@ def _read_dataset(path: str) -> Dataset:
         if "y" not in header:
             raise EstimateError("dataset needs a y column")
 
-        # (name, position, conversion): features, then the discrete columns
-        fields = [(name, header.index(name), float) for name in x_names]
-        fields += [
-            (name, header.index(name), int)
-            for name in _DISCRETE_COLS
-            if name in header
+        # every column is read, so loadtxt itself refuses a ragged row;
+        # a shadow column's cells are kept as text
+        dtype = [
+            (h, object if h.startswith("_") else float if h in x_names else np.int64)
+            for h in header
         ]
-        dtypes = {float: np.float64, int: np.int64}
-        parts = {name: [np.empty(0, dtypes[kind])] for name, _, kind in fields}
-        first_row = 2
-        while chunk := list(itertools.islice(reader, _CHUNK)):
-            if any(len(record) != len(header) for record in chunk):
-                _first_bad_record(chunk, first_row, len(header), fields)
+        blanks: list = []
+        lines = _noting_blanks(fh, blanks)
+        first = next(lines, None)
+        failure = None
+        if first is None:
+            table = np.empty(0, dtype)  # a header-only file reads as empty
+        else:
             try:
-                for name, i, kind in fields:
-                    parts[name].append(
-                        np.fromiter(
-                            map(kind, map(itemgetter(i), chunk)),
-                            dtypes[kind],
-                            len(chunk),
-                        )
+                with warnings.catch_warnings():
+                    # a warning (older numpy reads 1.0 as an int with one)
+                    # refuses the file too, so every numpy takes one syntax
+                    warnings.simplefilter("error")
+                    table = np.loadtxt(
+                        itertools.chain([first], lines),
+                        dtype=dtype,
+                        delimiter=",",
+                        comments=None,
+                        quotechar='"',
+                        ndmin=1,
                     )
-            except (ValueError, OverflowError):
-                _first_bad_record(chunk, first_row, len(header), fields)
-                raise
-            first_row += len(chunk)
+            except (ValueError, Warning) as exc:
+                failure = exc
 
-    x = np.column_stack([np.concatenate(parts.pop(name)) for name in x_names])
+        if failure is not None or blanks:
+            # loadtxt skips a blank line: csv.reader tells an empty record,
+            # a fault, from a line end inside a quoted cell
+            fields = [(name, header.index(name), float) for name in x_names]
+            fields += [
+                (name, header.index(name), int)
+                for name in _DISCRETE_COLS
+                if name in header
+            ]
+            fh.seek(0)
+            reader = csv.reader(fh)
+            next(reader)
+            first_row = 2
+            while chunk := list(itertools.islice(reader, _CHUNK)):
+                _first_bad_record(chunk, first_row, len(header), fields)
+                first_row += len(chunk)
+            if failure is not None:  # a refusal no record check places
+                raise EstimateError(f"{path}: {failure}")
+
+    x = np.column_stack([table[name] for name in x_names])
     bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
     if bad.size:
         raise EstimateError(f"row {bad[0] + 2}: features must be finite")
 
-    cols = {name: np.concatenate(part) for name, part in parts.items()}
+    cols = {name: table[name].copy() for name in _DISCRETE_COLS if name in header}
     y = cols.pop("y")
     return Dataset(x=x, y=y, columns=cols, shadow={_SOURCE: np.arange(len(y))})
 

@@ -206,12 +206,6 @@ class ResultRow:
 
 CSV_HEADER = ",".join(f.name for f in dataclasses.fields(ResultRow))
 
-# How read_results parses each column of results.csv, in ResultRow's order.
-_COLUMN_PARSERS = (
-    str, str, float, str, int, lambda s: None if s == "" else float(s), int, int, str
-)
-
-
 def _sim_config(spec: ExperimentSpec, scenario, level, n) -> SimConfig:
     if spec.complexity_sweep is None:
         return SimConfig(scenario=scenario, n=n, **{**spec.sim, "q_c": level})
@@ -411,27 +405,6 @@ def write_results(rows, path) -> None:
         writer.writerow(map(_text, dataclasses.astuple(row)))
     with open(path, "w", newline="") as fh:
         fh.write(buffer.getvalue())
-
-
-def read_results(path) -> list[ResultRow]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CSV_HEADER.split(","):
-            raise HarnessError(f"unexpected results header {header!r}")
-        rows = []
-        for record in reader:
-            where = f"{path}: line {reader.line_num}"
-            if len(record) != len(header):
-                raise HarnessError(
-                    f"{where}: expected {len(header)} fields, got {len(record)}"
-                )
-            try:
-                row = ResultRow(*(f(v) for f, v in zip(_COLUMN_PARSERS, record)))
-            except ValueError as exc:
-                raise HarnessError(f"{where}: {exc}") from None
-            rows.append(row)
-    return rows
 
 
 # --- flat key=value spec files ------------------------------------------------

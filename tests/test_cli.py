@@ -1,17 +1,21 @@
 """Command-line checks, via subprocess or `cli.main`, and the CSV reader and writer."""
 
+import ast
 import contextlib
+import csv
 import hashlib
 import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from causalboot import cli
@@ -22,7 +26,8 @@ from causalboot.graph import GraphError
 from causalboot.harness import HarnessError
 from causalboot.identify import EstimandError
 from causalboot.model import ModelError
-from causalboot.simulate import Dataset, SimulateError
+from causalboot.simulate import MAX_ROWS, Dataset, SimulateError
+import csv_reference
 
 CLI = [sys.executable, "-m", "causalboot.cli"]
 
@@ -706,17 +711,77 @@ def test_read_errors_name_the_global_row(tmp_path, monkeypatch, body, message):
     assert str(err.value) == message
 
 
+STRICT_CELLS = [
+    # (cell, column, message after "row 7: ")
+    ("1_0", "x0", "x0 value '1_0' is not a plain ASCII number"),
+    ("1_0", "u", "u value '1_0' is not a plain ASCII number"),
+    ("٣", "x0", "x0 value '٣' is not a plain ASCII number"),
+    ("٣", "u", "u value '٣' is not a plain ASCII number"),
+    ("1.0", "u", "invalid literal for int() with base 10: '1.0'"),
+    ("0x1", "x0", "could not convert string to float: '0x1'"),
+    ("0x1", "u", "invalid literal for int() with base 10: '0x1'"),
+    # a byte that is not UTF-8
+    (b"1\xff", "x0", "could not convert string to float: '1\\udcff'"),
+    (b"1\xff", "u", "invalid literal for int() with base 10: '1\\udcff'"),
+]
+
+
+@pytest.mark.parametrize("cell, column, message", STRICT_CELLS)
+def test_bootstrap_refuses_cells_beyond_the_strict_syntax(
+    tmp_path, monkeypatch, capsys, cell, column, message
+):
+    # rows 2-6 are good; with three records a chunk, row 7 is in the second
+    monkeypatch.setattr(cli, "_CHUNK", 3)
+    cells = {"x0": b"0.5", "y": b"1", "u": b"0"}
+    cells[column] = cell if isinstance(cell, bytes) else cell.encode()
+    src, out_path = tmp_path / "in.csv", tmp_path / "out.csv"
+    src.write_bytes(b"x0,y,u\n" + b"0.1,1,0\n0.2,0,1\n" * 2 + b"0.3,1,1\n"
+                    + b",".join(cells.values()) + b"\n0.4,0,0\n")
+    for method in ("cb", "da"):
+        argv = ["bootstrap", "--scenario", "a", "--method", method,
+                "--in", str(src), "--out", str(out_path), "--seed", "1"]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"error: row 7: {message}\n"
+        assert not out_path.exists()
+
+
+def test_a_warning_in_the_parse_refuses_the_file(tmp_path, monkeypatch):
+    # numpy before 2.0 reads 1.0 into an int column with only a
+    # DeprecationWarning; the warning must refuse the file there too
+    load = np.loadtxt
+
+    def warning_loadtxt(*args, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated",
+                      DeprecationWarning, stacklevel=2)
+        return load(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+    path = tmp_path / "in.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # as outside the test run
+        path.write_text("x0,y,u\n0.1,1,0\n0.2,1.0,0\n")
+        with pytest.raises(EstimateError, match=r"^row 3: invalid literal for int\(\)"):
+            cli._read_dataset(str(path))
+        # a file the checker finds nothing wrong with is still refused
+        path.write_text("x0,y,u\n0.1,1,0\n")
+        with pytest.raises(EstimateError, match="Parsing an integer via a float"):
+            cli._read_dataset(str(path))
+
+
 # Short CSV texts for bootstrap: a header, mostly a usable one, then
 # rows of valid cells, with either line ending.  About half the texts
-# carry one or two faults: a junk cell, a short or long row, a blank line.
-CSV_HEADERS = ["x0,y,u", "x0,x1,y,u,z", "x0,y,u,z,d", "x0,y,u,z,_v"]
+# carry one or two faults: a junk cell, a short or long row, a blank,
+# whitespace-only or '#' line.
+CSV_HEADERS = ["x0,y,u", "x0,x1,y,u,z", "x0,y,u,z,d", "x0,y,u,z,_v", "x0,_v,y,u"]
 CSV_BAD_HEADERS = ["x0,y", "x1,y,u", "x0,y,y", "x0,y,w", "y,u", "", '"x0",y,u', "x0,y,u,"]
 CSV_CELLS = {"x": ["0.5", "-1.25", "3", "1e-3", "-0.0"], "other": ["0", "1", "1", "2"]}
 CSV_JUNK = [
     "", " ", "abc", "nan", "inf", "-inf", "1e400", "1_0", "0x1", "1.5", "+1", "٣",
-    '"1"', '"', '""', '"1,0"', '"1\n0"', "9223372036854775807",
-    "9223372036854775808", "-9223372036854775809", "99999999999999999999",
+    "１", "\u30001", " 1 ", '"1"', '"', '""', '"1,0"', '"1\n0"', '"\n"', '"a\n\nb"',
+    '"1"2', "1.0", "9223372036854775807", "9223372036854775808",
+    "-9223372036854775809", "99999999999999999999",
 ]
+CSV_FAULTS = ["junk", "junk", "short", "long", "blank", "spaces", "comment"]
 
 
 @st.composite
@@ -730,7 +795,7 @@ def csv_texts(draw):
     ]
     for _ in range(draw(st.sampled_from([0, 0, 1, 2])) if rows else 0):
         cells = rows[draw(st.integers(0, len(rows) - 1))]
-        fault = draw(st.sampled_from(["junk", "short", "long", "blank"]))
+        fault = draw(st.sampled_from(CSV_FAULTS))
         if fault == "junk" and cells:
             cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(CSV_JUNK))
         elif fault == "short" and cells:
@@ -739,9 +804,63 @@ def csv_texts(draw):
             cells.append("0")
         elif fault == "blank":
             cells.clear()
+        elif fault == "spaces":
+            cells[:] = [" \t"]
+        elif fault == "comment" and cells:
+            cells[0] = "#" + cells[0]
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     lines = [header, *map(",".join, rows)]
     return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+def read_outcome(read, path):
+    """What a reader makes of a file: its Dataset's bytes, or its
+    EstimateError's message."""
+    try:
+        data = read(str(path))
+    except EstimateError as exc:
+        return str(exc)
+    return (
+        data.x.shape, data.x.tobytes(), data.y.tobytes(),
+        {name: col.tobytes() for name, col in data.columns.items()},
+        {name: col.tobytes() for name, col in data.shadow.items()},
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=csv_texts(), chunk=st.integers(1, 4))
+@example(text="x0,y,u\n0.1,1,0\n \n", chunk=1)
+@example(text="x0,y,u\n0.1,1,0\n#0.2,1,0\n", chunk=1)
+@example(text="x0,y,u,z,_v\n0.1,1,0,1,\"a\n\nb\"\n0.2,0,1,0,1\n", chunk=1)
+@example(text="x0,y,u,z,_v\n0.1,1,0,1,\"1\n0\"\n", chunk=2)
+@example(text="x0,y,u,z,_v\n0.1,1,0,1\n", chunk=1)
+@example(text="x0,y,u,z,_v\n0.1,1,0,1,0,0\n", chunk=1)
+@example(text="x0,y,u,z,_v\n0.1,1,0\n", chunk=1)
+@example(text="x0,y,u", chunk=1)
+@example(text="x0,y,u\n", chunk=1)
+@example(text="x0,y,u\n\n", chunk=1)
+@example(text="x0,y,u\n0.1,1,0\n\n", chunk=1)
+def test_strict_reader_matches_the_reference_reader(tmp_path_factory, text, chunk):
+    path = tmp_path_factory.mktemp("ref") / "in.csv"
+    path.write_text(text, newline="")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_CHUNK", chunk)
+        mp.setattr(csv_reference, "_CHUNK", chunk)
+        got = read_outcome(cli._read_dataset, path)
+        want = read_outcome(csv_reference.read_dataset, path)
+    if got == want:
+        return
+    # only a cell Python reads and the strict syntax refuses may differ,
+    # and the strict reader names it no later than the reference's fault
+    assert isinstance(got, str), (got, want)
+    match = re.fullmatch(r"row (\d+): \w+ value (.+) is not a plain ASCII number", got)
+    assert match, (got, want)
+    row, cell = int(match[1]), ast.literal_eval(match[2])
+    assert csv_reference.refused(cell)
+    records = list(csv.reader(io.StringIO(text, newline="")))
+    assert cell in records[row - 1]
+    if isinstance(want, str) and want.startswith("row "):
+        assert row <= int(re.match(r"row (\d+)", want)[1]), (got, want)
 
 
 @settings(max_examples=300, deadline=None)
@@ -958,3 +1077,98 @@ def test_run_rejects_unusable_train_settings(tmp_path, capsys):
         assert code == 2
         assert "error: spec train settings" in err
         assert not out_dir.exists()
+
+
+def exit_code(argv):
+    """cli.main's exit code, argparse's refusals included, with its
+    stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue() + err.getvalue()
+
+
+# Short spec texts: key=value lines from every key family, each value
+# usable or junk, mixed with malformed lines.
+SPEC_KEYS = [
+    "scenarios", "qc_grid", "methods", "seeds", "n_train", "n_test",
+    "complexity_sweep", "sim.sigma", "sim.feature_dim", "sim.x_mode",
+    "sim.x_support", "sim.q_c", "train.epochs", "train.kind", "train.lr",
+    "train.seed", "sim.bogus", "train.bogus", "widgets",
+]
+SPEC_VALUES = [
+    "a", "a,b", "c,e", "zz", "0.9", "0.75,0.75", "simple,cb", "bogus", "0",
+    "1,2", "1,1", "40", "-1", "10000000", "10000001", "99999999999999999999",
+    "abc", "", "inf", "nan", "1_0", "discrete", "tree", ",", "1e400", "٣",
+]
+SPEC_JUNK_LINES = ["=", "noequals", "# comment", "=5", "scenarios==a", "  ", "\t#"]
+
+
+@st.composite
+def spec_texts(draw):
+    lines = [
+        f"{draw(st.sampled_from(SPEC_KEYS))}={draw(st.sampled_from(SPEC_VALUES))}"
+        for _ in range(draw(st.integers(0, 5)))
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(lines)))
+        lines.insert(at, draw(st.sampled_from(SPEC_JUNK_LINES + lines[:1])))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=spec_texts())
+def test_run_ends_with_an_exit_code_on_malformed_specs(text):
+    # the grid itself is stubbed out: the property is the refusal of a
+    # spec, and a usable one could ask for ten million rows
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "run_experiment", lambda spec: [])
+        spec, out_dir = Path(tmp) / "spec.txt", Path(tmp) / "out"
+        spec.write_text(text, newline="")
+        code, printed = exit_code(["run", "--spec", str(spec), "--out", str(out_dir)])
+        assert code in range(5)
+        assert "Traceback" not in printed
+        assert out_dir.exists() == (code == 0)
+
+
+DELTA_FLAGS = [f"--{name.replace('_', '-')}" for name in cli._DELTA_KEYS]
+DELTA_CELLS = ["0", "1.5", "-2", " 3 ", "nan", "inf", "1e400", "x", "", "1_0"]
+
+
+@st.composite
+def simulate_flags(draw):
+    n = draw(st.one_of(
+        st.integers(1, 40).map(str),
+        st.sampled_from(["0", "-3", "abc", "1.5", str(MAX_ROWS), str(MAX_ROWS + 1),
+                         "99999999999999999999"]),
+    ))
+    flags = ["--scenario", draw(st.sampled_from("abcde")), "--n", n]
+    for flag in draw(st.lists(st.sampled_from(DELTA_FLAGS), max_size=2, unique=True)):
+        cells = draw(st.lists(st.sampled_from(DELTA_CELLS), max_size=11))
+        flags += [flag, ",".join(cells)]
+    if n == str(MAX_ROWS):
+        flags += ["--delta-y", "1,x"]  # refused before a row is drawn
+    return flags
+
+
+@settings(max_examples=200, deadline=None)
+@given(flags=simulate_flags())
+def test_simulate_ends_with_an_exit_code_on_malformed_flags(flags):
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        draw = cli.simulate
+
+        def small_only(cfg, *args):
+            assert cfg.n <= 40, "a refusal reached the generator"
+            return draw(cfg, *args)
+
+        mp.setattr(cli, "simulate", small_only)
+        out_path = Path(tmp) / "o.csv"
+        code, printed = exit_code(
+            ["simulate", *flags, "--seed", "1", "--out", str(out_path)]
+        )
+        assert code in range(5)
+        assert "Traceback" not in printed
+        assert out_path.exists() == (code == 0)

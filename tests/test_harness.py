@@ -1,5 +1,6 @@
 """Grid runner: cardinality, status rows, determinism, persistence, parsing."""
 
+import csv
 import hashlib
 import weakref
 
@@ -15,13 +16,39 @@ from causalboot.harness import (
     HarnessError,
     ResultRow,
     parse_spec_text,
-    read_results,
     resolved_spec_text,
     run_experiment,
     write_results,
 )
 from causalboot.model import TrainConfig
 from causalboot.simulate import SimConfig
+
+# How read_results parses each column of results.csv, in ResultRow's order.
+_COLUMN_PARSERS = (
+    str, str, float, str, int, lambda s: None if s == "" else float(s), int, int, str
+)
+
+
+def read_results(path) -> list[ResultRow]:
+    """results.csv back as ResultRows, naming the line of any bad record."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != CSV_HEADER.split(","):
+            raise HarnessError(f"unexpected results header {header!r}")
+        rows = []
+        for record in reader:
+            where = f"{path}: line {reader.line_num}"
+            if len(record) != len(header):
+                raise HarnessError(
+                    f"{where}: expected {len(header)} fields, got {len(record)}"
+                )
+            try:
+                row = ResultRow(*(f(v) for f, v in zip(_COLUMN_PARSERS, record)))
+            except ValueError as exc:
+                raise HarnessError(f"{where}: {exc}") from None
+            rows.append(row)
+    return rows
 
 
 def small_spec(**kw):

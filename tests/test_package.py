@@ -1,6 +1,7 @@
 """The package's public surface: what ``from causalboot import *`` gives."""
 
 import ast
+import sys
 from pathlib import Path
 
 import causalboot
@@ -28,3 +29,22 @@ def test_every_public_import_is_exported():
     public = {name for name in imported if not name.startswith("_")}
     assert public, "no imports found in causalboot/__init__.py"
     assert sorted(public - set(causalboot.__all__)) == []
+
+
+def test_runtime_imports_are_numpy_and_the_standard_library():
+    allowed = {"causalboot", "numpy"} | set(sys.stdlib_module_names)
+    outside = []
+    for path in sorted(Path(causalboot.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            outside += [
+                f"{path.name}: {name}"
+                for name in modules
+                if name.partition(".")[0] not in allowed
+            ]
+    assert outside == []
