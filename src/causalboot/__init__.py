@@ -54,10 +54,8 @@ from .identify import (
     Estimand,
     EstimandError,
     Identified,
-    JointTable,
     Unidentifiable,
     estimand_to_text,
-    evaluate_estimand,
     identify,
     latent_project,
 )
@@ -98,7 +96,6 @@ __all__ = [
     "GraphParseError",
     "HarnessError",
     "Identified",
-    "JointTable",
     "KernelSpec",
     "LinearModel",
     "MethodId",
@@ -122,7 +119,6 @@ __all__ = [
     "da_resample",
     "descendants",
     "estimand_to_text",
-    "evaluate_estimand",
     "exact_interventional",
     "exact_observational",
     "graph_to_text",

@@ -16,6 +16,7 @@ invocations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import itertools
@@ -93,6 +94,9 @@ _SOURCE = "source_row"
 
 _INT64 = np.iinfo(np.int64)
 
+# The largest csv.field_size_limit() a C long holds on every platform.
+_FIELD_LIMIT = (1 << 31) - 1
+
 
 def _text(rows) -> list[str]:
     """Comma-joined repr of each row of a list of lists: repr of a Python
@@ -163,6 +167,12 @@ def _write_dataset(
                 shutil.copyfileobj(spill, fh)
 
 
+def _beyond_strict(cell: str) -> bool:
+    """Whether int() or float() reads ``cell`` only beyond the strict
+    number syntax: with a `_` digit separator or non-ASCII digits."""
+    return "_" in cell or not cell.strip().isascii()
+
+
 def _first_bad_record(chunk, first_row: int, width: int, fields) -> None:
     """Raise the error of a chunk's first bad record, checked row by row
     and cell by cell in file order."""
@@ -180,27 +190,43 @@ def _first_bad_record(chunk, first_row: int, width: int, fields) -> None:
                 raise EstimateError(
                     f"row {row}: {name} value {cell} does not fit in int64"
                 )
-            # what int() and float() read beyond the strict syntax
-            if "_" in cell or not cell.strip().isascii():
+            if _beyond_strict(cell):
                 raise EstimateError(
                     f"row {row}: {name} value {cell!r} is not a plain ASCII number"
                 )
 
 
-def _noting_blanks(fh, blanks: list):
-    """fh's lines, appending to blanks each line that is only a line end:
-    np.loadtxt skips such a line, where csv.reader reads an empty record."""
-    for line in fh:
-        if line in ("\n", "\r\n", "\r"):
-            blanks.append(line)
-        yield line
+def _noting_suspects(fh, suspects: list):
+    """fh's lines, read about 64k characters at a time, noting in
+    suspects what np.loadtxt may read otherwise than csv.reader with
+    int()/float(): each line that is only a line end, which loadtxt
+    skips where csv.reader reads an empty record, and each batch holding
+    U+001C-U+001F, which loadtxt strips around a number as blanks where
+    int() and float() refuse them."""
+    while batch := fh.readlines(1 << 16):
+        text = "".join(batch)
+        suspects.extend(c for c in "\x1c\x1d\x1e\x1f" if c in text)
+        suspects.extend(line for line in batch if line in ("\n", "\r\n", "\r"))
+        yield from batch
+
+
+@contextlib.contextmanager
+def _any_field_size():
+    """csv.reader refuses a cell over csv.field_size_limit() characters,
+    where np.loadtxt reads a cell of any size: lift the limit while a
+    file is read, so both read the same cells."""
+    limit = csv.field_size_limit(_FIELD_LIMIT)
+    try:
+        yield
+    finally:
+        csv.field_size_limit(limit)
 
 
 def _read_dataset(path: str) -> Dataset:
     """One np.loadtxt pass over the records, every number in the strict
     syntax.  On any fault the records are read again with csv.reader,
     a chunk at a time, to name the first bad record's row."""
-    with open(path, newline="", errors="surrogateescape") as fh:
+    with open(path, newline="", errors="surrogateescape") as fh, _any_field_size():
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -228,8 +254,8 @@ def _read_dataset(path: str) -> Dataset:
             (h, object if h.startswith("_") else float if h in x_names else np.int64)
             for h in header
         ]
-        blanks: list = []
-        lines = _noting_blanks(fh, blanks)
+        suspects: list = []
+        lines = _noting_suspects(fh, suspects)
         first = next(lines, None)
         failure = None
         if first is None:
@@ -251,9 +277,10 @@ def _read_dataset(path: str) -> Dataset:
             except (ValueError, Warning) as exc:
                 failure = exc
 
-        if failure is not None or blanks:
-            # loadtxt skips a blank line: csv.reader tells an empty record,
-            # a fault, from a line end inside a quoted cell
+        if failure is not None or suspects:
+            # csv.reader tells an empty record, a fault, from a line end
+            # inside a quoted cell, and a separator in a number cell, a
+            # fault, from one in a shadow cell
             fields = [(name, header.index(name), float) for name in x_names]
             fields += [
                 (name, header.index(name), int)
@@ -334,8 +361,11 @@ def _cmd_simulate(args) -> int:
     for name in _DELTA_KEYS:
         raw = getattr(args, name)
         if raw is not None:
+            cells = raw.split(",")
             try:
-                kw[name] = np.array([float(v) for v in raw.split(",")])
+                if any(map(_beyond_strict, cells)):
+                    raise ValueError(raw)
+                kw[name] = np.array([float(v) for v in cells])
             except ValueError:
                 raise SimulateError(
                     f"--{name.replace('_', '-')} needs comma-separated floats, "

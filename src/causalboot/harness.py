@@ -23,8 +23,10 @@ models under the unseen regime), "error: ..." where a pipeline raised.
 
 Every random draw is keyed by (seed, purpose, cell coordinates), so
 data seeds are method-independent and enlarging the grid never changes
-existing cells.  Wall time is reported as 0: timing is hardware noise
-and would break byte-identical reruns.
+existing cells.  That also lets ``run_experiment`` hand the second half
+of its (scenario, level) pairs to a forked child (``rng._forked``) and
+still return the rows a serial run gives.  Wall time is reported as 0:
+timing is hardware noise and would break byte-identical reruns.
 
 In sweep mode the grid's level axis carries the label-offset norm
 instead of the confounder strength, which stays at its configured
@@ -61,7 +63,7 @@ from .model import (
     predict_proba,
     training_set,
 )
-from .rng import derive_key
+from .rng import _forked, derive_key
 from .simulate import (
     _SIM_KEYS,
     MAX_ROWS,
@@ -364,12 +366,40 @@ def _run_level(spec: ExperimentSpec, scenario, level) -> list[ResultRow]:
 
 
 def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
-    """All grid cells, run one (scenario, level) after another and
-    canonically sorted, so the rows are deterministic for a given spec."""
-    rows = []
-    for scenario in spec.scenarios:
-        for level in spec.levels:
-            rows += _run_level(spec, scenario, level)
+    """All grid cells, canonically sorted, so the rows are deterministic
+    for a given spec.
+
+    The (scenario, level) pairs are split in their grid order: this
+    process runs the first half, rounded up, while a forked child runs
+    the rest and hands its rows back through the spill one JSON list a
+    line (``rng._forked``); JSON writes floats by repr, so each reads
+    back as the same float.  Where there is no child (one pair, one
+    CPU, no ``os.fork``, or a child that failed) this process runs the
+    second half itself.  Every cell's draws are keyed by its own
+    coordinates, so the rows are the same either way.
+    """
+    import json  # here, so importing the package does not pay for it
+
+    pairs = [(scenario, level) for scenario in spec.scenarios for level in spec.levels]
+    mid = (len(pairs) + 1) // 2
+
+    def run(part) -> list[ResultRow]:
+        return [row for pair in part for row in _run_level(spec, *pair)]
+
+    def spill_rows(out) -> None:
+        for row in run(pairs[mid:]):
+            out.write(json.dumps(dataclasses.astuple(row)) + "\n")
+
+    rows: list[ResultRow] = []
+    spill = _forked(
+        lambda: rows.extend(run(pairs[:mid])),
+        spill_rows if mid < len(pairs) else None,
+    )
+    if spill is None:
+        rows += run(pairs[mid:])
+    else:
+        with spill:
+            rows += [ResultRow(*json.loads(line)) for line in spill]
     rows.sort(
         key=lambda r: (
             r.scenario,

@@ -12,7 +12,8 @@ same stream (``_standard_normal``).  The package runs two jobs at once in
 one of two ways, both here and both splitting the CPUs between them:
 ``_together`` for numpy work that releases the interpreter lock, in a
 thread, and ``_forked`` for Python work that holds it, in a forked
-process.
+process: formatting the second half of a CSV write's rows, and running
+the second half of an experiment grid's (scenario, level) pairs.
 """
 
 from __future__ import annotations
@@ -114,7 +115,8 @@ def _forked(first, second=None):
     no inherited buffer; an exception in ``first`` (``KeyboardInterrupt``
     included) kills and reaps it before it propagates.  ``second`` must
     only compute from memory and write to the spill: a lock another
-    thread held at the fork stays held in the child.
+    thread held at the fork stays held in the child.  Threads the child
+    starts itself (``_together``) are its own and take no such lock.
     """
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
     half = len(cpus) // 2

@@ -27,13 +27,7 @@ from causalboot.graph import (
     scenario_graph,
 )
 from causalboot.harness import ExperimentSpec, run_experiment
-from causalboot.identify import (
-    Identified,
-    JointTable,
-    Unidentifiable,
-    evaluate_estimand,
-    identify,
-)
+from causalboot.identify import Identified, Unidentifiable, identify
 from causalboot.model import (
     TrainConfig,
     auc,
@@ -53,6 +47,7 @@ from causalboot.simulate import (
     simulate,
 )
 from bruteforce import dsep_by_path_enumeration, random_admg, random_disjoint_sets
+from exact import JointTable, evaluate_estimand
 from population import DYADIC_RATES, training_rows
 from scm import DiscreteSCM
 

@@ -28,6 +28,7 @@ from causalboot.identify import EstimandError
 from causalboot.model import ModelError
 from causalboot.simulate import MAX_ROWS, Dataset, SimulateError
 import csv_reference
+from forks import counting_forks, two_cpus
 
 CLI = [sys.executable, "-m", "causalboot.cli"]
 
@@ -214,6 +215,19 @@ def test_simulate_rejects_malformed_offsets(tmp_path):
     assert out.returncode == 1
     assert "error: --delta-y needs comma-separated floats" in out.stderr
     assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("cell", ["1_0", "٣", "1\u0660"])
+def test_simulate_refuses_offsets_beyond_the_strict_syntax(tmp_path, capsys, cell):
+    path = tmp_path / "o.csv"
+    offsets = ",".join([cell] + ["0"] * 9)
+    argv = ["simulate", "--scenario", "a", "--n", "5", "--seed", "1",
+            "--out", str(path), "--delta-y", offsets]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: --delta-y needs comma-separated floats, got {offsets!r}\n"
+    )
+    assert not path.exists()
 
 
 def test_simulate_rejects_non_finite_noise_and_offsets(tmp_path):
@@ -551,29 +565,6 @@ def test_write_read_round_trip_across_chunks(tmp_path_factory, n, d, data):
         mp.undo()
 
 
-def two_cpus():
-    """Whether the write may split: os.fork and at least two CPUs."""
-    return (
-        hasattr(os, "fork")
-        and hasattr(os, "sched_getaffinity")
-        and len(os.sched_getaffinity(0)) >= 2
-    )
-
-
-def counting_forks(mp):
-    """Patch os.fork to note, in the calling process, each child's pid."""
-    pids, fork = [], os.fork
-
-    def counted():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    mp.setattr(os, "fork", counted)
-    return pids
-
-
 def written(path, data, *index):
     cli._write_dataset(str(path), data, *index)
     return path.read_bytes()
@@ -723,6 +714,9 @@ STRICT_CELLS = [
     # a byte that is not UTF-8
     (b"1\xff", "x0", "could not convert string to float: '1\\udcff'"),
     (b"1\xff", "u", "invalid literal for int() with base 10: '1\\udcff'"),
+    # separators that numpy.loadtxt, not float() or int(), strips as blanks
+    ("\x1c0.5", "x0", "could not convert string to float: '\\x1c0.5'"),
+    ("1\x1f", "u", "invalid literal for int() with base 10: '1\\x1f'"),
 ]
 
 
@@ -743,6 +737,32 @@ def test_bootstrap_refuses_cells_beyond_the_strict_syntax(
         assert cli.main(argv) == 1
         assert capsys.readouterr().err == f"error: row 7: {message}\n"
         assert not out_path.exists()
+
+
+def test_separators_in_a_shadow_cell_read(tmp_path):
+    path = tmp_path / "in.csv"
+    path.write_text("x0,y,u,_v\n0.5,1,0,\x1c1\x1f\n0.25,0,1,2\n")
+    data = cli._read_dataset(str(path))
+    assert data.x.tolist() == [[0.5], [0.25]]
+    assert data.y.tolist() == [1, 0]
+
+
+def test_a_huge_cell_and_a_fault_name_the_faulty_row(tmp_path, capsys):
+    # csv.reader refuses a cell over csv.field_size_limit() characters;
+    # the checker reads the one np.loadtxt read and names the real fault
+    limit = csv.field_size_limit()
+    src, out_path = tmp_path / "in.csv", tmp_path / "out.csv"
+    src.write_text("x0,y,u,_v\n0.5,1,0," + "7" * 200_000 + "\n1_0,0,1,2\n")
+    argv = ["bootstrap", "--scenario", "a", "--method", "da",
+            "--in", str(src), "--out", str(out_path), "--seed", "1"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: row 3: x0 value '1_0' is not a plain ASCII number\n"
+    )
+    assert not out_path.exists()
+    assert csv.field_size_limit() == limit
+    src.write_text("x0,y,u,_" + "v" * 200_000 + "\n0.5,1,0,2\n0.25,0,1,3\n")
+    assert cli._read_dataset(str(src)).x.tolist() == [[0.5], [0.25]]
 
 
 def test_a_warning_in_the_parse_refuses_the_file(tmp_path, monkeypatch):
@@ -779,7 +799,7 @@ CSV_JUNK = [
     "", " ", "abc", "nan", "inf", "-inf", "1e400", "1_0", "0x1", "1.5", "+1", "٣",
     "１", "\u30001", " 1 ", '"1"', '"', '""', '"1,0"', '"1\n0"', '"\n"', '"a\n\nb"',
     '"1"2', "1.0", "9223372036854775807", "9223372036854775808",
-    "-9223372036854775809", "99999999999999999999",
+    "-9223372036854775809", "99999999999999999999", "\x1c0.5", "1\x1f", "\x1d1\x1e",
 ]
 CSV_FAULTS = ["junk", "junk", "short", "long", "blank", "spaces", "comment"]
 
@@ -1135,7 +1155,7 @@ def test_run_ends_with_an_exit_code_on_malformed_specs(text):
 
 
 DELTA_FLAGS = [f"--{name.replace('_', '-')}" for name in cli._DELTA_KEYS]
-DELTA_CELLS = ["0", "1.5", "-2", " 3 ", "nan", "inf", "1e400", "x", "", "1_0"]
+DELTA_CELLS = ["0", "1.5", "-2", " 3 ", "nan", "inf", "1e400", "x", "", "1_0", "٣"]
 
 
 @st.composite

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import os
 import weakref
 
 import numpy as np
@@ -22,6 +23,7 @@ from causalboot.harness import (
 )
 from causalboot.model import TrainConfig
 from causalboot.simulate import SimConfig
+from forks import counting_forks, two_cpus
 
 # How read_results parses each column of results.csv, in ResultRow's order.
 _COLUMN_PARSERS = (
@@ -456,10 +458,30 @@ def _digest(spec, tmp_path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def serially(first, second=None):
+    """A stand-in for ``rng._forked`` that never forks: the caller then
+    runs ``second``'s work itself, as on a one-CPU machine."""
+    first()
+    return None
+
+
+def kept_pairs(spec, forked):
+    """The (scenario, level) pairs the calling process runs itself: the
+    first half, rounded up, when a child runs the rest."""
+    pairs = [(s, level) for s in spec.scenarios for level in spec.levels]
+    return pairs[: (len(pairs) + 1) // 2] if forked else pairs
+
+
+@pytest.mark.parametrize("mode", ["forked", "fallback"])
 @pytest.mark.parametrize("name", sorted(PINNED_GRIDS))
 def test_grid_matches_pinned_digest_whatever_the_stack_size(
-    name, tmp_path, monkeypatch
+    name, mode, tmp_path, monkeypatch
 ):
+    forked = mode == "forked"
+    if forked and not two_cpus():
+        pytest.skip("the split needs os.fork and two CPUs")
+    if not forked:
+        monkeypatch.setattr(harness, "_forked", serially)
     text, pinned = PINNED_GRIDS[name]
     spec = parse_spec_text(text)
     calls = {"simulate": 0, "identify": 0}
@@ -481,12 +503,16 @@ def test_grid_matches_pinned_digest_whatever_the_stack_size(
     monkeypatch.setattr(bootstrap, "identify", counted(bootstrap.identify, "identify"))
     monkeypatch.setattr(harness, "_train_sets", recorded)
     bootstrap._weight_form.cache_clear()
+    pids = counting_forks(monkeypatch) if forked else []
     assert _digest(spec, tmp_path) == pinned
-    cells = len(spec.scenarios) * len(spec.levels) * len(spec.seeds)
-    checked = len(spec.scenarios) if MethodId.CB in spec.methods else 0
+    assert len(pids) == int(forked)
+    # the child's calls do not count here: these are this process's own
+    kept = kept_pairs(spec, forked)
+    cells = len(kept) * len(spec.seeds)
+    checked = len({s for s, _ in kept}) if MethodId.CB in spec.methods else 0
     assert calls == {"simulate": cells * (1 + 4), "identify": checked}
     # one stack per (scenario, level), holding every trainable cell
-    assert len(stacks) == len(spec.scenarios) * len(spec.levels)
+    assert len(stacks) == len(kept)
     assert max(stacks) == len(spec.seeds) * len(spec.methods)
 
     # smaller than any one model's features: every model trains alone
@@ -494,6 +520,58 @@ def test_grid_matches_pinned_digest_whatever_the_stack_size(
     monkeypatch.setattr(harness, "_STACK_BYTES", 1)
     assert _digest(spec, tmp_path) == pinned
     assert set(stacks) == {1}
+
+
+def raise_in(where):
+    """Wrap ``_run_level`` to raise in the child or in this process only."""
+    parent, run_level = os.getpid(), harness._run_level
+
+    def wrapper(*args):
+        if (os.getpid() == parent) == (where == "caller"):
+            raise RuntimeError(f"fault in the {where}")
+        return run_level(*args)
+
+    return wrapper
+
+
+@pytest.mark.skipif(not two_cpus(), reason="the split needs os.fork and two CPUs")
+def test_a_failed_child_leaves_the_caller_to_run_its_half(tmp_path, monkeypatch):
+    text, pinned = PINNED_GRIDS["mixed"]
+    pids = counting_forks(monkeypatch)
+    monkeypatch.setattr(harness, "_run_level", raise_in("child"))
+    assert _digest(parse_spec_text(text), tmp_path) == pinned
+    assert len(pids) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not two_cpus(), reason="the split needs os.fork and two CPUs")
+def test_a_fault_in_the_caller_leaves_no_child(monkeypatch):
+    pids = counting_forks(monkeypatch)
+    monkeypatch.setattr(harness, "_run_level", raise_in("caller"))
+    with pytest.raises(RuntimeError, match="fault in the caller"):
+        run_experiment(parse_spec_text(PINNED_GRIDS["mixed"][0]))
+    assert len(pids) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def no_fork():
+    raise AssertionError("a process was forked")
+
+
+def test_one_cpu_never_forks(tmp_path, monkeypatch):
+    text, pinned = PINNED_GRIDS["mixed"]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    assert _digest(parse_spec_text(text), tmp_path) == pinned
+
+
+def test_one_pair_never_forks(monkeypatch):
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    spec = small_spec(seeds=(0,))
+    assert kept_pairs(spec, True) == kept_pairs(spec, False)
+    assert len(run_experiment(spec)) == len(spec.methods) * 4
 
 
 def test_training_sets_are_freed_once_trained(monkeypatch):

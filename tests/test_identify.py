@@ -12,19 +12,18 @@ from causalboot.identify import (
     Estimand,
     EstimandError,
     Identified,
-    JointTable,
     Product,
     Quotient,
     Ref,
     Sum,
     Unidentifiable,
     estimand_to_text,
-    evaluate_estimand,
     identify,
     latent_project,
     prune,
 )
 from bruteforce import random_admg
+from exact import JointTable, evaluate_estimand
 from scm import DiscreteSCM
 
 SCENARIOS = ["a", "b", "c", "d", "e"]
