@@ -35,7 +35,6 @@ from .graph import (
     ancestors,
     d_separated,
     descendants,
-    graph_to_text,
     mutilate,
     parse_graph,
     scenario_graph,
@@ -121,7 +120,6 @@ __all__ = [
     "estimand_to_text",
     "exact_interventional",
     "exact_observational",
-    "graph_to_text",
     "identify",
     "latent_project",
     "loss_and_grad",

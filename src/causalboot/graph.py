@@ -211,20 +211,6 @@ def parse_graph(text: str) -> CausalGraph:
     )
 
 
-def graph_to_text(g: CausalGraph) -> str:
-    """Render ``g`` in the DSL so that parse(render(g)) == g."""
-    lines = []
-    if g.nodes:
-        lines.append("; ".join(g.nodes) + ";")
-    for name in sorted(g.latent):
-        lines.append(f"latent {name};")
-    for tail, head in sorted(g.directed):
-        lines.append(f"{tail} -> {head};")
-    for a, b in sorted(g.bidirected):
-        lines.append(f"{a} <-> {b};")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 def topological_order(g: CausalGraph) -> tuple[str, ...]:
     """Kahn's algorithm with lexicographic tie-breaking (deterministic)."""
     indeg = {n: 0 for n in g.nodes}

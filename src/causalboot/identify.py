@@ -15,7 +15,8 @@ the intervention variables.  Everything else is bound by a sum.  Bound
 variables are displayed as the lower-cased node name, primed when that
 name is already taken (``Σ_{y'} P(x|u,y',z) P(y'|u)``).
 
-:func:`prune` simplifies an estimand by d-separation.
+:func:`prune` simplifies an estimand by d-separation.  It and the
+recursion sum variables out by one rule, :func:`_collapse`.
 """
 
 from __future__ import annotations
@@ -249,20 +250,12 @@ def _collapse(
 # the working representation of a distribution during identification
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Dist:
-    """Product of factors over a π-ordered scope; ``factors[v]`` are the
-    factors whose latest in-scope reference is ``v`` (``None`` for factors
-    that reference no in-scope variable)."""
+    """The product of ``factors`` over a π-ordered ``scope``."""
 
     scope: tuple[str, ...]
-    factors: dict[str | None, tuple[Expr, ...]]
-
-    def all_factors(self) -> list[Expr]:
-        out = []
-        for owner in list(self.scope) + [None]:
-            out.extend(self.factors.get(owner, ()))
-        return out
+    factors: tuple[Expr, ...]
 
 
 class _Hedge(Exception):
@@ -292,71 +285,27 @@ class _State:
 
 def _initial_dist(state: _State, variables: tuple[str, ...]) -> _Dist:
     """The observational chain product over ``variables`` in π order."""
-    factors: dict[str | None, tuple[Expr, ...]] = {}
-    for i, v in enumerate(variables):
-        target = (state.free_ref(v),)
-        given = tuple(state.free_ref(p) for p in variables[:i])
-        factors[v] = (Cond(target, given),)
-    return _Dist(scope=variables, factors=factors)
+    return _Dist(
+        scope=variables,
+        factors=tuple(
+            Cond((state.free_ref(v),), tuple(state.free_ref(p) for p in variables[:i]))
+            for i, v in enumerate(variables)
+        ),
+    )
 
 
 def _marginalize(state: _State, dist: _Dist, sumset: frozenset[str]) -> _Dist:
-    """Sum ``sumset`` out of ``dist``, peeling telescoping factors and
-    wrapping whatever remains in an explicit bound sum."""
-    factors = {k: list(v) for k, v in dist.factors.items()}
-    scope = list(dist.scope)
-    left = set(sumset)
-
-    def referenced_elsewhere(v: str) -> bool:
-        ref = state.free_ref(v)
-        for owner, fs in factors.items():
-            for f in fs:
-                if owner == v:
-                    continue
-                if ref in _refs(f):
-                    return True
-        return False
-
-    progress = True
-    while progress:
-        progress = False
-        for v in tuple(reversed(scope)):
-            if v not in left:
-                continue
-            owned = factors.get(v, [])
-            if len(owned) == 1 and not referenced_elsewhere(v):
-                if _sums_to_one(owned[0], state.free_ref(v)):
-                    factors.pop(v)
-                    scope.remove(v)
-                    left.remove(v)
-                    progress = True
-
-    if left:
-        stubborn = sorted(left, key=state.pos)
-        refs = {v: state.free_ref(v) for v in stubborn}
-        touched: list[Expr] = []
-        for owner in list(factors):
-            kept = []
-            for f in factors[owner]:
-                if any(r in _refs(f) for r in refs.values()):
-                    touched.append(f)
-                else:
-                    kept.append(f)
-            factors[owner] = kept
-        for v in stubborn:
-            factors.pop(v, None)
-            scope.remove(v)
-        binders = tuple((state.placeholder(), v) for v in stubborn)
-        mapping = {refs[v]: alias for alias, v in binders}
-        composite = Sum(binders, _product([_substitute(f, mapping) for f in touched]))
-        in_scope = {r.var for r in _refs(composite) if r.var in scope and r == state.free_ref(r.var)}
-        owner = max(in_scope, key=state.pos) if in_scope else None
-        factors.setdefault(owner, []).append(composite)
-
-    return _Dist(
-        scope=tuple(scope),
-        factors={k: tuple(v) for k, v in factors.items() if v},
-    )
+    """Sum ``sumset`` out of ``dist`` by the rule :func:`prune` shares
+    (:func:`_collapse`), then wrap the factors that mention a variable it
+    could not peel in one explicit bound sum."""
+    binders = tuple((state.free[v], v) for v in dist.scope if v in sumset)
+    kept, left = _collapse(binders, Product(dist.factors))
+    refs = {Ref(v, alias) for alias, v in kept}
+    factors = [f for f in left if not refs & _refs(f)]
+    if kept:
+        touched = [f for f in left if refs & _refs(f)]
+        factors.append(_wrap_sum(state, [v for _, v in kept], _product(touched)))
+    return _Dist(tuple(v for v in dist.scope if v not in sumset), tuple(factors))
 
 
 def _product(factors: Iterable[Expr]) -> Expr:
@@ -376,8 +325,7 @@ def _conditional(state: _State, dist: _Dist, v: str) -> Expr:
     after = frozenset(dist.scope[dist.scope.index(v) + 1 :])
     num = _marginalize(state, dist, after)
     den = _marginalize(state, num, frozenset([v]))
-    num_fs = num.all_factors()
-    den_fs = den.all_factors()
+    num_fs, den_fs = list(num.factors), list(den.factors)
     for f in list(den_fs):
         if f in num_fs:
             num_fs.remove(f)
@@ -452,7 +400,7 @@ def _id(state: _State, y: NodeSet, x: NodeSet, dist: _Dist, g: CausalGraph) -> E
     scope = frozenset(dist.scope)
 
     if not x:
-        return _product(_marginalize(state, dist, scope - y).all_factors())
+        return _product(_marginalize(state, dist, scope - y).factors)
 
     anc = ancestors(g, y)
     if scope != anc:
@@ -484,7 +432,7 @@ def _id(state: _State, y: NodeSet, x: NodeSet, dist: _Dist, g: CausalGraph) -> E
     order = [v for v in dist.scope if v in sprime]
     narrowed = _Dist(
         scope=tuple(order),
-        factors={v: (_conditional(state, dist, v),) for v in order},
+        factors=tuple(_conditional(state, dist, v) for v in order),
     )
     return _id(state, y, x & sprime, narrowed, g.subgraph(sprime))
 

@@ -171,23 +171,6 @@ def loss_and_grad(model: Model, x: np.ndarray, y: np.ndarray, l2: float):
     return loss, _unstack(type(model), grads, 0)
 
 
-def params_vector(model: Model) -> np.ndarray:
-    """Every parameter in field order, each flattened row-major."""
-    return np.concatenate([p.ravel() for p in _stack([model])])
-
-
-def replace_params(model: Model, vector: np.ndarray) -> Model:
-    """A model shaped like ``model`` holding ``params_vector``'s layout."""
-    vector = np.asarray(vector, dtype=float)
-    layout = _stack([model])
-    sizes = [p.size for p in layout]
-    if len(vector) != sum(sizes):
-        raise ModelError("parameter vector has the wrong length")
-    parts = np.split(vector, np.cumsum(sizes)[:-1])
-    stacked = [part.reshape(p.shape) for part, p in zip(parts, layout)]
-    return _unstack(type(model), stacked, 0)
-
-
 def _initial_model(kind: str, dim: int, width: int, rng) -> Model:
     if kind == "linear":
         return LinearModel(weights=np.zeros(dim), bias=0.0)

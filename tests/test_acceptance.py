@@ -32,9 +32,7 @@ from causalboot.model import (
     TrainConfig,
     auc,
     loss_and_grad,
-    params_vector,
     predict_proba,
-    replace_params,
     train,
 )
 from causalboot.rng import derive_key, stream
@@ -48,6 +46,7 @@ from causalboot.simulate import (
 )
 from bruteforce import dsep_by_path_enumeration, random_admg, random_disjoint_sets
 from exact import JointTable, evaluate_estimand
+from params import params_vector, replace_params
 from population import DYADIC_RATES, training_rows
 from scm import DiscreteSCM
 

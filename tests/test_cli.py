@@ -443,6 +443,27 @@ def test_bootstrap_input_validation_exit_code(tmp_path):
         assert out.returncode == 1
         assert f"error: column '{name}' appears more than once" in out.stderr
         assert not out_path.exists()
+    no_y = tmp_path / "no_y.csv"
+    no_y.write_text("x0,u\n0.1,0\n0.2,1\n")
+    fine = tmp_path / "fine.csv"
+    fine.write_text("x0,y,u\n0.1,1,0\n0.2,0,1\n")
+    for src, method, message in (
+        (no_y, "cb", "error: dataset needs a y column"),
+        (fine, "simple", "error: bootstrap method must be cb or da"),
+    ):
+        out_path = tmp_path / "out.csv"
+        out = run_cli(
+            "bootstrap",
+            "--scenario", "a",
+            "--method", method,
+            "--in", src,
+            "--out", out_path,
+            "--seed", 1,
+        )
+        assert out.returncode == 1
+        assert message in out.stderr
+        assert "Traceback" not in out.stderr
+        assert not out_path.exists()
 
 
 @pytest.mark.parametrize("method", ["cb", "da"])

@@ -16,7 +16,6 @@ from causalboot.graph import (
     ancestors,
     d_separated,
     descendants,
-    graph_to_text,
     mutilate,
     parse_graph,
     scenario_graph,
@@ -24,6 +23,7 @@ from causalboot.graph import (
 )
 
 from bruteforce import dsep_by_path_enumeration, random_admg, random_disjoint_sets
+from graph_text import graph_to_text
 
 
 def test_parse_edges_and_flags():

@@ -498,7 +498,12 @@ def test_grid_matches_pinned_digest_whatever_the_stack_size(
         stacks.append(len(sets))
         return train_sets(sets, configs)
 
-    train_sets = harness._train_sets
+    def noted(self, key, x, y, config):
+        adds.append((self, x.nbytes))
+        add(self, key, x, y, config)
+
+    train_sets, add, adds = harness._train_sets, harness._Stacks.add, []
+    monkeypatch.setattr(harness._Stacks, "add", noted)
     monkeypatch.setattr(harness, "simulate", counted(harness.simulate, "simulate"))
     monkeypatch.setattr(bootstrap, "identify", counted(bootstrap.identify, "identify"))
     monkeypatch.setattr(harness, "_train_sets", recorded)
@@ -515,11 +520,37 @@ def test_grid_matches_pinned_digest_whatever_the_stack_size(
     assert len(stacks) == len(kept)
     assert max(stacks) == len(spec.seeds) * len(spec.methods)
 
+    # between one set's features and two: a set that would overflow a
+    # waiting stack trains that stack first, so levels take several stacks
+    limit = 3 * max(nbytes for _, nbytes in adds) // 2
+    stacks.clear()
+    adds.clear()
+    monkeypatch.setattr(harness, "_STACK_BYTES", limit)
+    assert _digest(spec, tmp_path) == pinned
+    assert stacks == byte_rule(adds, limit)
+    assert len(stacks) > len(kept)
+
     # smaller than any one model's features: every model trains alone
     stacks.clear()
     monkeypatch.setattr(harness, "_STACK_BYTES", 1)
     assert _digest(spec, tmp_path) == pinned
     assert set(stacks) == {1}
+
+
+def byte_rule(adds, limit):
+    """The stack sizes of ``adds``, (stacks, feature bytes) in the order the
+    sets were added: a stack trains before a set that would take it past
+    ``limit`` bytes, once it reaches ``limit``, and when its level ends."""
+    sizes, owner, count, total = [], None, 0, 0
+    for stacks, nbytes in adds:
+        if count and (stacks is not owner or total + nbytes > limit):
+            sizes.append(count)
+            count = total = 0
+        owner, count, total = stacks, count + 1, total + nbytes
+        if total >= limit:
+            sizes.append(count)
+            count = total = 0
+    return sizes + [count] if count else sizes
 
 
 def raise_in(where):

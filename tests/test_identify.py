@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+from itertools import product
 
 import numpy as np
 import pytest
@@ -272,6 +273,31 @@ def test_random_graphs_multi_node_interventions():
     assert checked >= 20
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x -> X; X -> Y; x -> Y",
+        "X -> Y; X <-> x; x -> Y",
+        "x -> X; X -> Y; x -> Y; y -> Y; y -> X",
+    ],
+)
+def test_node_names_that_collide_when_lower_cased_match_enumeration(text):
+    # X and x both lower-case to "x", so one of them is shown primed,
+    # bound or free: the last two queries hold both as free variables
+    g = parse_graph(text)
+    queries = (("Y", ["X"]), ("X", ["Y"]), ("X", ["x"]), ("Y", ["X", "x"]))
+    for outcome, intervention in queries:
+        for seed in range(5):
+            scm = DiscreteSCM.random(np.random.default_rng(seed), g)
+            joint = joint_from(scm)
+            for estimand in with_pruned(identified(g, [outcome], intervention), g):
+                for values in product((0, 1), repeat=len(intervention)):
+                    do = dict(zip(intervention, values))
+                    got = evaluate_estimand(estimand, joint, do)
+                    want = scm.interventional(do, (outcome,))
+                    assert np.allclose(got, want, atol=1e-9, rtol=0), (outcome, do, seed)
+
+
 # One line per query, the estimand text or the hedge witness, over the five
 # scenario graphs and 500 random ADMGs (seeds 0-499); 79 of the 505 are hedges.
 ENGINE_TEXT_SHA256 = "92f90b0ea312612dbe026a8383de5ea0c6d7f520f82317c7eb849f8349122d2c"
@@ -286,6 +312,34 @@ def test_engine_text_on_random_graphs_matches_pinned_digest():
         rng.shuffle(nodes)
         outcome = nodes[1 : 2 + int(rng.integers(0, min(2, len(nodes) - 1)))]
         queries.append((g, outcome, nodes[:1]))
+    assert engine_text_digest(queries) == ENGINE_TEXT_SHA256
+
+
+# The same over 1,000 larger ADMGs (seeds 0-999): 5-10 nodes, p_edge drawn
+# from U(0.2, 0.7) and p_bi from U(0.1, 0.5), 1-3 intervention nodes and
+# 1-3 outcomes.  370 are hedges, 542 hold a sum and 119 a quotient.
+WIDE_ENGINE_TEXT_SHA256 = "8a55411fedc32f11543465a9e58718b9f9d96477acb0ce9a0ff03b00e2ad041b"
+
+
+def test_engine_text_on_larger_random_graphs_matches_pinned_digest():
+    queries = []
+    for seed in range(1000):
+        rng = np.random.default_rng(seed)
+        g = random_admg(
+            rng,
+            int(rng.integers(5, 11)),
+            p_edge=rng.uniform(0.2, 0.7),
+            p_bi=rng.uniform(0.1, 0.5),
+        )
+        nodes = list(g.nodes)
+        rng.shuffle(nodes)
+        k = int(rng.integers(1, 4))
+        queries.append((g, nodes[k : k + int(rng.integers(1, 4))], nodes[:k]))
+    assert engine_text_digest(queries) == WIDE_ENGINE_TEXT_SHA256
+
+
+def engine_text_digest(queries) -> str:
+    """sha256 of one line per query: the estimand text or the hedge witness."""
     lines = []
     for g, outcome, intervention in queries:
         out = identify(g, outcome, intervention)
@@ -293,8 +347,7 @@ def test_engine_text_on_random_graphs_matches_pinned_digest():
             lines.append(estimand_to_text(out.estimand))
         else:
             lines.append(out.witness)
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == ENGINE_TEXT_SHA256
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,13 @@ from causalboot.model import (
     _sigmoid,
     auc,
     loss_and_grad,
-    params_vector,
     predict_proba,
-    replace_params,
     train,
     train_many,
 )
 from causalboot.rng import stream
+
+from params import params_vector, replace_params
 
 # --- ranking metric ---------------------------------------------------------
 
