@@ -36,7 +36,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import CausalBootError
+from .errors import CausalBootError, _member
 from .estimate import (
     EstimateError,
     KernelSpec,
@@ -81,14 +81,7 @@ class MethodId(Enum):
 
     @classmethod
     def coerce(cls, value) -> "MethodId":
-        if isinstance(value, cls):
-            return value
-        if isinstance(value, str):
-            low = value.lower()
-            for member in cls:
-                if low in (member.value, member.name.lower()):
-                    return member
-        raise BootstrapError(f"unknown method {value!r}")
+        return _member(cls, value, BootstrapError, "method")
 
 
 @cache

@@ -40,6 +40,8 @@ from .estimate import EstimateError, KernelSpec
 from .graph import OBSERVED_COLUMNS, ScenarioId, d_separated, parse_graph
 from .identify import Identified, estimand_to_text, identify
 from .harness import (
+    _SPEC_KEYS,
+    _TRAIN_KEYS,
     parse_spec_text,
     resolved_spec_text,
     run_experiment,
@@ -439,7 +441,13 @@ def build_parser() -> argparse.ArgumentParser:
         )
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("run", help="run an experiment grid from a spec file")
+    # the keys parse_spec_text reads, from the tables it reads them by
+    keys = [key for key, _, _ in _SPEC_KEYS] + [f"sim.{name}" for name in _SIM_KEYS]
+    p = sub.add_parser(
+        "run",
+        help="run an experiment grid from a spec file",
+        epilog="spec keys: " + ", ".join(keys + [f"train.{k}" for k in _TRAIN_KEYS]),
+    )
     p.add_argument("--spec", required=True, help="flat key=value spec file")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_run)

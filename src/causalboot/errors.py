@@ -1,4 +1,5 @@
-"""The package's one error base class."""
+"""The package's one error base class, and the one rule that reads an enum
+member from its spelling."""
 
 
 class CausalBootError(ValueError):
@@ -7,3 +8,17 @@ class CausalBootError(ValueError):
     zero-support estimation failure."""
 
     exit_code = 1
+
+
+def _member(cls, value, error: type[CausalBootError], what: str):
+    """The member of enum ``cls`` that ``value`` is or names by value or
+    by name, with outer blanks, case, '-' and '_' ignored; anything else
+    raises ``error`` saying the ``what`` is unknown."""
+    for member in cls:
+        if value is member or _key(value) in (_key(member.value), _key(member.name)):
+            return member
+    raise error(f"unknown {what} {value!r}")
+
+
+def _key(text) -> str:
+    return str(text).strip().lower().replace("-", "").replace("_", "")

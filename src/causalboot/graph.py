@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from .errors import CausalBootError
+from .errors import CausalBootError, _member
 
 NodeSet = frozenset[str]
 
@@ -69,17 +69,7 @@ class ScenarioId(Enum):
     @classmethod
     def coerce(cls, value: "ScenarioId | str") -> "ScenarioId":
         """Accept a ScenarioId, a letter ('a'..'e'), or an enum name."""
-        if isinstance(value, cls):
-            return value
-        text = str(value).strip()
-        try:
-            return cls(text.lower())
-        except ValueError:
-            pass
-        try:
-            return cls[text.upper()]
-        except KeyError:
-            raise GraphError(f"unknown scenario {value!r}") from None
+        return _member(cls, value, GraphError, "scenario")
 
 
 @dataclass(frozen=True)

@@ -236,80 +236,18 @@ def _method_set(spec, scenario, level, seed, method, draw):
     return training_set(select_features(data, method, scenario), data.y)
 
 
-class _Stacks:
-    """Training sets waiting to train, trained in one pass whenever the
-    next set would take them past ``_STACK_BYTES`` of features; a set
-    that fills a stack on its own trains at once."""
-
-    def __init__(self):
-        self.models: dict = {}
-        self._waiting: list = []
-        self._bytes = 0
-
-    def add(self, key, x, y, config) -> None:
-        if self._waiting and self._bytes + x.nbytes > _STACK_BYTES:
-            self.flush()
-        self._waiting.append((key, (x, y), config))
-        self._bytes += x.nbytes
-        if self._bytes >= _STACK_BYTES:
-            self.flush()
-
-    def flush(self) -> None:
-        if not self._waiting:
-            return
-        keys, sets, configs = zip(*self._waiting)
-        self._waiting.clear()
-        self._bytes = 0
-        self.models.update(zip(keys, _train_sets(sets, configs)))
-
-
-def _stage_seed(spec, scenario, level, seed, stacks) -> dict:
-    """Builds every method's training set for one seed from one training
-    draw, handing each to ``stacks`` as soon as it is built, so that no
-    more than the draw, one new set and the waiting stack are held.
-    Returns the status of each cell that cannot train."""
-    failed: dict = {}
-    runnable = []
-    for method in spec.methods:
-        if method is MethodId.DA and "u" not in OBSERVED_COLUMNS[scenario]:
-            failed[method] = "na"
-        else:
-            runnable.append(method)
-    if not runnable:
-        return failed
-    try:
-        data_seed = derive_key(seed, "data", "train", scenario.value, repr(level))
-        draw = simulate(
-            _sim_config(spec, scenario, level, spec.n_train),
-            TestRegime.CONF,
-            data_seed,
-        )
-    except CausalBootError as exc:
-        return {**failed, **{method: _error(exc) for method in runnable}}
-    for method in runnable:
-        try:
-            x, y = _method_set(spec, scenario, level, seed, method, draw)
-        except CausalBootError as exc:
-            failed[method] = _error(exc)
-            continue
-        train_seed = derive_key(
-            seed, "train", method.value, scenario.value, repr(level)
-        )
-        config = dataclasses.replace(spec.train, seed=train_seed)
-        stacks.add((seed, method), x, y, config)
-        del x, y  # a set that trained at once is not kept for the next
-    return failed
-
-
 def _run_level(spec: ExperimentSpec, scenario, level) -> list[ResultRow]:
     """Every (method, seed) cell of one scenario and level.
 
-    Each seed's training draw is simulated once and feeds every method's
-    training set.  The sets are trained together, in stacks of at most
-    ``_STACK_BYTES`` of features, and each (seed, regime) test draw is
-    simulated once and scored by every model trained on that seed.  A
-    cell that fails gets its own "error: ..." rows and leaves the rest
-    of its stack alone.
+    Each seed's training draw is simulated once, feeds every method's
+    training set and is released before the next seed's draw.  The sets
+    wait to train and train together in one pass before a new set would
+    take them past ``_STACK_BYTES`` of features, as soon as they reach
+    it, and at the end of the level.  So a level holds one draw, one new
+    set, at most ``_STACK_BYTES`` of waiting features and its models.
+    Each (seed, regime) test draw is then simulated once and scored by
+    every model trained on that seed.  A cell that fails gets its own
+    "error: ..." rows and leaves the rest of its stack alone.
     """
     rows: list[ResultRow] = []
 
@@ -321,14 +259,56 @@ def _run_level(spec: ExperimentSpec, scenario, level) -> list[ResultRow]:
             )
         )
 
-    stacks = _Stacks()
+    def fail(method, seed, status):
+        for regime in TestRegime:
+            report(method, seed, regime, status=status)
+
+    runnable = list(spec.methods)
+    if MethodId.DA in runnable and "u" not in OBSERVED_COLUMNS[scenario]:
+        runnable.remove(MethodId.DA)  # no observed confounder to balance
+        for seed in spec.seeds:
+            fail(MethodId.DA, seed, "na")
+    if not runnable:
+        return rows
+
+    models, waiting, waiting_bytes = {}, [], 0
+
+    def train_waiting():
+        nonlocal waiting_bytes
+        if waiting:
+            keys, sets, configs = zip(*waiting)
+            waiting.clear()
+            waiting_bytes = 0
+            models.update(zip(keys, _train_sets(sets, configs)))
+
     for seed in spec.seeds:
-        failed = _stage_seed(spec, scenario, level, seed, stacks)
-        for method, status in failed.items():
-            for regime in TestRegime:
-                report(method, seed, regime, status=status)
-    stacks.flush()
-    models = stacks.models
+        try:
+            draw = simulate(
+                _sim_config(spec, scenario, level, spec.n_train),
+                TestRegime.CONF,
+                derive_key(seed, "data", "train", scenario.value, repr(level)),
+            )
+        except CausalBootError as exc:
+            for method in runnable:
+                fail(method, seed, _error(exc))
+            continue
+        for method in runnable:
+            try:
+                x, y = _method_set(spec, scenario, level, seed, method, draw)
+            except CausalBootError as exc:
+                fail(method, seed, _error(exc))
+                continue
+            if waiting and waiting_bytes + x.nbytes > _STACK_BYTES:
+                train_waiting()
+            key = derive_key(seed, "train", method.value, scenario.value, repr(level))
+            config = dataclasses.replace(spec.train, seed=key)
+            waiting.append(((seed, method), (x, y), config))
+            waiting_bytes += x.nbytes
+            del x, y  # a set that trains at once is not kept for the next
+            if waiting_bytes >= _STACK_BYTES:
+                train_waiting()
+        del draw
+    train_waiting()
 
     for seed in spec.seeds:
         for regime in TestRegime:

@@ -234,16 +234,20 @@ def _collapse(
 ) -> tuple[tuple[tuple[str, str], ...], list[Expr]]:
     """The binders and factors left of Σ over ``binders`` of ``body`` once
     each binder whose one touching factor sums to 1 over it is summed
-    away, innermost (last) first."""
+    away, innermost (last) first, pass after pass: peeling an inner
+    binder can leave an outer one with one touching factor."""
     remaining = list(body.factors if isinstance(body, Product) else (body,))
     kept = list(binders)
-    for alias, var in reversed(binders):
-        bref = Ref(var, alias)
-        touching = [f for f in remaining if bref in _refs(f)]
-        if len(touching) == 1 and _sums_to_one(touching[0], bref):
-            remaining.remove(touching[0])
-            kept.remove((alias, var))
-    return tuple(kept), remaining
+    while True:
+        before = len(kept)
+        for alias, var in kept[::-1]:
+            bref = Ref(var, alias)
+            touching = [f for f in remaining if bref in _refs(f)]
+            if len(touching) == 1 and _sums_to_one(touching[0], bref):
+                remaining.remove(touching[0])
+                kept.remove((alias, var))
+        if len(kept) == before:
+            return tuple(kept), remaining
 
 
 # ---------------------------------------------------------------------------

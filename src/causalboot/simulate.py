@@ -32,7 +32,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import CausalBootError
+from .errors import CausalBootError, _member
 from .graph import (
     OBSERVED_COLUMNS,
     SHADOW_COLUMNS,
@@ -58,14 +58,7 @@ class TestRegime(Enum):
 
     @classmethod
     def coerce(cls, value) -> "TestRegime":
-        if isinstance(value, cls):
-            return value
-        if isinstance(value, str):
-            low = value.lower().replace("-", "").replace("_", "")
-            for member in cls:
-                if low in (member.value, member.name.lower()):
-                    return member
-        raise SimulateError(f"unknown test regime {value!r}")
+        return _member(cls, value, SimulateError, "test regime")
 
 
 # Offset scale frozen by a one-off sweep so that a logistic model trained

@@ -457,6 +457,13 @@ def test_resample_draws_every_label_count(sizes, seed):
     assert (out.y == 1).sum() == ones
 
 
+def test_resample_refuses_a_table_of_another_length():
+    table = cb_weights(toy_dataset(n=30).weight_columns(), "a")
+    with pytest.raises(BootstrapError) as got:
+        cb_resample(toy_dataset(n=40), table, ResampleConfig(seed=0))
+    assert str(got.value) == "weight table and dataset sizes differ"
+
+
 def test_delta_kernel_copies_rows():
     data = toy_dataset(n=100)
     table = cb_weights(data.weight_columns(), "a")
@@ -877,6 +884,13 @@ def test_conditioning_features_per_scenario(scenario, extra):
     np.testing.assert_array_equal(
         feats[:, 10:], np.column_stack([data.columns[name] for name in names])
     )
+
+
+def test_conditioning_features_need_their_columns():
+    data = dataset_from(np.zeros((4, 2)), np.array([0, 1, 0, 1]), columns={})
+    with pytest.raises(EstimateError) as got:
+        select_features(data, "if", "a")
+    assert str(got.value) == "conditioning features need observed column 'u'"
 
 
 def test_hidden_columns_never_selected():

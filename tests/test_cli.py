@@ -23,7 +23,7 @@ from causalboot.bootstrap import BootstrapError, NotIdentifiedError
 from causalboot.errors import CausalBootError
 from causalboot.estimate import EstimateError, ZeroSupportError
 from causalboot.graph import GraphError
-from causalboot.harness import HarnessError
+from causalboot.harness import HarnessError, parse_spec_text, resolved_spec_text
 from causalboot.identify import EstimandError
 from causalboot.model import ModelError
 from causalboot.simulate import MAX_ROWS, Dataset, SimulateError
@@ -1109,6 +1109,19 @@ def test_run_rejects_bad_spec(tmp_path, capsys):
         assert code == 2
         assert message in err
         assert not out_dir.exists()
+
+
+def test_run_help_lists_every_spec_key(capsys):
+    # resolved specs write every key a spec file may set, in either mode
+    accepted = set()
+    for text in ("scenarios=a\n", "scenarios=a\ncomplexity_sweep=1\nsim.qp_c=0.5\n"):
+        resolved = resolved_spec_text(parse_spec_text(text))
+        accepted |= {line.partition("=")[0] for line in resolved.splitlines()}
+    with pytest.raises(SystemExit):
+        cli.main(["run", "--help"])
+    listed = capsys.readouterr().out.partition("spec keys:")[2]
+    assert set(listed.replace(",", " ").split()) == accepted
+    assert "train.seed" not in listed
 
 
 def test_run_rejects_unusable_train_settings(tmp_path, capsys):

@@ -26,6 +26,9 @@ def test_kernel_spec_parsing_and_validation():
         KernelSpec.parse("gaussian:inf")
     with pytest.raises(EstimateError):
         KernelSpec("delta", 1.0)
+    with pytest.raises(EstimateError) as got:
+        KernelSpec("box")
+    assert str(got.value) == "unknown kernel kind 'box'"
 
 
 def test_silverman_bandwidth_closed_form():

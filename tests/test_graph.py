@@ -70,6 +70,31 @@ def test_bidirected_on_latent_rejected():
         parse_graph("latent H; H <-> B")
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(nodes=("A", "B", "A")), "duplicate node names"),
+        (dict(nodes=("A",), directed=frozenset({("A", "B")})),
+         "edge A->B references unknown node"),
+        (dict(nodes=("A",), bidirected=frozenset({("A", "B")})),
+         "edge A<->B references unknown node"),
+        (dict(nodes=("A",), latent=frozenset({"H"})), "latent flag on unknown node"),
+    ],
+)
+def test_graph_refuses_unknown_or_repeated_nodes(kwargs, message):
+    with pytest.raises(GraphError) as got:
+        CausalGraph(**kwargs)
+    assert str(got.value) == message
+
+
+def test_bidirected_latent_takes_a_fresh_name():
+    # the latent behind A <-> B would be _L_A_B, the name of C's parent;
+    # sharing it would join A and C
+    g = parse_graph("A <-> B; _L_A_B -> C")
+    assert d_separated(g, ["A"], ["C"], [])
+    assert not d_separated(g, ["A"], ["B"], [])
+
+
 def test_roundtrip_scenarios():
     for sid in ScenarioId:
         g = scenario_graph(sid)

@@ -1,6 +1,7 @@
 """Grid runner: cardinality, status rows, determinism, persistence, parsing."""
 
 import csv
+import dataclasses
 import hashlib
 import os
 import weakref
@@ -22,7 +23,8 @@ from causalboot.harness import (
     write_results,
 )
 from causalboot.model import TrainConfig
-from causalboot.simulate import SimConfig
+from causalboot.rng import derive_key
+from causalboot.simulate import SimConfig, SimulateError
 from forks import counting_forks, two_cpus
 
 # How read_results parses each column of results.csv, in ResultRow's order.
@@ -123,6 +125,41 @@ def test_error_rows_do_not_abort():
     unseen = cells[("a", "simple", 0.95, "unseen", 0)]
     assert unseen.status.startswith("error:")
     assert unseen.auc is None
+
+
+def test_a_level_with_no_runnable_method_simulates_nothing(monkeypatch):
+    monkeypatch.setattr(harness, "simulate", no_draw)
+    rows = run_experiment(small_spec(scenarios=("d",), methods=("da",), seeds=(0, 1)))
+    assert len(rows) == 2 * 4
+    assert all(r.status == "na" and r.auc is None for r in rows)
+
+
+def no_draw(*args):
+    raise AssertionError("a draw was simulated")
+
+
+def test_a_failed_training_draw_fails_its_seed_only(monkeypatch):
+    spec = small_spec(scenarios=("d",), methods=("da", "simple", "cb"))
+    clean = run_experiment(spec)
+    broken = derive_key(1, "data", "train", "d", repr(0.95))
+    simulate = harness.simulate
+
+    def failing(config, regime, seed):
+        if seed == broken:
+            raise SimulateError("no draw today")
+        return simulate(config, regime, seed)
+
+    monkeypatch.setattr(harness, "simulate", failing)
+    rows = run_experiment(spec)
+    assert len(rows) == len(clean)
+    for row, want in zip(rows, clean):
+        if row.seed == 1 and row.method != "da":
+            assert (row.status, row.auc) == ("error: no draw today", None)
+            assert row == dataclasses.replace(want, auc=None, status=row.status)
+        else:
+            assert row == want
+    assert {r.status for r in rows if r.method == "da"} == {"na"}
+    assert sum(r.status.startswith("error") for r in rows) == 2 * 4
 
 
 def test_unidentifiable_scenario_fails_its_cb_cells_only(unidentifiable_a):
@@ -498,12 +535,13 @@ def test_grid_matches_pinned_digest_whatever_the_stack_size(
         stacks.append(len(sets))
         return train_sets(sets, configs)
 
-    def noted(self, key, x, y, config):
-        adds.append((self, x.nbytes))
-        add(self, key, x, y, config)
+    def noted(spec, scenario, level, *rest):
+        x, y = method_set(spec, scenario, level, *rest)
+        adds.append(((scenario, level), x.nbytes))
+        return x, y
 
-    train_sets, add, adds = harness._train_sets, harness._Stacks.add, []
-    monkeypatch.setattr(harness._Stacks, "add", noted)
+    train_sets, method_set, adds = harness._train_sets, harness._method_set, []
+    monkeypatch.setattr(harness, "_method_set", noted)
     monkeypatch.setattr(harness, "simulate", counted(harness.simulate, "simulate"))
     monkeypatch.setattr(bootstrap, "identify", counted(bootstrap.identify, "identify"))
     monkeypatch.setattr(harness, "_train_sets", recorded)
@@ -538,15 +576,15 @@ def test_grid_matches_pinned_digest_whatever_the_stack_size(
 
 
 def byte_rule(adds, limit):
-    """The stack sizes of ``adds``, (stacks, feature bytes) in the order the
-    sets were added: a stack trains before a set that would take it past
+    """The stack sizes of ``adds``, (level, feature bytes) in the order the
+    sets were built: a stack trains before a set that would take it past
     ``limit`` bytes, once it reaches ``limit``, and when its level ends."""
     sizes, owner, count, total = [], None, 0, 0
-    for stacks, nbytes in adds:
-        if count and (stacks is not owner or total + nbytes > limit):
+    for level, nbytes in adds:
+        if count and (level != owner or total + nbytes > limit):
             sizes.append(count)
             count = total = 0
-        owner, count, total = stacks, count + 1, total + nbytes
+        owner, count, total = level, count + 1, total + nbytes
         if total >= limit:
             sizes.append(count)
             count = total = 0

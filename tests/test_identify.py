@@ -184,6 +184,24 @@ def test_latent_chain_confounds_its_reachable_set():
     assert g.bidirected == frozenset({("A", "B")})
 
 
+def test_latent_diamond_projects_and_matches_enumeration():
+    # L1 reaches L4 along two latent paths, so the walk from L1 meets it twice
+    g = parse_graph(
+        "latent L1; latent L2; latent L3; latent L4; L1 -> L2; L1 -> L3; "
+        "L2 -> L4; L3 -> L4; L4 -> Y; L3 -> X; Y -> Z; Z -> X"
+    )
+    projected = latent_project(g)
+    assert set(projected.nodes) == {"X", "Y", "Z"}
+    assert projected.directed == frozenset({("Y", "Z"), ("Z", "X")})
+    assert projected.bidirected == frozenset({("X", "Y")})
+    estimand = identified(g, ["X"], ["Y"])
+    scm = DiscreteSCM.random(np.random.default_rng(11), g)
+    joint = joint_from(scm)
+    for value in (0, 1):
+        got = evaluate_estimand(estimand, joint, {"Y": value})
+        assert np.allclose(got, scm.interventional({"Y": value}, ("X",)), atol=1e-12)
+
+
 def test_explicit_latent_confounder_makes_a_bow():
     g = parse_graph("latent U; U -> Y; U -> X; Y -> X;")
     assert isinstance(identify(g, ["X"], ["Y"]), Unidentifiable)
@@ -303,7 +321,7 @@ def test_node_names_that_collide_when_lower_cased_match_enumeration(text):
 ENGINE_TEXT_SHA256 = "92f90b0ea312612dbe026a8383de5ea0c6d7f520f82317c7eb849f8349122d2c"
 
 
-def test_engine_text_on_random_graphs_matches_pinned_digest():
+def engine_queries():
     queries = [(scenario_graph(s), ["X"], ["Y"]) for s in SCENARIOS]
     for seed in range(500):
         rng = np.random.default_rng(seed)
@@ -312,7 +330,11 @@ def test_engine_text_on_random_graphs_matches_pinned_digest():
         rng.shuffle(nodes)
         outcome = nodes[1 : 2 + int(rng.integers(0, min(2, len(nodes) - 1)))]
         queries.append((g, outcome, nodes[:1]))
-    assert engine_text_digest(queries) == ENGINE_TEXT_SHA256
+    return queries
+
+
+def test_engine_text_on_random_graphs_matches_pinned_digest():
+    assert engine_text_digest(engine_queries()) == ENGINE_TEXT_SHA256
 
 
 # The same over 1,000 larger ADMGs (seeds 0-999): 5-10 nodes, p_edge drawn
@@ -321,9 +343,9 @@ def test_engine_text_on_random_graphs_matches_pinned_digest():
 WIDE_ENGINE_TEXT_SHA256 = "8a55411fedc32f11543465a9e58718b9f9d96477acb0ce9a0ff03b00e2ad041b"
 
 
-def test_engine_text_on_larger_random_graphs_matches_pinned_digest():
+def wide_queries(count=1000):
     queries = []
-    for seed in range(1000):
+    for seed in range(count):
         rng = np.random.default_rng(seed)
         g = random_admg(
             rng,
@@ -335,7 +357,11 @@ def test_engine_text_on_larger_random_graphs_matches_pinned_digest():
         rng.shuffle(nodes)
         k = int(rng.integers(1, 4))
         queries.append((g, nodes[k : k + int(rng.integers(1, 4))], nodes[:k]))
-    assert engine_text_digest(queries) == WIDE_ENGINE_TEXT_SHA256
+    return queries
+
+
+def test_engine_text_on_larger_random_graphs_matches_pinned_digest():
+    assert engine_text_digest(wide_queries()) == WIDE_ENGINE_TEXT_SHA256
 
 
 def engine_text_digest(queries) -> str:
@@ -352,6 +378,17 @@ def engine_text_digest(queries) -> str:
 
 # ---------------------------------------------------------------------------
 # pruning
+
+
+@pytest.mark.parametrize(
+    "queries", [engine_queries, lambda: wide_queries(300)], ids=["engine", "wide"]
+)
+def test_prune_reaches_its_own_fixpoint(queries):
+    for g, outcome, intervention in queries():
+        out = identify(g, outcome, intervention)
+        if isinstance(out, Identified):
+            once = prune(out.estimand.root, g)
+            assert prune(once, g) == once, estimand_to_text(out.estimand)
 
 
 def test_prune_keeps_a_sum_that_collapses_whole():

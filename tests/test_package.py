@@ -1,10 +1,16 @@
-"""The package's public surface: what ``from causalboot import *`` gives."""
+"""The package's public surface: what ``from causalboot import *`` gives,
+and how its enums read their spellings."""
 
 import ast
 import sys
 from pathlib import Path
 
+import pytest
+
 import causalboot
+from causalboot.bootstrap import BootstrapError, MethodId
+from causalboot.graph import GraphError, ScenarioId
+from causalboot.simulate import SimulateError, TestRegime
 
 
 def test_every_export_resolves_once_in_sorted_order():
@@ -48,3 +54,43 @@ def test_runtime_imports_are_numpy_and_the_standard_library():
                 if name.partition(".")[0] not in allowed
             ]
     assert outside == []
+
+
+@pytest.mark.parametrize(
+    "enum, spelling, member",
+    [
+        (ScenarioId, "a", ScenarioId.OBSERVED_CONF),
+        (ScenarioId, " C ", ScenarioId.PARTIAL_CONF_MEDIATOR),
+        (ScenarioId, "observed_conf", ScenarioId.OBSERVED_CONF),
+        (ScenarioId, "Observed-Conf", ScenarioId.OBSERVED_CONF),
+        (ScenarioId, "BIASED_CARE", ScenarioId.BIASED_CARE),
+        (ScenarioId, ScenarioId.BIASED_CARE, ScenarioId.BIASED_CARE),
+        (MethodId, "cb", MethodId.CB),
+        (MethodId, " cb ", MethodId.CB),
+        (MethodId, "SIMPLE", MethodId.SIMPLE),
+        (MethodId, "If", MethodId.IF),
+        (MethodId, MethodId.DA, MethodId.DA),
+        (TestRegime, "revconf", TestRegime.REVCONF),
+        (TestRegime, "rev_conf", TestRegime.REVCONF),
+        (TestRegime, "REV-CONF", TestRegime.REVCONF),
+        (TestRegime, " unseen ", TestRegime.UNSEEN),
+        (TestRegime, TestRegime.UNCONF, TestRegime.UNCONF),
+    ],
+)
+def test_enum_spellings_name_their_member(enum, spelling, member):
+    assert enum.coerce(spelling) is member
+
+
+@pytest.mark.parametrize(
+    "enum, error, what",
+    [
+        (ScenarioId, GraphError, "scenario"),
+        (MethodId, BootstrapError, "method"),
+        (TestRegime, SimulateError, "test regime"),
+    ],
+)
+@pytest.mark.parametrize("spelling", ["", "z", "c b", "oracle", None, 1])
+def test_enum_refusals_name_the_unknown_spelling(enum, error, what, spelling):
+    with pytest.raises(error) as got:
+        enum.coerce(spelling)
+    assert str(got.value) == f"unknown {what} {spelling!r}"

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from causalboot.rng import _SPLIT_VALUES, _forked, _standard_normal, stream
+from causalboot.rng import _SPLIT_VALUES, _forked, _standard_normal, _together, stream
 
 # the module, which holds the threshold and piece size the tests patch
 rng_module = importlib.import_module("causalboot.rng")
@@ -202,3 +202,18 @@ def test_no_second_job_runs_first_alone(monkeypatch):
     calls = []
     assert _forked(lambda: calls.append(1)) is None
     assert calls == [1]
+
+
+def test_a_refused_cpu_set_still_runs_both_jobs(monkeypatch):
+    refused, ran = [], []
+
+    def refuse(pid, cpus):
+        refused.append(sorted(cpus))
+        raise OSError("cpu set refused")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+    _together(lambda: ran.append("first"), lambda: ran.append("second"))
+    assert sorted(ran) == ["first", "second"]
+    # each thread's half, then the caller's whole set back
+    assert sorted(refused) == [[0], [0, 1], [1]]

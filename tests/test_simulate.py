@@ -461,6 +461,9 @@ def test_scenario_specific_offsets_left_unset():
 
 
 def test_dataset_length_mismatch_rejected():
+    with pytest.raises(SimulateError) as got:
+        Dataset(x=np.zeros((2, 2)), y=np.zeros(3, dtype=np.int64), columns={}, shadow={})
+    assert str(got.value) == "x and y lengths differ"
     with pytest.raises(SimulateError, match="length"):
         Dataset(
             x=np.zeros((3, 2)),
