@@ -75,7 +75,6 @@ from .simulate import (
     SimulateError,
     TestRegime,
     exact_interventional,
-    exact_observational,
     simulate,
 )
 
@@ -119,7 +118,6 @@ __all__ = [
     "descendants",
     "estimand_to_text",
     "exact_interventional",
-    "exact_observational",
     "identify",
     "latent_project",
     "loss_and_grad",

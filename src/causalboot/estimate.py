@@ -98,7 +98,8 @@ def _discrete_column(columns: Mapping[str, np.ndarray], name: str) -> np.ndarray
             raise EstimateError(f"column {name!r} is not discrete")
     with np.errstate(invalid="ignore"):
         coded = values.astype(np.int64)
-    if values.dtype != np.int64 and np.any(coded != values):
+    # only uint64 and floats hold values an int64 cast can change
+    if not np.can_cast(values.dtype, np.int64) and np.any(coded != values):
         raise EstimateError(f"column {name!r} has a value beyond the int64 range")
     return coded
 

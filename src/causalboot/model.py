@@ -80,9 +80,15 @@ class TrainConfig:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(z))
-    den = 1.0 + e
-    return np.where(z >= 0, 1.0 / den, e / den)
+    """1 / (1 + exp(-z)) from e = exp(-|z|), as e / (1 + e) where z < 0:
+    two temporaries of z's size beside the result, and z left unwritten."""
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    den = e + 1.0
+    out = np.divide(1.0, den)
+    np.divide(e, den, out=out, where=z < 0)
+    return out
 
 
 def predict_proba(model: Model, x: np.ndarray) -> np.ndarray:

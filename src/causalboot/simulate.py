@@ -186,7 +186,10 @@ _SIM_KEYS = {
 
 @dataclass(frozen=True)
 class Dataset:
-    """Simulated sample: features, labels, scenario columns, diagnostics."""
+    """Simulated sample: features, labels, scenario columns, diagnostics.
+
+    ``simulate`` gives int8 labels and discrete columns (values 0-2), a
+    CSV read gives int64: widen before arithmetic that can pass 127."""
 
     x: np.ndarray
     y: np.ndarray
@@ -299,7 +302,7 @@ def simulate(cfg: SimConfig, regime, seed: int) -> Dataset:
     # the 0/1 columns after y in draw order, each by its (P(.=1) where
     # y = 1, P(.=1) where y = 0); d's follow u, so they wait for its draw
     if rates["u"] is None:  # pinned to the unseen domain
-        laws, drawn = {}, {"u": np.full(n, 2, dtype=np.int64)}
+        laws, drawn = {}, {"u": np.full(n, 2, dtype=np.int8)}
     else:
         laws, drawn = {"u": rates["u"]}, {}
     laws.update((name, rates[name]) for name in ("v", "z") if name in parents)
@@ -308,15 +311,15 @@ def simulate(cfg: SimConfig, regime, seed: int) -> Dataset:
 
     def draw_columns() -> None:
         """Each column takes n uniforms, one raw output of the stream
-        apiece."""
-        y = drawn["y"] = (rng.random(n) < cfg.p).astype(np.int64)
+        apiece, and holds its 0/1 comparison's bytes as int8."""
+        y = drawn["y"] = (rng.random(n) < cfg.p).view(np.int8)
         for name, law in laws.items():
             if law is None:
                 base = np.where(drawn["u"] == 1, cfg.f11, cfg.f10)
                 base = np.where(drawn["u"] == 2, 0.5, base)
                 law = (base, 1.0 - base)
             threshold = np.where(y == 1, *law)
-            drawn[name] = (rng.random(n) < threshold).astype(np.int64)
+            drawn[name] = (rng.random(n) < threshold).view(np.int8)
 
     if cfg.x_mode == "gaussian":
         x = _standard_normal(
@@ -415,8 +418,3 @@ def exact_interventional(cfg: SimConfig) -> np.ndarray:
     parent configuration.
     """
     return _exact_table(cfg, observational=False)
-
-
-def exact_observational(cfg: SimConfig) -> np.ndarray:
-    """P(x | y) for the training distribution, rows indexed by y."""
-    return _exact_table(cfg, observational=True)

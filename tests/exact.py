@@ -2,7 +2,8 @@
 
 The tests check identification by evaluating each estimand against the
 joint distribution of a small structural causal model and comparing it
-with the interventional distribution computed by brute force.
+with the interventional distribution computed by brute force.  Also here:
+the generator's exact observational table, which only the tests read.
 """
 
 from dataclasses import dataclass
@@ -20,6 +21,7 @@ from causalboot.identify import (
     Ref,
     Sum,
 )
+from causalboot.simulate import SimConfig, _exact_table
 
 
 @dataclass(frozen=True)
@@ -154,3 +156,8 @@ def evaluate_estimand(
             f"estimand evaluated to a non-distribution (sum {result.sum()!r})"
         )
     return result
+
+
+def exact_observational(cfg: SimConfig) -> np.ndarray:
+    """P(x | y) for the training distribution, rows indexed by y."""
+    return _exact_table(cfg, observational=True)

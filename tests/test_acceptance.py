@@ -41,11 +41,10 @@ from causalboot.simulate import (
     TestRegime,
     _discrete_tables,
     exact_interventional,
-    exact_observational,
     simulate,
 )
 from bruteforce import dsep_by_path_enumeration, random_admg, random_disjoint_sets
-from exact import JointTable, evaluate_estimand
+from exact import JointTable, evaluate_estimand, exact_observational
 from params import params_vector, replace_params
 from population import DYADIC_RATES, training_rows
 from scm import DiscreteSCM

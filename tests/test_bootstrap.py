@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from causalboot import bootstrap
+from causalboot import bootstrap, cli
 from causalboot.bootstrap import (
     BootstrapError,
     MethodId,
@@ -359,6 +359,19 @@ def test_bad_columns_are_input_errors(scenario, name, bad, message):
     with pytest.raises(EstimateError, match=message) as got:
         cb_weights(cols, scenario)
     assert type(got.value) is EstimateError and got.value.exit_code == 1
+
+
+@pytest.mark.parametrize(
+    "dtype", [np.int8, np.int16, np.int32, np.uint8, np.uint32]
+)
+def test_narrow_integer_columns_weigh_as_int64(dtype):
+    rng = np.random.default_rng(17)
+    cols = {"y": rng.integers(0, 2, 400)}
+    cols |= {name: rng.choice([0, 2, 7], 400) for name in ("u", "z")}
+    narrow = {name: values.astype(dtype) for name, values in cols.items()}
+    for scenario in ALL:
+        want = cb_weights(cols, scenario, alpha=0.5).weights
+        assert cb_weights(narrow, scenario, alpha=0.5).weights.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("scenario", ALL)
@@ -953,3 +966,49 @@ def test_weights_nonnegative_and_bounded(seed):
     table = cb_weights(cols, "a")
     assert np.all(table.weights >= 0)
     assert np.all(table.weights <= 1.0 + 1e-12)
+
+
+# --- simulated int8 columns against the same columns widened ----------------
+
+def widened(data):
+    """The same draw with its label and every discrete column as int64."""
+    def wide(columns):
+        return {name: values.astype(np.int64) for name, values in columns.items()}
+
+    return Dataset(
+        x=data.x,
+        y=data.y.astype(np.int64),
+        columns=wide(data.columns),
+        shadow=wide(data.shadow),
+    )
+
+
+def assert_same_draw(a, b):
+    assert a.x.tobytes() == b.x.tobytes()
+    assert np.array_equal(a.y, b.y)
+    assert a.columns.keys() == b.columns.keys()
+    assert a.shadow.keys() == b.shadow.keys()
+    for name in a.columns:
+        assert np.array_equal(a.columns[name], b.columns[name])
+    for name in a.shadow:
+        assert np.array_equal(a.shadow[name], b.shadow[name])
+
+
+@pytest.mark.parametrize("scenario", ALL)
+def test_int8_columns_give_the_bytes_of_int64_columns(scenario, tmp_path):
+    narrow = simulate(SimConfig(scenario=scenario, n=3000), "conf", seed=11)
+    assert narrow.y.dtype == np.int8
+    draws = (narrow, widened(narrow))
+    tables = [cb_weights(d.weight_columns(), scenario) for d in draws]
+    assert tables[0].weights.tobytes() == tables[1].weights.tobytes()
+    config = ResampleConfig(seed=4)
+    assert_same_draw(*(cb_resample(d, t, config) for d, t in zip(draws, tables)))
+    if "u" in narrow.columns:
+        assert_same_draw(*(da_resample(d, 5) for d in draws))
+    for method in MethodId:
+        a, b = (select_features(d, method, scenario) for d in draws)
+        assert a.tobytes() == b.tobytes()
+    paths = [tmp_path / "narrow.csv", tmp_path / "wide.csv"]
+    for path, d in zip(paths, draws):
+        cli._write_dataset(str(path), d, True)
+    assert paths[0].read_bytes() == paths[1].read_bytes()

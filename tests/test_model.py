@@ -1,5 +1,7 @@
 """Gradient-descent classifiers: gradient oracle, ranking metric, training."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -252,20 +254,49 @@ def masked_sigmoid(z):
     return out
 
 
+def where_sigmoid(z):
+    """Both branches over every value, then picked by sign: five
+    temporaries of z's size, and the reference for the bits."""
+    e = np.exp(-np.abs(z))
+    den = 1.0 + e
+    return np.where(z >= 0, 1.0 / den, e / den)
+
+
 def test_sigmoid_equals_masked_form():
+    edges = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-310, -1e-310]
+    edges += [37.0, -37.0, 710.0, -710.0, 1e300, -1e300, 1e-300, -1e-300]
     z = np.concatenate(
         [
             np.linspace(-800.0, 800.0, 20_001),
-            [0.0, -0.0, 1e-300, -1e-300, np.inf, -np.inf, 1e300, -1e300],
-            np.random.default_rng(3).normal(scale=20.0, size=10_000),
+            edges,
+            np.random.default_rng(3).normal(scale=20.0, size=1_000_000),
         ]
     )
+    before = z.tobytes()
     with np.errstate(over="raise"):
         got = _sigmoid(z)
-    assert got.tobytes() == masked_sigmoid(z).tobytes()
-    # and the bits of forming 1 + e in each branch, as it once did
-    e = np.exp(-np.abs(z))
-    assert got.tobytes() == np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).tobytes()
+    assert z.tobytes() == before
+    assert got.tobytes() == where_sigmoid(z).tobytes()
+    # the masked form gives NaN its sign back, so it is compared off NaN
+    number = ~np.isnan(z)
+    assert got[number].tobytes() == masked_sigmoid(z[number]).tobytes()
+
+
+def test_predict_proba_holds_few_row_length_arrays():
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((200_000, 10))
+    model = LinearModel(weights=rng.standard_normal(10), bias=0.25)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        probs = predict_proba(model, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the logits, |z| exponentiated, its denominator, the result and a
+    # one-byte sign mask, with the result counted
+    assert (peak - before) / (len(x) * 8) <= 4.5
+    assert probs.tobytes() == where_sigmoid(x @ model.weights + 0.25).tobytes()
 
 
 def oracle_grad(model, x, y, l2):

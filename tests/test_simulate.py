@@ -23,9 +23,9 @@ from causalboot.simulate import (
     _discrete_tables,
     _offsets,
     exact_interventional,
-    exact_observational,
     simulate,
 )
+from exact import exact_observational
 
 # the module, which the package's own ``simulate`` function shadows
 simulate_module = importlib.import_module("causalboot.simulate")
@@ -69,6 +69,16 @@ def test_columns_match_scenario(scenario):
     assert data.x.dtype == np.float64
     assert set(np.unique(data.y)) <= {0, 1}
     assert set(data.weight_columns()) == {"y"} | EXPECTED_OBSERVED[scenario]
+
+
+@pytest.mark.parametrize("regime", list(TestRegime))
+@pytest.mark.parametrize("scenario", ALL)
+def test_discrete_columns_are_int8(scenario, regime):
+    data = simulate(cfg_for(scenario, 300), regime, seed=2)
+    for column in (data.y, *data.columns.values(), *data.shadow.values()):
+        assert column.dtype == np.int8
+    if regime is TestRegime.UNSEEN:
+        assert ({**data.columns, **data.shadow}["u"] == 2).all()
 
 
 @pytest.mark.parametrize("scenario", ALL)
