@@ -58,7 +58,7 @@ from .identify import (
     identify,
     prune,
 )
-from .rng import _together, stream
+from .rng import _BLOCK, _together, stream
 from .simulate import Dataset
 
 
@@ -177,10 +177,12 @@ def cb_weights(
     # column-major, so each class's column is contiguous for its sum
     # and for the draw
     out = np.zeros((n, len(classes)), order="F")
-    # cells no row falls in may hold 0/0 or x/0; none is gathered
+    # cells no row falls in may hold 0/0 or x/0; none is gathered.  Every
+    # cell lies in the table, so "clip" changes none; it spares take's
+    # out= buffer
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(len(classes)):
-            out[:, k] = (p_num[k] / den).take(cell)
+            np.take(p_num[k] / den, cell, out=out[:, k], mode="clip")
 
     sums = out.sum(axis=0)
     normalized = bool(np.allclose(sums, 1.0, atol=1e-9))
@@ -193,31 +195,34 @@ class ResampleConfig:
     kernel: KernelSpec = field(default_factory=KernelSpec.delta)
 
 
-def _draw(
-    rng: np.random.Generator, cdf: np.ndarray, u: np.ndarray, idx: np.ndarray
-) -> np.ndarray:
-    """``rng.choice(len(cdf), size=len(idx), replace=True, p=cdf)``: the
-    same indices, dtype and generator state, by the same steps: the
-    cumulative sum divided by its last element, ``len(idx)`` uniforms,
-    and a right-sided search.
+def _draw(rng: np.random.Generator, cdf: np.ndarray, count: int):
+    """``rng.choice(len(cdf), size=count, replace=True, p=cdf)`` a block
+    at a time: yields each block's first position and its int64 indices.
 
-    The caller allocates every buffer: ``cdf`` comes in holding p and is
-    summed in place, ``u`` receives the uniforms and ``idx`` (int64) the
-    indices, which are returned.  The uniforms are searched in sorted
-    order and the results scattered back, so the search reads the cdf
-    front to back instead of missing the cache on each draw once the cdf
-    outgrows it.
+    The indices and the generator state after the last block are
+    ``choice``'s, by the same steps: the cumulative sum divided by its
+    last element, ``count`` uniforms (taken a block at a time, they are
+    the values of one call) and a right-sided search.  ``cdf`` comes in
+    holding p and is summed in place; the indices yielded are valid
+    until the next block is drawn.  Each block's uniforms are searched
+    in sorted order and the results scattered back, so the search reads
+    the cdf front to back instead of missing the cache on each draw once
+    the cdf outgrows it.
     """
     np.cumsum(cdf, out=cdf)
     cdf /= cdf[-1]
-    rng.random(out=u)
-    order = np.argsort(u)
-    # the sorted uniforms borrow idx's memory until the search has read
-    # them; order is a permutation, so "clip" changes nothing but spares
-    # take's out= buffer
-    ordered = np.take(u, order, out=idx.view(np.float64), mode="clip")
-    idx[order] = cdf.searchsorted(ordered, side="right")
-    return idx
+    idx = np.empty(min(count, _BLOCK), dtype=np.int64)
+    for start in range(0, count, _BLOCK):
+        block = idx[: min(_BLOCK, count - start)]
+        u = rng.random(len(block))
+        order = np.argsort(u)
+        # the sorted uniforms borrow the indices' memory until the search
+        # has read them; order is a permutation, so "clip" changes nothing
+        # but spares take's out= buffer
+        ordered = np.take(u, order, out=block.view(np.float64), mode="clip")
+        del u  # read: its memory is free before the search allocates
+        block[order] = cdf.searchsorted(ordered, side="right")
+        yield start, block
 
 
 def cb_resample(
@@ -234,9 +239,10 @@ def cb_resample(
     training.
 
     Each output array is allocated once at its full size, and each
-    class's draw is gathered straight into its own slice of rows.  Every
-    class total is checked before any draw; then the classes draw in
-    pairs, the second of each pair in a thread of its own.
+    block of a class's draw is gathered straight into its own slice of
+    rows.  Every class total is checked before any draw; then the
+    classes draw in pairs, the second of each pair in a thread of its
+    own.
     """
     n = data.n
     if len(table.weights) != n:
@@ -270,21 +276,21 @@ def cb_resample(
     y = np.empty(bounds[-1], dtype=data.y.dtype)
 
     def drawer(c, lo, hi, total):
-        # the calling thread allocates every buffer the draw needs: what a
-        # worker thread frees stays in its own malloc arena, where later
-        # allocations in this thread never reuse it
-        cdf, u = np.divide(table.column(c), total), np.empty(hi - lo)
-        idx = np.empty(hi - lo, dtype=np.int64)
+        # the calling thread allocates the cdf, the one row-length buffer
+        # of a draw: what a worker thread frees stays in its own malloc
+        # arena, where later allocations in this thread never reuse it
+        cdf = np.divide(table.column(c), total)
 
         def draw():
             rng = stream(config.seed, "resample", c)
-            _draw(rng, cdf, u, idx)
             y[lo:hi] = c
-            # every index _draw returns lies in [0, n) (cdf[-1] is exactly
+            # every index _draw yields lies in [0, n) (cdf[-1] is exactly
             # 1.0 and u < 1), so "clip" changes none; it spares take's
             # out= buffer
-            for col, out in zip(sources, outs):
-                np.take(col, idx, axis=0, out=out[lo:hi], mode="clip")
+            for start, idx in _draw(rng, cdf, hi - lo):
+                rows = slice(lo + start, lo + start + len(idx))
+                for col, out in zip(sources, outs):
+                    np.take(col, idx, axis=0, out=out[rows], mode="clip")
             if jitter is not None:  # scaled in place: one temporary per class
                 noise = rng.standard_normal(outs[0][lo:hi].shape)
                 noise *= jitter

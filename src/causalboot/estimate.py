@@ -1,12 +1,15 @@
 """Plug-in probability estimation from finite samples.
 
 Discrete columns are validated and coded here, once per call, as each
-column's sorted observed domain and each row's index into it; one
-bincount over the codes counts every cell of a table.  The resampling
-weights (``bootstrap.cb_weights``) and the stratified upsampler
-(``bootstrap.da_resample``) both count through these coded cells.  The
-resampling kernel and its normal-reference bandwidth cover continuous
-features.
+column's sorted observed domain (int64) and each row's index into it;
+one bincount over the codes counts every cell of a table.  An integer
+column is coded as it comes, with no int64 copy: the codes keep a
+narrow column's dtype where its domain is a run from 0, and a one-byte
+column's domain is read off a table of the 256 byte values, not a sort.
+The resampling weights (``bootstrap.cb_weights``) and the stratified
+upsampler (``bootstrap.da_resample``) both count through these coded
+cells.  The resampling kernel and its normal-reference bandwidth cover
+continuous features.
 
 Smoothing follows the pseudo-count convention: with smoothing ``alpha``,
 a cell's probability is (count + alpha) / (group + alpha * |domain|).
@@ -91,15 +94,17 @@ def _discrete_column(columns: Mapping[str, np.ndarray], name: str) -> np.ndarray
     if raw.size == 0:
         raise EstimateError("empty dataset")
     if np.issubdtype(raw.dtype, np.integer):
+        if np.can_cast(raw.dtype, np.int64):
+            return raw
         values = raw
     else:
         values = np.asarray(raw, dtype=float)
         if not np.all(np.isfinite(values)) or np.any(values != np.round(values)):
             raise EstimateError(f"column {name!r} is not discrete")
+    # only uint64 and floats reach here: an int64 cast may change them
     with np.errstate(invalid="ignore"):
         coded = values.astype(np.int64)
-    # only uint64 and floats hold values an int64 cast can change
-    if not np.can_cast(values.dtype, np.int64) and np.any(coded != values):
+    if np.any(coded != values):
         raise EstimateError(f"column {name!r} has a value beyond the int64 range")
     return coded
 
@@ -113,14 +118,31 @@ def _smoothing(alpha) -> float:
 
 
 def _code(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # np.unique's inverse costs an argsort whose time varies tenfold with
-    # the order of the rows; a sort and a search into the domain does not
-    ordered = np.sort(values)
-    domain = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    """The sorted int64 domain of an integer column and each row's index
+    into it.  The codes keep a narrow column's dtype where they can: a
+    domain that is a run from 0 codes each row as its own value, with
+    no copy."""
+    if values.itemsize == 1:
+        # np.sort is ten times slower on one-byte values than on int64:
+        # a table of the 256 byte values marks the ones present instead
+        present = np.zeros(256, dtype=bool)
+        present[values.view(np.uint8)] = True
+        if values.dtype.kind == "i":  # negative bytes sort first
+            present = np.roll(present, 128)
+        domain = np.flatnonzero(present) + np.int64(np.iinfo(values.dtype).min)
+    else:
+        # np.unique's inverse costs an argsort whose time varies tenfold
+        # with the order of the rows; a sort and a search does not
+        ordered = np.sort(values)
+        domain = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+        domain = domain.astype(np.int64, copy=False)
     # a run of consecutive integers needs no search: each value's index
-    # is its offset from the first (written so that nothing overflows)
+    # is its offset from the first (written so that nothing overflows,
+    # in int64 whatever the column's width)
     if domain[-1] - (len(domain) - 1) == domain[0]:
-        return domain, values - domain[0]
+        if domain[0] == 0:
+            return domain, values
+        return domain, np.subtract(values, domain[0], dtype=np.int64)
     return domain, domain.searchsorted(values)
 
 

@@ -22,7 +22,7 @@ from typing import Union
 import numpy as np
 
 from .errors import CausalBootError
-from .rng import stream
+from .rng import _BLOCK, stream
 
 
 # The most feature bytes a training pass gathers at once.  Gathering a
@@ -41,7 +41,9 @@ class LinearModel:
     bias: float
 
     def logits(self, x: np.ndarray) -> np.ndarray:
-        return x @ self.weights + self.bias
+        z = x @ self.weights
+        z += self.bias
+        return z
 
 
 @dataclass(frozen=True)
@@ -79,21 +81,35 @@ class TrainConfig:
             raise ModelError("epochs, batch and width must be positive")
 
 
+def _sigmoid_in_place(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-z)) written over z and returned, as exp(min(z, 0))
+    / (1 + exp(-|z|)): e / (1 + e) where z < 0 and exactly 1 / (1 + e)
+    elsewhere, NaN included (``fmin`` reads it as 0).  One temporary of
+    z's size, the denominator, and no mask."""
+    den = np.abs(z)
+    np.negative(den, out=den)
+    np.exp(den, out=den)
+    den += 1.0
+    np.fmin(z, 0.0, out=z)
+    np.exp(z, out=z)
+    z /= den
+    return z
+
+
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-z)) from e = exp(-|z|), as e / (1 + e) where z < 0:
-    two temporaries of z's size beside the result, and z left unwritten."""
-    e = np.abs(z)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    den = e + 1.0
-    out = np.divide(1.0, den)
-    np.divide(e, den, out=out, where=z < 0)
-    return out
+    """The sigmoid of z into a new array, z left unwritten."""
+    return _sigmoid_in_place(z.copy())
 
 
 def predict_proba(model: Model, x: np.ndarray) -> np.ndarray:
+    """Each row's probability of label 1, computed over the logits' own
+    buffer a block at a time: beside the result, one block of
+    denominators."""
     x = _check_features(x)
-    return _sigmoid(model.logits(x))
+    z = model.logits(x)
+    for start in range(0, len(z), _BLOCK):
+        _sigmoid_in_place(z[start : start + _BLOCK])
+    return z
 
 
 def _check_features(x: np.ndarray) -> np.ndarray:

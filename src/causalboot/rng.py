@@ -35,6 +35,11 @@ import numpy as np
 _SPLIT_VALUES = 1 << 20
 _PIECE = 1 << 14
 
+# Values a block-wise loop takes at once: a simulated column's or a
+# resample's uniforms, or the scores of predict_proba's sigmoid.  The
+# loop's temporaries are one block long whatever the row count.
+_BLOCK = 1 << 16
+
 
 def derive_key(*parts: object) -> int:
     """Hash ``parts`` (ints, floats, strings) into a stable 64-bit key."""

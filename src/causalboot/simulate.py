@@ -41,7 +41,7 @@ from .graph import (
     descendants,
     scenario_graph,
 )
-from .rng import _SPLIT_VALUES, _standard_normal, _together, stream
+from .rng import _BLOCK, _SPLIT_VALUES, _standard_normal, _together, stream
 
 
 class SimulateError(CausalBootError):
@@ -299,27 +299,36 @@ def simulate(cfg: SimConfig, regime, seed: int) -> Dataset:
     parents = X_PARENTS[cfg.scenario]
     observed = OBSERVED_COLUMNS[cfg.scenario]
 
-    # the 0/1 columns after y in draw order, each by its (P(.=1) where
-    # y = 1, P(.=1) where y = 0); d's follow u, so they wait for its draw
+    # the 0/1 columns after y in draw order, each by its P(.=1) where
+    # y = 0 and where y = 1; d's follow u as well, so they wait for its draw
     if rates["u"] is None:  # pinned to the unseen domain
         laws, drawn = {}, {"u": np.full(n, 2, dtype=np.int8)}
     else:
-        laws, drawn = {"u": rates["u"]}, {}
-    laws.update((name, rates[name]) for name in ("v", "z") if name in parents)
+        laws, drawn = {"u": np.array(rates["u"][::-1])}, {}
+    laws.update(
+        (name, np.array(rates[name][::-1])) for name in ("v", "z") if name in parents
+    )
     if "d" in observed:
-        laws["d"] = None
+        f = np.array([cfg.f10, cfg.f11, 0.5])  # P(d=1) where y = 1, by u
+        laws["d"] = np.stack([1.0 - f, f])
+
+    def threshold(law: np.ndarray, rows: slice) -> np.ndarray:
+        y = drawn["y"][rows]
+        return law[y] if law.ndim == 1 else law[y, drawn["u"][rows]]
 
     def draw_columns() -> None:
         """Each column takes n uniforms, one raw output of the stream
-        apiece, and holds its 0/1 comparison's bytes as int8."""
-        y = drawn["y"] = (rng.random(n) < cfg.p).view(np.int8)
-        for name, law in laws.items():
-            if law is None:
-                base = np.where(drawn["u"] == 1, cfg.f11, cfg.f10)
-                base = np.where(drawn["u"] == 2, 0.5, base)
-                law = (base, 1.0 - base)
-            threshold = np.where(y == 1, *law)
-            drawn[name] = (rng.random(n) < threshold).view(np.int8)
+        apiece, a block at a time, and holds its 0/1 comparison's bytes
+        as int8; a block's thresholds are gathered from the column's law
+        by the block's labels (and u, for d), so no n-row float is made."""
+        uniforms = np.empty(min(n, _BLOCK))
+        for name, law in {"y": None, **laws}.items():
+            column = drawn[name] = np.empty(n, dtype=np.int8)
+            for start in range(0, n, _BLOCK):
+                rows = slice(start, min(start + _BLOCK, n))
+                block = rng.random(out=uniforms[: rows.stop - start])
+                below = cfg.p if law is None else threshold(law, rows)
+                np.less(block, below, out=column.view(bool)[rows])
 
     if cfg.x_mode == "gaussian":
         x = _standard_normal(

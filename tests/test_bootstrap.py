@@ -5,6 +5,7 @@ import math
 import os
 import re
 import threading
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -45,7 +46,7 @@ from causalboot.identify import (
     identify,
     prune,
 )
-from causalboot.rng import stream
+from causalboot.rng import _BLOCK, stream
 from causalboot.simulate import (
     Dataset,
     SimConfig,
@@ -559,10 +560,10 @@ def test_resample_raises_the_threaded_class_error(monkeypatch):
     second = int((data.y == table.classes[1]).sum())
     assert second != (data.y == table.classes[0]).sum()
 
-    def failing(rng, cdf, u, idx):
-        if len(idx) == second:
+    def failing(rng, cdf, count):
+        if count == second:
             raise RuntimeError("second class failed")
-        return _draw(rng, cdf, u, idx)
+        return _draw(rng, cdf, count)
 
     monkeypatch.setattr("causalboot.bootstrap._draw", failing)
     threads, cpus = threading.active_count(), cpu_set()
@@ -580,10 +581,15 @@ def test_resample_gives_the_calling_thread_its_cpus_back():
 
 
 def draw(rng, p, count):
-    """``_draw`` of ``count`` indices into buffers of its own; ``p`` is
-    left as it is."""
-    buffers = np.array(p, dtype=float), np.empty(count), np.empty(count, np.int64)
-    return _draw(rng, *buffers)
+    """``_draw``'s ``count`` indices, its blocks copied out in order and
+    each checked to start where the last ended; ``p`` is left as it is."""
+    blocks, end = [np.empty(0, np.int64)], 0
+    for start, idx in _draw(rng, np.array(p, dtype=float), count):
+        assert start == end and idx.dtype == np.int64
+        blocks.append(idx.copy())
+        end += len(idx)
+    assert end == count
+    return np.concatenate(blocks)
 
 
 def reference_resample(data, table, config):
@@ -678,9 +684,14 @@ def test_resample_equals_the_concatenating_reference():
                 assert ours.tobytes() == theirs.tobytes(), (name, kernel)
 
 
+# draw counts either side of a block's end: the uniforms come a block at
+# a time, and the indices and generator state must not show it
+BLOCK_EDGES = (_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5)
+
+
 def weight_cases(rng):
     """(weights, draw count) pairs: sizes 0, 1 and uneven, zero weights
-    scattered, leading and trailing."""
+    scattered, leading and trailing, and counts at every block edge."""
     n = int(rng.integers(1, 3_000))
     w = rng.random(n)
     w[rng.random(n) < 0.4] = 0.0
@@ -690,7 +701,7 @@ def weight_cases(rng):
     counts = (0, 1, n, int(rng.integers(2, 2 * n + 2)))
     return [(w, k) for k in counts] + [
         (trailing, 301), (leading, 17), (np.ones(1), 3)
-    ]
+    ] + [(w, k) for k in BLOCK_EDGES]
 
 
 @pytest.mark.parametrize("seed", range(24))
@@ -712,9 +723,8 @@ def test_draw_equals_generator_choice(seed):
 class LargestUniform:
     """Draws the largest double below 1 every time."""
 
-    def random(self, out):
-        out[...] = np.nextafter(1.0, 0.0)
-        return out
+    def random(self, size):
+        return np.full(size, np.nextafter(1.0, 0.0))
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -994,9 +1004,13 @@ def assert_same_draw(a, b):
         assert np.array_equal(a.shadow[name], b.shadow[name])
 
 
+@pytest.mark.parametrize("n, feature_dim", [(3000, 10), (2**16 + 3, 4)])
 @pytest.mark.parametrize("scenario", ALL)
-def test_int8_columns_give_the_bytes_of_int64_columns(scenario, tmp_path):
-    narrow = simulate(SimConfig(scenario=scenario, n=3000), "conf", seed=11)
+def test_int8_columns_give_the_bytes_of_int64_columns(scenario, n, feature_dim, tmp_path):
+    # above 2**16 rows the columns are drawn and resampled in blocks; few
+    # features keep that case's CSV small
+    cfg = SimConfig(scenario=scenario, n=n, feature_dim=feature_dim)
+    narrow = simulate(cfg, "conf", seed=11)
     assert narrow.y.dtype == np.int8
     draws = (narrow, widened(narrow))
     tables = [cb_weights(d.weight_columns(), scenario) for d in draws]
@@ -1012,3 +1026,32 @@ def test_int8_columns_give_the_bytes_of_int64_columns(scenario, tmp_path):
     for path, d in zip(paths, draws):
         cli._write_dataset(str(path), d, True)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def traced_peak(call, *args):
+    """``call(*args)`` and the most bytes it held at once beyond what was
+    live before, by tracemalloc, in every thread."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak - before
+
+
+def test_weights_and_resample_hold_few_row_length_arrays():
+    # cb_weights codes one-byte columns without an int64 copy and
+    # gathers each class straight into the table: beyond the table, one
+    # intp cell index and a one-byte check of the table.  cb_resample
+    # draws a block of indices at a time: beyond its output, one cdf per
+    # class of a pair drawing at once and a few blocks of scratch
+    n = 2**18
+    row = n * 8
+    data = simulate(SimConfig(scenario="c", n=n), "conf", seed=3)
+    table, peak = traced_peak(cb_weights, data.weight_columns(), "c")
+    assert peak <= table.weights.nbytes + 2.25 * row
+    out, peak = traced_peak(cb_resample, data, table, ResampleConfig(seed=0))
+    arrays = [out.x, out.y, *out.columns.values(), *out.shadow.values()]
+    assert peak <= sum(a.nbytes for a in arrays) + 2 * row + 4 * 2**20

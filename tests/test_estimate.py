@@ -58,12 +58,11 @@ def test_gaussian_kernel_defaults_to_silverman():
 # ---------------------------------------------------------------------------
 # coding discrete columns
 
-LOW, HIGH = np.iinfo(np.int64).min, np.iinfo(np.int64).max
-
-
-@pytest.mark.parametrize(
-    "domain",
-    [
+def domains(dtype):
+    """Sorted domains that fit in ``dtype``: short runs and gaps, one
+    value, the type's extremes, and every value of a one-byte type."""
+    low, high = (int(v) for v in (np.iinfo(dtype).min, np.iinfo(dtype).max))
+    cases = [
         [0, 1, 2, 3, 4],
         [7, 8, 9, 10],
         [0, 1, 3],
@@ -71,23 +70,39 @@ LOW, HIGH = np.iinfo(np.int64).min, np.iinfo(np.int64).max
         [-5, -1, 0, 4],
         [5],
         [0],
-        [HIGH - 2, HIGH - 1, HIGH],
-        [LOW, LOW + 1, LOW + 2],
-        [LOW, HIGH],
-        [LOW, 0, HIGH],
-        [HIGH],
-        [LOW],
+        [high - 2, high - 1, high],
+        [low, low + 1, low + 2],
+        [low, high],
+        [low, 0, high],
+        [high],
+        [low],
+    ]
+    if high - low < 256:
+        cases.append(list(range(low, high + 1)))
+    return [sorted(set(d)) for d in cases if low <= min(d)]
+
+
+@pytest.mark.parametrize(
+    "dtype, domain",
+    [
+        (dtype, domain)
+        for dtype in (np.int8, np.uint8, np.int16, np.int64)
+        for domain in domains(dtype)
     ],
 )
-def test_code_equals_a_search_into_the_domain(domain):
-    # contiguous domains are coded by offset, the rest by a search: the
-    # codes are the search's either way
+def test_code_equals_a_search_into_the_domain(dtype, domain):
+    # contiguous domains are coded by offset, the rest by a search, and a
+    # one-byte column's domain comes from a table of its bytes: the codes
+    # are the search's by value either way, in the column's own dtype
+    # where the domain is a run from 0, and the domain is int64 always
     domain = np.array(domain, dtype=np.int64)
     rng = np.random.default_rng(len(domain))
-    values = np.concatenate([domain, rng.choice(domain, size=500)])
+    values = np.concatenate([domain, rng.choice(domain, size=500)]).astype(dtype)
     rng.shuffle(values)
     got_domain, codes = _code(values)
+    assert got_domain.dtype == np.int64
     assert got_domain.tobytes() == domain.tobytes()
-    want = domain.searchsorted(values)
-    assert codes.dtype == want.dtype
-    assert codes.tobytes() == want.tobytes()
+    assert np.issubdtype(codes.dtype, np.integer)
+    assert np.array_equal(codes, domain.searchsorted(values))
+    if domain[0] == 0 and domain[-1] == len(domain) - 1:
+        assert codes is values

@@ -293,9 +293,9 @@ def test_predict_proba_holds_few_row_length_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the logits, |z| exponentiated, its denominator, the result and a
-    # one-byte sign mask, with the result counted
-    assert (peak - before) / (len(x) * 8) <= 4.5
+    # the logits, which become the result, and one block of their
+    # denominators
+    assert (peak - before) / (len(x) * 8) <= 1.5
     assert probs.tobytes() == where_sigmoid(x @ model.weights + 0.25).tobytes()
 
 

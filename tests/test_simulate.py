@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalboot.graph import X_PARENTS, ScenarioId
-from causalboot.rng import _SPLIT_VALUES, _raw_position, stream
+from causalboot.rng import _BLOCK, _SPLIT_VALUES, _raw_position, stream
 from causalboot.simulate import (
     DELTA_SCALE,
     MAX_ROWS,
@@ -261,6 +261,63 @@ def test_features_either_side_of_the_split_equal_the_serial_draw(
     data = simulate(cfg, regime, seed=5)
     want = serial_features(cfg, regime, 5, data, generators[0].uniforms)
     assert data.x.tobytes() == want.tobytes()
+
+
+def one_call_columns(cfg, regime, seed):
+    """The discrete columns as one call per column draws them from a
+    fresh stream: n uniforms below an n-row threshold built by
+    ``np.where`` from the config, in stream order y, u, v, z, d.  Also
+    every array of uniforms, in that order."""
+    n, parents = cfg.n, X_PARENTS[cfg.scenario]
+    fresh = stream(seed, "simulate", cfg.scenario.value, regime.value)
+    uniforms = []
+
+    def draw(threshold):
+        uniforms.append(fresh.random(n))
+        return (uniforms[-1] < threshold).astype(np.int8)
+
+    q_c, qp = {
+        TestRegime.CONF: (cfg.q_c, cfg.qp),
+        TestRegime.UNCONF: (0.5, 0.5),
+        TestRegime.REVCONF: (1.0 - cfg.q_c, 1.0 - cfg.qp),
+        TestRegime.UNSEEN: (None, 0.5),
+    }[regime]
+    cols = {"y": draw(cfg.p)}
+    y1 = cols["y"] == 1
+    if q_c is None:
+        cols["u"] = np.full(n, 2, dtype=np.int8)
+    else:
+        cols["u"] = draw(np.where(y1, q_c, 1.0 - q_c))
+    if "v" in parents:
+        cols["v"] = draw(np.where(y1, qp, 1.0 - qp))
+    if "z" in parents:
+        cols["z"] = draw(np.where(y1, cfg.r1, cfg.r0))
+    if cfg.scenario is ScenarioId.BIASED_CARE:
+        base = np.where(cols["u"] == 1, cfg.f11, cfg.f10)
+        base = np.where(cols["u"] == 2, 0.5, base)
+        cols["d"] = draw(np.where(y1, base, 1.0 - base))
+    return cols, uniforms
+
+
+@pytest.mark.parametrize("n", [2**16 - 1, 2**16 + 1, 3 * 2**16 + 5])
+@pytest.mark.parametrize("regime", list(TestRegime))
+@pytest.mark.parametrize("scenario", ALL)
+def test_columns_across_draw_blocks_equal_one_call_draws(scenario, regime, n):
+    # the 0/1 columns take their uniforms a block of rows at a time, with
+    # each block's thresholds gathered by label (and u, for scenario e's
+    # d): every column, and the features drawn after them, are the bytes
+    # of one call per column
+    assert _BLOCK == 2**16
+    cfg = cfg_for(scenario, n)
+    data = simulate(cfg, regime, seed=13)
+    got = {"y": data.y, **data.columns, **data.shadow}
+    want, uniforms = one_call_columns(cfg, regime, 13)
+    assert got.keys() == want.keys()
+    for name, column in want.items():
+        assert got[name].dtype == np.int8, name
+        assert got[name].tobytes() == column.tobytes(), name
+    features = serial_features(cfg, regime, 13, data, uniforms)
+    assert data.x.tobytes() == features.tobytes()
 
 
 def cpu_set():
