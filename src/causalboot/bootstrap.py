@@ -29,6 +29,7 @@ cells), and the selectors of the observed columns a model may see.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cache
@@ -222,6 +223,7 @@ def _draw(rng: np.random.Generator, cdf: np.ndarray, count: int):
         ordered = np.take(u, order, out=block.view(np.float64), mode="clip")
         del u  # read: its memory is free before the search allocates
         block[order] = cdf.searchsorted(ordered, side="right")
+        del order  # scattered: its memory is free before the next block's
         yield start, block
 
 
@@ -291,10 +293,14 @@ def cb_resample(
                 rows = slice(lo + start, lo + start + len(idx))
                 for col, out in zip(sources, outs):
                     np.take(col, idx, axis=0, out=out[rows], mode="clip")
-            if jitter is not None:  # scaled in place: one temporary per class
-                noise = rng.standard_normal(outs[0][lo:hi].shape)
-                noise *= jitter
-                outs[0][lo:hi] += noise
+            if jitter is not None:
+                # about a block of values at a time: the values of one call
+                x = outs[0][lo:hi]
+                step = max(1, _BLOCK // max(1, math.prod(x.shape[1:])))
+                for start in range(0, len(x), step):
+                    noise = rng.standard_normal(x[start : start + step].shape)
+                    noise *= jitter
+                    x[start : start + step] += noise
 
         return draw
 

@@ -7,13 +7,15 @@ therefore produce identical draws, and adding a new labelled stream never
 perturbs existing ones.
 
 Philox reaches any position of its stream without drawing up to it, so
-one large block of standard normals can be drawn by two threads from the
-same stream (``_standard_normal``).  The package runs two jobs at once in
-one of two ways, both here and both splitting the CPUs between them:
-``_together`` for numpy work that releases the interpreter lock, in a
-thread, and ``_forked`` for Python work that holds it, in a forked
-process: formatting the second half of a CSV write's rows, and running
-the second half of an experiment grid's (scenario, level) pairs.
+one large block of standard normals, ``simulate``'s features, can be
+drawn by two threads from the same stream (``_standard_normal``).  The
+package runs two jobs at once in one of two ways, both here and both
+splitting the CPUs between them: ``_together`` for numpy work that
+releases the interpreter lock, in a thread (the two halves of that
+normal block, and ``cb_resample``'s classes two at a time), and
+``_forked`` for Python work that holds it, in a forked process:
+formatting the second half of a CSV write's rows, and running the
+second half of an experiment grid's (scenario, level) pairs.
 """
 
 from __future__ import annotations
@@ -182,44 +184,34 @@ def _raw_position(bit_generator: np.random.Philox) -> int:
     return 4 * counter + state["buffer_pos"] - 4
 
 
-def _standard_normal(rng: np.random.Generator, shape, lead: int = 0, first=None) -> np.ndarray:
-    """``first()``, if given, then ``rng.standard_normal(shape)``: the
-    same bytes, dtype and final generator state, drawn by two threads
-    when the block holds at least ``_SPLIT_VALUES`` values and ``rng``
-    is Philox.  ``first`` runs in the calling thread; ``lead`` is how
-    many raw outputs it takes from ``rng``, which places the split and
-    so decides only the speed, never the bytes.
+def _standard_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """``rng.standard_normal(shape)``: the same bytes, dtype and final
+    generator state, drawn by two threads when the block holds at least
+    ``_SPLIT_VALUES`` values and ``rng`` is Philox.
 
-    Each normal takes one raw output or more, so after ``first`` and the
-    head of ``h`` values the stream stands at least ``lead + h`` outputs
-    on.  A second Philox with the same key starts there and draws the
-    tail in pieces of ``_PIECE`` values, marking its position at the
-    start of each.  The calling thread draws ``first`` and the head
-    meanwhile, then walks on until its position equals a mark, so that
-    piece and all after it are the serial draw's, and shifts them into
-    place.  A walk that finds no mark it can reach without writing over
-    the piece it aims at finishes the block serially.
+    The head is the block's first half, ``h`` values; each normal takes
+    one raw output or more, so after it the stream stands at least ``h``
+    outputs on.  A second Philox with the same key starts there and
+    draws the tail in pieces of ``_PIECE`` values, marking its position
+    at the start of each.  The calling thread draws the head meanwhile,
+    then walks on until its position equals a mark, so that piece and
+    all after it are the serial draw's, and shifts them into place.  A
+    walk that finds no mark it can reach without writing over the piece
+    it aims at finishes the block serially.
     """
     size = math.prod(shape)
     bit_generator = rng.bit_generator
     if size < _SPLIT_VALUES or not isinstance(bit_generator, np.random.Philox):
-        if first is not None:
-            first()
         return rng.standard_normal(shape)
 
     out = np.empty(shape)
     flat = out.reshape(-1)
-    head = max(0, (size - lead) // 2)  # each column value costs about a normal
-    start = _raw_position(bit_generator) + lead + head
+    head = size // 2
+    start = _raw_position(bit_generator) + head
     tail = np.random.Philox(key=bit_generator.state["state"]["key"])
     tail.advance(start // 4)
     tail.random_raw(start % 4)
     marks = []
-
-    def draw_head():
-        if first is not None:
-            first()
-        rng.standard_normal(out=flat[:head])
 
     def draw_tail():
         normals = np.random.Generator(tail)
@@ -227,7 +219,7 @@ def _standard_normal(rng: np.random.Generator, shape, lead: int = 0, first=None)
             marks.append(_raw_position(tail))
             normals.standard_normal(out=flat[lo : lo + _PIECE])
 
-    _together(draw_head, draw_tail)
+    _together(lambda: rng.standard_normal(out=flat[:head]), draw_tail)
 
     done, position = head, _raw_position(bit_generator)
     k = bisect_left(marks, position)

@@ -41,7 +41,7 @@ from .graph import (
     descendants,
     scenario_graph,
 )
-from .rng import _BLOCK, _SPLIT_VALUES, _standard_normal, _together, stream
+from .rng import _BLOCK, _standard_normal, stream
 
 
 class SimulateError(CausalBootError):
@@ -285,10 +285,10 @@ def simulate(cfg: SimConfig, regime, seed: int) -> Dataset:
     """Draw one dataset; identical inputs give identical bytes.
 
     Draw order in the stream is fixed: y, u, v (scenario c), z, d
-    (scenario e), x.  A large Gaussian block is drawn by two threads
-    (``rng._standard_normal``), the second starting at the block's own
-    place in the stream while the first draws the columns, so the order
-    and every byte are those of drawing one after the other.
+    (scenario e), x.  A large Gaussian block is drawn by two threads, a
+    half each, with every byte that of one serial draw
+    (``rng._standard_normal``); its rows are then scaled and shifted to
+    their means a block at a time.
     """
     regime = TestRegime.coerce(regime)
     rates = _rates(cfg, regime)
@@ -316,26 +316,21 @@ def simulate(cfg: SimConfig, regime, seed: int) -> Dataset:
         y = drawn["y"][rows]
         return law[y] if law.ndim == 1 else law[y, drawn["u"][rows]]
 
-    def draw_columns() -> None:
-        """Each column takes n uniforms, one raw output of the stream
-        apiece, a block at a time, and holds its 0/1 comparison's bytes
-        as int8; a block's thresholds are gathered from the column's law
-        by the block's labels (and u, for d), so no n-row float is made."""
-        uniforms = np.empty(min(n, _BLOCK))
-        for name, law in {"y": None, **laws}.items():
-            column = drawn[name] = np.empty(n, dtype=np.int8)
-            for start in range(0, n, _BLOCK):
-                rows = slice(start, min(start + _BLOCK, n))
-                block = rng.random(out=uniforms[: rows.stop - start])
-                below = cfg.p if law is None else threshold(law, rows)
-                np.less(block, below, out=column.view(bool)[rows])
+    # each column takes n uniforms, one raw output of the stream apiece,
+    # a block at a time, and holds its 0/1 comparison's bytes as int8; a
+    # block's thresholds are gathered from the column's law by the
+    # block's labels (and u, for d), so no n-row float is made
+    uniforms = np.empty(min(n, _BLOCK))
+    for name, law in {"y": None, **laws}.items():
+        column = drawn[name] = np.empty(n, dtype=np.int8)
+        for start in range(0, n, _BLOCK):
+            rows = slice(start, min(start + _BLOCK, n))
+            block = rng.random(out=uniforms[: rows.stop - start])
+            below = cfg.p if law is None else threshold(law, rows)
+            np.less(block, below, out=column.view(bool)[rows])
 
     if cfg.x_mode == "gaussian":
-        x = _standard_normal(
-            rng, (n, cfg.feature_dim), lead=n * (1 + len(laws)), first=draw_columns
-        )
-    else:
-        draw_columns()
+        x = _standard_normal(rng, (n, cfg.feature_dim))
     # each row's parent configuration as one flat cell, in the row-major
     # order of the tables below
     sizes = [len(_offsets(cfg, parent)) for parent in parents]
@@ -348,19 +343,10 @@ def simulate(cfg: SimConfig, regime, seed: int) -> Dataset:
         for parent in parents:
             table = table[..., None, :] + _offsets(cfg, parent)
         means = table.reshape(-1, cfg.feature_dim)
-
-        def finish(lo: int, hi: int) -> None:
-            for start in range(lo, hi, _BLOCK_ROWS):
-                rows = slice(start, min(start + _BLOCK_ROWS, hi))
-                x[rows] *= cfg.sigma
-                x[rows] += means.take(cell[rows], axis=0)
-
-        # each row is scaled and shifted on its own, so two threads each
-        # take half the rows of a block large enough to split
-        if x.size >= _SPLIT_VALUES:
-            _together(lambda: finish(0, n // 2), lambda: finish(n // 2, n))
-        else:
-            finish(0, n)
+        for start in range(0, n, _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            x[rows] *= cfg.sigma
+            x[rows] += means.take(cell[rows], axis=0)
     else:
         probs = np.stack(list(_discrete_tables(cfg)[1].values()))
         cum = np.cumsum(probs.take(cell, axis=0), axis=1)

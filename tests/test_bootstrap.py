@@ -1046,12 +1046,15 @@ def test_weights_and_resample_hold_few_row_length_arrays():
     # gathers each class straight into the table: beyond the table, one
     # intp cell index and a one-byte check of the table.  cb_resample
     # draws a block of indices at a time: beyond its output, one cdf per
-    # class of a pair drawing at once and a few blocks of scratch
+    # class of a pair drawing at once and a few blocks of scratch, the
+    # Gaussian kernel's jitter included
     n = 2**18
     row = n * 8
     data = simulate(SimConfig(scenario="c", n=n), "conf", seed=3)
     table, peak = traced_peak(cb_weights, data.weight_columns(), "c")
     assert peak <= table.weights.nbytes + 2.25 * row
-    out, peak = traced_peak(cb_resample, data, table, ResampleConfig(seed=0))
-    arrays = [out.x, out.y, *out.columns.values(), *out.shadow.values()]
-    assert peak <= sum(a.nbytes for a in arrays) + 2 * row + 4 * 2**20
+    for kernel in (KernelSpec.delta(), KernelSpec.gaussian(0.1)):
+        config = ResampleConfig(seed=0, kernel=kernel)
+        out, peak = traced_peak(cb_resample, data, table, config)
+        arrays = [out.x, out.y, *out.columns.values(), *out.shadow.values()]
+        assert peak <= sum(a.nbytes for a in arrays) + 2 * row + 4 * 2**20, kernel

@@ -37,23 +37,52 @@ def test_every_public_import_is_exported():
     assert sorted(public - set(causalboot.__all__)) == []
 
 
+SOURCES = sorted(Path(causalboot.__file__).parent.glob("*.py"))
+
+
+def used_names(path):
+    """Each module ``path`` imports absolutely, each name it imports from
+    os as ``os.<name>``, and each ``os.<name>`` it reads."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+            if node.module == "os":
+                yield from (f"os.{alias.name}" for alias in node.names)
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+        ):
+            yield f"os.{node.attr}"
+
+
 def test_runtime_imports_are_numpy_and_the_standard_library():
     allowed = {"causalboot", "numpy"} | set(sys.stdlib_module_names)
-    outside = []
-    for path in sorted(Path(causalboot.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                modules = [node.module]
-            else:
-                continue
-            outside += [
-                f"{path.name}: {name}"
-                for name in modules
-                if name.partition(".")[0] not in allowed
-            ]
+    outside = [
+        f"{path.name}: {name}"
+        for path in SOURCES
+        for name in used_names(path)
+        if name.partition(".")[0] not in allowed
+    ]
     assert outside == []
+
+
+def test_only_rng_splits_work_across_cpus():
+    # rng is the one module that starts a thread, forks a process or
+    # moves a thread between CPUs; the rest reach them through it
+    banned = {
+        "threading", "multiprocessing", "concurrent", "os.fork", "os.sched_setaffinity"
+    }
+    found = [
+        f"{path.name}: {name}"
+        for path in SOURCES
+        if path.name != "rng.py"
+        for name in used_names(path)
+        if name in banned or name.partition(".")[0] in banned
+    ]
+    assert found == []
 
 
 @pytest.mark.parametrize(

@@ -17,11 +17,11 @@ from causalboot.rng import _SPLIT_VALUES, _forked, _standard_normal, _together, 
 rng_module = importlib.import_module("causalboot.rng")
 
 
-def serial(seed, shape, lead):
-    """The draw made one call after the other: ``lead`` uniforms, one
+def serial(seed, shape, before):
+    """The draw made one call after the other: ``before`` uniforms, one
     raw output apiece, then the block; and the generator left after."""
     rng = stream(seed, "split")
-    rng.random(lead)
+    rng.random(before)
     return rng.standard_normal(shape), rng.bit_generator.state
 
 
@@ -36,21 +36,17 @@ def assert_serial(got, rng, want, state):
     [(_SPLIT_VALUES - 1,), (_SPLIT_VALUES,), (_SPLIT_VALUES // 4 + 1, 4)],
     ids=["below", "at", "above"],
 )
-@pytest.mark.parametrize("lead", range(8))
-def test_split_draw_equals_the_serial_draw(lead, shape):
+@pytest.mark.parametrize("before", range(8))
+def test_split_draw_equals_the_serial_draw(before, shape):
     # every offset of the block within Philox's four-output counter step,
     # twice over, and block sizes on both sides of the split
-    rng, calls = stream(3, "split"), []
-
-    def first():
-        calls.append(rng.random(lead))
-
-    got = _standard_normal(rng, shape, lead=lead, first=first)
-    assert len(calls) == 1
-    assert_serial(got, rng, *serial(3, shape, lead))
+    rng = stream(3, "split")
+    rng.random(before)
+    got = _standard_normal(rng, shape)
+    assert_serial(got, rng, *serial(3, shape, before))
 
 
-def walk(monkeypatch, rng, size, lead):
+def walk(monkeypatch, rng, size):
     """Draw ``size`` normals by ``_standard_normal`` and name the way its
     calling thread got back in step: every raw position it reads of its
     own generator after placing the second, and every mark the second
@@ -64,7 +60,7 @@ def walk(monkeypatch, rng, size, lead):
         return position
 
     monkeypatch.setattr(rng_module, "_raw_position", spy)
-    got = _standard_normal(rng, (size,), lead=lead)
+    got = _standard_normal(rng, (size,))
     own = [position for mine, position in reads if mine][1:]
     marks = sorted(position for mine, position in reads if not mine)
     if own[-1] not in marks:
@@ -77,27 +73,29 @@ def walk(monkeypatch, rng, size, lead):
 
 
 @pytest.mark.parametrize(
-    "seed, piece, size, lead, path",
+    "seed, before, piece, size, path",
     [
-        (2, 2, 41, 0, "landing"),  # walks onto a later mark
-        (17623, 2, 41, -1, "overshoot"),  # the first mark it aims at splits a normal
-        (4, 8, 9, 0, "serial finish"),  # the head outruns the one mark
-        (0, 2, 41, 0, "zero shift"),  # the head ends on the first mark
-        (0, 2, 41, 3, "serial finish"),  # the second thread starts past the head
+        (2, 0, 2, 41, "landing"),  # walks onto a later mark
+        (9898, 0, 2, 41, "overshoot"),  # a normal it walks over spans a mark
+        (29421, 1, 2, 41, "overshoot"),
+        (0, 0, 2, 41, "zero shift"),  # the head ends on the first mark
+        (4, 0, 8, 9, "serial finish"),  # the head outruns the one mark
+        (1704, 3, 2, 41, "serial finish"),  # the walk would overwrite its aim
     ],
 )
 def test_every_way_back_into_step_gives_the_serial_draw(
-    monkeypatch, seed, piece, size, lead, path
+    monkeypatch, seed, before, piece, size, path
 ):
     # a small threshold and piece size put every branch of the walk
-    # within a few dozen values; a lead is only where the second thread
-    # starts, so one that is off changes the way, never the bytes
+    # within a few dozen values; the uniforms drawn first move the block
+    # within the counter step, which changes the way, never the bytes
     monkeypatch.setattr(rng_module, "_SPLIT_VALUES", 8)
     monkeypatch.setattr(rng_module, "_PIECE", piece)
     rng = stream(seed, "split")
-    got, way = walk(monkeypatch, rng, size, lead)
+    rng.random(before)
+    got, way = walk(monkeypatch, rng, size)
     assert way == path
-    assert_serial(got, rng, *serial(seed, (size,), 0))
+    assert_serial(got, rng, *serial(seed, (size,), before))
 
 
 def test_a_generator_other_than_philox_draws_serially(monkeypatch):
@@ -106,10 +104,9 @@ def test_a_generator_other_than_philox_draws_serially(monkeypatch):
 
     monkeypatch.setattr(rng_module, "_together", no_thread)
     rng, want = (np.random.Generator(np.random.PCG64(5)) for _ in range(2))
-    calls = []
-    got = _standard_normal(rng, (_SPLIT_VALUES,), lead=1, first=lambda: calls.append(rng.random()))
+    rng.random()
     want.random()
-    assert len(calls) == 1
+    got = _standard_normal(rng, (_SPLIT_VALUES,))
     assert_serial(got, rng, want.standard_normal(_SPLIT_VALUES), want.bit_generator.state)
 
 
@@ -117,11 +114,10 @@ def test_the_buffered_half_of_a_raw_output_survives_the_split():
     # a 32-bit draw keeps the other half of its raw output for the next
     # one; normals never read it, so the state after keeps it too
     rng, want = stream(4, "split"), stream(4, "split")
-    got = _standard_normal(
-        rng, (_SPLIT_VALUES,), lead=1, first=lambda: rng.integers(2**32, dtype=np.uint32)
-    )
+    rng.integers(2**32, dtype=np.uint32)
     want.integers(2**32, dtype=np.uint32)
-    assert want.bit_generator.state["has_uint32"] == 1
+    assert rng.bit_generator.state["has_uint32"] == 1
+    got = _standard_normal(rng, (_SPLIT_VALUES,))
     assert_serial(got, rng, want.standard_normal(_SPLIT_VALUES), want.bit_generator.state)
 
 
