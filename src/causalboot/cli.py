@@ -20,7 +20,6 @@ import contextlib
 import csv
 import dataclasses
 import itertools
-import shutil
 import sys
 import warnings
 from pathlib import Path
@@ -120,9 +119,10 @@ def _write_dataset(
     formatted and written one chunk at a time.  With an index, each
     distinct row of x a range of output rows uses is formatted once, so
     a resample that copies input rows formats its input's features, not
-    its output's.  From ``_SPLIT_ROWS`` rows on, a forked process
-    formats the second half of the rows while this one formats the
-    first (``rng._forked``); the bytes are the same either way."""
+    its output's.  From ``_SPLIT_ROWS`` rows on, ``rng._forked`` has a
+    forked process format the second half of the rows while this one
+    formats the first, or formats them all here where it cannot fork;
+    the bytes are the same either way."""
     x = data.x if x is None else x
     x = x if x.ndim == 2 else x[:, None]
     header = [f"x{j}" for j in range(x.shape[1])] + ["y"]
@@ -155,18 +155,12 @@ def _write_dataset(
             )
 
     n = data.n
-    mid = n // 2 if n >= _SPLIT_ROWS else n
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        spill = _forked(
-            lambda: write(fh, 0, mid),
-            (lambda out: write(out, mid, n)) if mid < n else None,
-        )
-        if spill is None:
-            write(fh, mid, n)
+        if n < _SPLIT_ROWS:
+            write(fh, 0, n)
         else:
-            with spill:
-                shutil.copyfileobj(spill, fh)
+            _forked(write, n, fh)
 
 
 def _beyond_strict(cell: str) -> bool:

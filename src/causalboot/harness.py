@@ -25,8 +25,7 @@ Every random draw is keyed by (seed, purpose, cell coordinates), so
 data seeds are method-independent and enlarging the grid never changes
 existing cells.  That also lets ``run_experiment`` hand the second half
 of its (scenario, level) pairs to a forked child (``rng._forked``) and
-still return the rows a serial run gives.  Wall time is reported as 0:
-timing is hardware noise and would break byte-identical reruns.
+still return the rows a serial run gives.
 
 In sweep mode the grid's level axis carries the label-offset norm
 instead of the confounder strength, which stays at its configured
@@ -198,7 +197,6 @@ class ResultRow:
     seed: int
     auc: float | None
     n_train: int
-    wall_time_ms: int = 0
     status: str = "ok"
 
     def __post_init__(self):
@@ -222,7 +220,7 @@ def _error(exc) -> str:
     return "error: " + " ".join(str(exc).split())
 
 
-def _method_set(spec, scenario, level, seed, method, draw):
+def _method_set(scenario, level, seed, method, draw):
     """One method's checked (features, labels), built from a seed's
     training draw."""
     data = draw
@@ -294,7 +292,7 @@ def _run_level(spec: ExperimentSpec, scenario, level) -> list[ResultRow]:
             continue
         for method in runnable:
             try:
-                x, y = _method_set(spec, scenario, level, seed, method, draw)
+                x, y = _method_set(scenario, level, seed, method, draw)
             except CausalBootError as exc:
                 fail(method, seed, _error(exc))
                 continue
@@ -349,37 +347,27 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     """All grid cells, canonically sorted, so the rows are deterministic
     for a given spec.
 
-    The (scenario, level) pairs are split in their grid order: this
-    process runs the first half, rounded up, while a forked child runs
-    the rest and hands its rows back through the spill one JSON list a
-    line (``rng._forked``); JSON writes floats by repr, so each reads
-    back as the same float.  Where there is no child (one pair, one
-    CPU, no ``os.fork``, or a child that failed) this process runs the
-    second half itself.  Every cell's draws are keyed by its own
+    The (scenario, level) pairs are split in their grid order by
+    ``rng._forked``: this process runs the first half, rounded up, while
+    a forked child runs the rest, or this process runs them all where
+    there is no child.  Either way each row is written as one JSON list
+    a line and read back; JSON writes floats by repr, so each reads back
+    as the same float.  Every cell's draws are keyed by its own
     coordinates, so the rows are the same either way.
     """
     import json  # here, so importing the package does not pay for it
 
     pairs = [(scenario, level) for scenario in spec.scenarios for level in spec.levels]
-    mid = (len(pairs) + 1) // 2
 
-    def run(part) -> list[ResultRow]:
-        return [row for pair in part for row in _run_level(spec, *pair)]
+    def spill_rows(out, lo: int, hi: int) -> None:
+        for pair in pairs[lo:hi]:
+            for row in _run_level(spec, *pair):
+                out.write(json.dumps(dataclasses.astuple(row)) + "\n")
 
-    def spill_rows(out) -> None:
-        for row in run(pairs[mid:]):
-            out.write(json.dumps(dataclasses.astuple(row)) + "\n")
-
-    rows: list[ResultRow] = []
-    spill = _forked(
-        lambda: rows.extend(run(pairs[:mid])),
-        spill_rows if mid < len(pairs) else None,
-    )
-    if spill is None:
-        rows += run(pairs[mid:])
-    else:
-        with spill:
-            rows += [ResultRow(*json.loads(line)) for line in spill]
+    lines = io.StringIO()
+    _forked(spill_rows, len(pairs), lines)
+    lines.seek(0)
+    rows = [ResultRow(*json.loads(line)) for line in lines]
     rows.sort(
         key=lambda r: (
             r.scenario,

@@ -13,9 +13,11 @@ package runs two jobs at once in one of two ways, both here and both
 splitting the CPUs between them: ``_together`` for numpy work that
 releases the interpreter lock, in a thread (the two halves of that
 normal block, and ``cb_resample``'s classes two at a time), and
-``_forked`` for Python work that holds it, in a forked process:
-formatting the second half of a CSV write's rows, and running the
-second half of an experiment grid's (scenario, level) pairs.
+``_forked`` for Python work that holds it, in a forked process: given
+``work(file, lo, hi)`` over a range, a child writes the second half of
+the range to a spill that is appended to the caller's file, and
+``_forked`` runs that half itself wherever the child cannot (the CSV
+write's rows, and the experiment grid's (scenario, level) pairs).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import shutil
 import signal
 import tempfile
 import threading
@@ -106,40 +109,43 @@ def _together(first, second=None) -> None:
         raise errors[0]
 
 
-def _forked(first, second=None):
-    """Run ``first()`` in the calling process while a child forked for
-    the purpose runs ``second(spill)``, if given, with ``spill`` a text
-    file that is never linked into any directory.  Return the spill
-    rewound once both finish, or ``None``, and then the caller does
-    ``second``'s work itself.
+def _forked(work, n: int, out) -> None:
+    """Run ``work(file, lo, hi)`` over the range 0 to ``n`` into the text
+    file ``out``: this process runs ``work(out, 0, m)``, m = ceil(n / 2),
+    while a child forked for the purpose runs ``work(spill, m, n)``, with
+    ``spill`` a text file that is never linked into any directory, and
+    the spill is then appended to ``out``.
 
-    ``None`` is the one fallback for every case where the split cannot
-    help or did not work: no ``second``, no ``os.fork``, fewer than two
-    CPUs, a spill that cannot be made, or a child that did not exit
-    with status 0.  The CPUs are split as ``_together`` splits them, and
-    the caller gets its whole set back afterwards.  The child always
-    leaves through ``os._exit``, so it runs no exit handler and flushes
-    no inherited buffer; an exception in ``first`` (``KeyboardInterrupt``
-    included) kills and reaps it before it propagates.  ``second`` must
+    Where the split cannot help or did not work (n < 2, no ``os.fork``,
+    fewer than two CPUs, a spill that cannot be made, or a child that did
+    not exit with status 0), this process runs what is left of the range
+    itself, all of it where no child started, so ``out`` gets the same
+    text every way.  The CPUs are split as ``_together`` splits them,
+    and the caller gets its whole set back before any fallback.  The
+    child always leaves through ``os._exit``, so it runs no exit handler
+    and flushes no inherited buffer; an exception in this process's half
+    (``KeyboardInterrupt`` included) kills and reaps it before it
+    propagates.  The child's ``work`` must
     only compute from memory and write to the spill: a lock another
     thread held at the fork stays held in the child.  Threads the child
     starts itself (``_together``) are its own and take no such lock.
     """
+    m = (n + 1) // 2
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
     half = len(cpus) // 2
     spill = None
-    if second is not None and half and hasattr(os, "fork"):
+    if m < n and half and hasattr(os, "fork"):
         try:
             spill = tempfile.TemporaryFile("w+", newline="")
         except OSError:
             pass
     if spill is None:
-        first()
-        return None
+        work(out, 0, n)
+        return
 
     # Python 3.12 and later warn on a fork in a process with threads
     # (numpy's BLAS starts some at import).  The child is safe as long
-    # as ``second`` keeps to the rule above: it then takes no lock
+    # as ``work`` keeps to the rule above: it then takes no lock
     # another thread may hold, and it leaves through os._exit.
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", r".*fork\(\)", DeprecationWarning)
@@ -148,31 +154,31 @@ def _forked(first, second=None):
         code = 1
         try:
             _pin(cpus[half:])
-            second(spill)
+            work(spill, m, n)
             spill.flush()
             code = 0
         finally:
             os._exit(code)
 
-    try:
-        _pin(cpus[:half])
-        first()
-        _, status = os.waitpid(pid, 0)
-    except BaseException:
+    with spill:
         try:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        except (ProcessLookupError, ChildProcessError):
-            pass  # reaped already
-        spill.close()
-        raise
-    finally:
-        _pin(cpus)
-    if os.waitstatus_to_exitcode(status) != 0:
-        spill.close()
-        return None
-    spill.seek(0)
-    return spill
+            _pin(cpus[:half])
+            work(out, 0, m)
+            _, status = os.waitpid(pid, 0)
+        except BaseException:
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):
+                pass  # reaped already
+            raise
+        finally:
+            _pin(cpus)
+        if os.waitstatus_to_exitcode(status) == 0:
+            spill.seek(0)
+            shutil.copyfileobj(spill, out)
+            return
+    work(out, m, n)
 
 
 def _raw_position(bit_generator: np.random.Philox) -> int:

@@ -76,9 +76,6 @@ MAX_ROWS = 10_000_000
 # by value for every parent configuration, about 0.1 s at this size.
 MAX_X_SUPPORT = 10_000
 
-# Rows whose feature means are gathered and added at once.
-_BLOCK_ROWS = 1 << 14
-
 
 def _unit_offset(dim: int, axis: int, scale: float = DELTA_SCALE) -> np.ndarray:
     if axis >= dim:
@@ -337,14 +334,15 @@ def simulate(cfg: SimConfig, regime, seed: int) -> Dataset:
     cell = np.ravel_multi_index([drawn[parent] for parent in parents], sizes)
     if cfg.x_mode == "gaussian":
         # X's mean for every parent configuration, summed in parent order
-        # from zeros, then gathered by cell and added a block of rows at a
-        # time, so no n-row copy of the means is built
+        # from zeros, then gathered by cell and added about a block of
+        # values at a time, so no n-row copy of the means is built
         table = np.zeros(cfg.feature_dim)
         for parent in parents:
             table = table[..., None, :] + _offsets(cfg, parent)
         means = table.reshape(-1, cfg.feature_dim)
-        for start in range(0, n, _BLOCK_ROWS):
-            rows = slice(start, start + _BLOCK_ROWS)
+        step = max(1, _BLOCK // cfg.feature_dim)
+        for start in range(0, n, step):
+            rows = slice(start, start + step)
             x[rows] *= cfg.sigma
             x[rows] += means.take(cell[rows], axis=0)
     else:

@@ -624,7 +624,7 @@ def test_split_write_equals_the_serial_write(tmp_path_factory, n, d, split, chun
             written(tmp / "d.csv", dataset, False, x, drawn),
         ]
     assert halves == serial
-    assert len(pids) == (2 if n >= split and two_cpus() else 0)
+    assert len(pids) == (2 if n >= max(split, 2) and two_cpus() else 0)
     for pid in pids:
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)

@@ -70,10 +70,12 @@ def test_runtime_imports_are_numpy_and_the_standard_library():
 
 
 def test_only_rng_splits_work_across_cpus():
-    # rng is the one module that starts a thread, forks a process or
-    # moves a thread between CPUs; the rest reach them through it
+    # rng is the one module that starts a thread, forks a process,
+    # moves a thread between CPUs or makes and splices a spill; the rest
+    # reach them through it
     banned = {
-        "threading", "multiprocessing", "concurrent", "os.fork", "os.sched_setaffinity"
+        "threading", "multiprocessing", "concurrent", "os.fork", "os.sched_setaffinity",
+        "tempfile", "shutil",
     }
     found = [
         f"{path.name}: {name}"

@@ -3,6 +3,7 @@ the forked job leaves no process, file or CPU set behind."""
 
 import bisect
 import importlib
+import io
 import os
 import tempfile
 import time
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from causalboot.rng import _SPLIT_VALUES, _forked, _standard_normal, _together, stream
+from forks import counting_forks, two_cpus
 
 # the module, which holds the threshold and piece size the tests patch
 rng_module = importlib.import_module("causalboot.rng")
@@ -123,63 +125,123 @@ def test_the_buffered_half_of_a_raw_output_survives_the_split():
 
 # --- _forked ----------------------------------------------------------------
 
-two_cpus = pytest.mark.skipif(
-    not hasattr(os, "fork")
-    or not hasattr(os, "sched_getaffinity")
-    or len(os.sched_getaffinity(0)) < 2,
-    reason="the split needs os.fork and two CPUs",
+needs_two_cpus = pytest.mark.skipif(
+    not two_cpus(), reason="the split needs os.fork and two CPUs"
 )
 
 
-@two_cpus
-def test_forked_returns_the_childs_text_rewound():
-    calls = []
+def lines(out, lo, hi):
+    """Work over a range: one line of varying length per index."""
+    out.writelines(f"{i}:{'x' * (i % 4)}\n" for i in range(lo, hi))
+
+
+def failing_in_a_child(mp):
+    parent = os.getpid()
+
+    def work(out, lo, hi):
+        if os.getpid() != parent:
+            out.write("part\n")
+            raise RuntimeError("fault in the child")
+        lines(out, lo, hi)
+
+    return work
+
+
+def no_spill(mp):
+    def refused(*args, **kwargs):
+        raise OSError("no room for a spill")
+
+    mp.setattr(tempfile, "TemporaryFile", refused)
+    return lines
+
+
+def one_cpu(mp):
+    mp.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    return lines
+
+
+def no_fork(mp):
+    mp.delattr(os, "fork", raising=False)
+    return lines
+
+
+@pytest.mark.parametrize("n", range(10))
+@pytest.mark.parametrize(
+    "way, forks",
+    [(lambda mp: lines, 1), (failing_in_a_child, 1), (no_spill, 0), (one_cpu, 0), (no_fork, 0)],
+    ids=["forked", "child-fails", "no-spill", "one-cpu", "no-fork"],
+)
+def test_every_way_writes_the_serial_text(monkeypatch, n, way, forks):
+    serial = io.StringIO()
+    lines(serial, 0, n)
+    pids = counting_forks(monkeypatch) if hasattr(os, "fork") else []
+    work = way(monkeypatch)
+    out = io.StringIO()
+    _forked(work, n, out)
+    assert out.getvalue() == serial.getvalue()
+    assert len(pids) == (forks if n >= 2 and two_cpus() else 0)
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+@needs_two_cpus
+def test_the_callers_half_comes_before_the_childs():
+    parent = os.getpid()
+
+    def work(out, lo, hi):
+        who = "caller" if os.getpid() == parent else "child"
+        out.writelines(f"{i} {who}\n" for i in range(lo, hi))
+
+    out = io.StringIO()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        spill = _forked(lambda: calls.append(os.getpid()), lambda out: out.write("tail\n" * 3))
-    with spill:
-        assert spill.read() == "tail\n" * 3
-    assert calls == [os.getpid()]
+        _forked(work, 5, out)
+    assert out.getvalue() == "0 caller\n1 caller\n2 caller\n3 child\n4 child\n"
 
 
-@two_cpus
-def test_a_failed_child_returns_none():
-    calls = []
+@needs_two_cpus
+def test_a_failed_child_leaves_the_caller_its_half():
+    parent, cpus, calls = os.getpid(), os.sched_getaffinity(0), []
 
-    def second(out):
-        out.write("part")
-        raise RuntimeError("fault in the child")
+    def work(out, lo, hi):
+        if os.getpid() != parent:
+            raise RuntimeError("fault in the child")
+        calls.append((lo, hi, os.sched_getaffinity(0)))
+        lines(out, lo, hi)
 
-    assert _forked(lambda: calls.append(1), second) is None
-    assert calls == [1]
+    out = io.StringIO()
+    _forked(work, 5, out)
+    want = io.StringIO()
+    lines(want, 0, 5)
+    assert out.getvalue() == want.getvalue()
+    # the caller's half on its share of the CPUs, then the rest on all
+    low = set(sorted(cpus)[: len(cpus) // 2])
+    assert calls == [(0, 3, low), (3, 5, cpus)]
 
 
-@two_cpus
+@needs_two_cpus
 @pytest.mark.parametrize("fault", [RuntimeError, KeyboardInterrupt])
 def test_a_fault_in_the_caller_kills_and_reaps_the_child(tmp_path, monkeypatch, fault):
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-    pids, spills, fork, spill_file = [], [], os.fork, tempfile.TemporaryFile
-
-    def counted():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
+    spills, spill_file = [], tempfile.TemporaryFile
 
     def noted(*args, **kwargs):
         spills.append(spill_file(*args, **kwargs))
         return spills[-1]
 
-    monkeypatch.setattr(os, "fork", counted)
+    pids = counting_forks(monkeypatch)
     monkeypatch.setattr(tempfile, "TemporaryFile", noted)
     cpus = os.sched_getaffinity(0)
 
-    def first():
-        raise fault("fault in the caller")
+    def work(out, lo, hi):
+        if lo == 0:
+            raise fault("fault in the caller")
+        time.sleep(60)
 
     start = time.monotonic()
     with pytest.raises(fault):
-        _forked(first, lambda out: time.sleep(60))
+        _forked(work, 2, io.StringIO())
     assert time.monotonic() - start < 30  # killed, not waited for
     assert len(pids) == 1
     with pytest.raises(ChildProcessError):
@@ -189,15 +251,16 @@ def test_a_fault_in_the_caller_kills_and_reaps_the_child(tmp_path, monkeypatch, 
     assert list(tmp_path.iterdir()) == []
 
 
-def test_no_second_job_runs_first_alone(monkeypatch):
-    def no_fork():
+@pytest.mark.parametrize("n", [0, 1])
+def test_fewer_than_two_never_forks(monkeypatch, n):
+    def forked():
         raise AssertionError("a process was forked")
 
     if hasattr(os, "fork"):
-        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(os, "fork", forked)
     calls = []
-    assert _forked(lambda: calls.append(1)) is None
-    assert calls == [1]
+    _forked(lambda out, lo, hi: calls.append((lo, hi)), n, io.StringIO())
+    assert calls == [(0, n)]
 
 
 def test_a_refused_cpu_set_still_runs_both_jobs(monkeypatch):

@@ -19,7 +19,6 @@ from causalboot.simulate import (
     SimConfig,
     SimulateError,
     TestRegime,
-    _BLOCK_ROWS,
     _discrete_tables,
     _offsets,
     exact_interventional,
@@ -235,7 +234,7 @@ def test_features_equal_the_fancy_index_gather(monkeypatch, scenario, regime, fe
     rng = np.random.default_rng(feature_dim)
     names = ("delta_y", "delta_u", "delta_z", "delta_v", "delta_u2")
     deltas = {name: rng.normal(size=feature_dim) for name in names}
-    n = 2 * _BLOCK_ROWS + 123
+    n = 2 * (_BLOCK // feature_dim) + 123
     cfg = cfg_for(scenario, n, feature_dim=feature_dim, sigma=1.3, **deltas)
     generators = record_draws(monkeypatch)
     data = simulate(cfg, regime, seed=17)
