@@ -9,8 +9,12 @@ unusable spec/arguments); 3 zero-support estimation failure; 4 at least
 one grid cell failed.  The package's errors carry their code as
 ``CausalBootError.exit_code``.
 
-All numeric output goes through repr of Python floats, so identical
-invocations produce byte-identical files.
+Every number in a data CSV is written as Python writes it, a float as
+repr (the shortest text that reads back to it) and an int as str, so
+identical invocations produce byte-identical files.  The text comes from
+a numpy kernel (``_csvtext``) a block of rows at a time; the few floats
+its digit proof does not cover (zeros, magnitudes below 1e-4 or from
+1e16 on, powers of two, exact decimal ties) go through repr itself.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import contextlib
 import csv
 import dataclasses
 import itertools
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -78,14 +83,14 @@ def _load_graph(path: str):
 
 # --- csv schema ---------------------------------------------------------------
 
-# Rows formatted per step, and records checked per step when a read
-# fails: neither holds the whole file's text at once.
+# Records checked per step when a read fails, so the check never holds
+# the whole file's text at once.
 _CHUNK = 1024
 
 # Fewest rows a write splits between two processes.  A fork costs a few
-# milliseconds, which the split won back from about 1,000 rows of ten
-# features on a 2-CPU machine; 4,096 rows write in about 60 ms serially
-# there and 40 ms split.
+# milliseconds; on a 2-CPU machine 1,024 rows of scenario c (ten
+# features, four ints) write in about 4 ms serially and 8 ms split,
+# 4,096 rows in 16 ms and 14 ms.
 _SPLIT_ROWS = 1 << 12
 
 # Shadow column the reader gives every dataset: each row's index in the
@@ -99,12 +104,6 @@ _INT64 = np.iinfo(np.int64)
 _FIELD_LIMIT = (1 << 31) - 1
 
 
-def _text(rows) -> list[str]:
-    """Comma-joined repr of each row of a list of lists: repr of a Python
-    float is the shortest text that reads back to the same float."""
-    return [",".join(map(repr, row)) for row in rows]
-
-
 def _write_dataset(
     path: str,
     data: Dataset,
@@ -115,14 +114,19 @@ def _write_dataset(
     """Feature columns, label, then any observed discrete columns in the
     fixed y/u/z/d order; hidden columns last, prefixed with '_'.
 
-    Row i's features are x[rows[i]], by default data's own x row by row,
-    formatted and written one chunk at a time.  With an index, each
-    distinct row of x a range of output rows uses is formatted once, so
-    a resample that copies input rows formats its input's features, not
-    its output's.  From ``_SPLIT_ROWS`` rows on, ``rng._forked`` has a
-    forked process format the second half of the rows while this one
+    Row i's features are x[rows[i]], by default data's own x row by row.
+    ``_csvtext`` formats the rows a block at a time: every float as repr
+    writes it, every int as str.  With an index, each distinct row of x
+    a range of output rows uses is formatted once, into one byte buffer,
+    so a resample that copies input rows formats its input's features,
+    not its output's.  From ``_SPLIT_ROWS`` rows on, ``rng._forked`` has
+    a forked process format the second half of the rows while this one
     formats the first, or formats them all here where it cannot fork;
     the bytes are the same either way."""
+    # imported on the first write, so the subcommands that write no data
+    # CSV do not compile it
+    from . import _csvtext
+
     x = data.x if x is None else x
     x = x if x.ndim == 2 else x[:, None]
     header = [f"x{j}" for j in range(x.shape[1])] + ["y"]
@@ -137,22 +141,10 @@ def _write_dataset(
 
     def write(fh, lo: int, hi: int) -> None:
         """Rows lo to hi - 1."""
-        starts = range(0, hi - lo, _CHUNK)
         if rows is None:
-            own = x[lo:hi]
-            features = (_text(own[s : s + _CHUNK].tolist()) for s in starts)
+            fh.writelines(_csvtext.lines([x[lo:hi], tail[lo:hi]]))
         else:
-            used, inv = np.unique(rows[lo:hi], return_inverse=True)
-            table = np.empty(len(used), dtype=object)
-            for s in range(0, len(used), _CHUNK):
-                table[s : s + _CHUNK] = _text(x[used[s : s + _CHUNK]].tolist())
-            features = (table[inv[s : s + _CHUNK]] for s in starts)
-        rest = tail[lo:hi]
-        for s, heads in zip(starts, features):
-            fh.writelines(
-                f"{head},{cells}\n"
-                for head, cells in zip(heads, _text(rest[s : s + _CHUNK].tolist()))
-            )
+            fh.writelines(_csvtext.indexed_lines(x, rows[lo:hi], tail[lo:hi]))
 
     n = data.n
     with open(path, "w", newline="") as fh:
@@ -329,7 +321,11 @@ def _cmd_bootstrap(args) -> int:
         raise BootstrapError("bootstrap method must be cb or da")
     if method is MethodId.DA and (args.kernel, args.smoothing) != (None, None):
         raise BootstrapError("--kernel and --smoothing apply to --method cb only")
-    if Path(args.out).resolve() == Path(getattr(args, "in")).resolve():
+    source, target = Path(getattr(args, "in")), Path(args.out)
+    # a hard link shares the input's file under another name
+    if target.resolve() == source.resolve() or (
+        target.exists() and source.exists() and os.path.samefile(target, source)
+    ):
         raise BootstrapError("--out must not name the --in file")
     data = _read_dataset(getattr(args, "in"))
     if method is MethodId.CB:

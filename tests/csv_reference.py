@@ -1,10 +1,13 @@
 """The data-CSV reader as it was before the strict loadtxt pass: every
-cell converted with Python's int()/float(), a chunk of records at a time.
+cell converted with Python's int()/float(), a chunk of records at a time;
+and the writer as it was before the numpy kernel: every cell's repr,
+joined a chunk of rows at a time.
 
-Kept as a reference for tests/test_cli.py.  On any text it and
+Kept as references for tests/test_cli.py.  On any text the reader and
 cli._read_dataset either return the same Dataset bytes or raise the same
 EstimateError, except on cells Python's conversions accept and the
-strict reader refuses (REFUSED).
+strict reader refuses (REFUSED).  On any dataset the writer and
+cli._write_dataset write the same bytes.
 """
 
 from __future__ import annotations
@@ -102,3 +105,43 @@ def read_dataset(path: str) -> Dataset:
     cols = {name: np.concatenate(part) for name, part in parts.items()}
     y = cols.pop("y")
     return Dataset(x=x, y=y, columns=cols, shadow={_SOURCE: np.arange(len(y))})
+
+
+def _text(rows) -> list[str]:
+    """Comma-joined repr of each row of a list of lists: repr of a Python
+    float is the shortest text that reads back to the same float."""
+    return [",".join(map(repr, row)) for row in rows]
+
+
+def write_dataset(path, data, with_extras, x=None, rows=None) -> None:
+    """cli._write_dataset, serially: feature columns, label, observed
+    discrete columns, then hidden ones prefixed with '_'; row i's
+    features x[rows[i]], each distinct row of x formatted once."""
+    x = data.x if x is None else x
+    x = x if x.ndim == 2 else x[:, None]
+    header = [f"x{j}" for j in range(x.shape[1])] + ["y"]
+    tail = [data.y]
+    if with_extras:
+        extras = [c for c in _DISCRETE_COLS[1:] if c in data.columns]
+        shadows = sorted(data.shadow)
+        header += extras + [f"_{name}" for name in shadows]
+        tail += [data.columns[c] for c in extras]
+        tail += [data.shadow[c] for c in shadows]
+    tail = np.column_stack(tail).astype(np.int64)
+
+    starts = range(0, data.n, _CHUNK)
+    if rows is None:
+        features = (_text(x[s : s + _CHUNK].tolist()) for s in starts)
+    else:
+        used, inv = np.unique(rows, return_inverse=True)
+        table = np.empty(len(used), dtype=object)
+        for s in range(0, len(used), _CHUNK):
+            table[s : s + _CHUNK] = _text(x[used[s : s + _CHUNK]].tolist())
+        features = (table[inv[s : s + _CHUNK]] for s in starts)
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for s, heads in zip(starts, features):
+            fh.writelines(
+                f"{head},{cells}\n"
+                for head, cells in zip(heads, _text(tail[s : s + _CHUNK].tolist()))
+            )

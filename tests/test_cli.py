@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from causalboot import cli
+from causalboot import _csvtext, cli
 from causalboot.bootstrap import BootstrapError, NotIdentifiedError
 from causalboot.errors import CausalBootError
 from causalboot.estimate import EstimateError, ZeroSupportError
@@ -26,7 +26,7 @@ from causalboot.graph import GraphError
 from causalboot.harness import HarnessError, parse_spec_text, resolved_spec_text
 from causalboot.identify import EstimandError
 from causalboot.model import ModelError
-from causalboot.simulate import MAX_ROWS, Dataset, SimulateError
+from causalboot.simulate import MAX_ROWS, Dataset, SimConfig, SimulateError, simulate
 import csv_reference
 from forks import counting_forks, two_cpus
 
@@ -563,7 +563,7 @@ def test_write_read_round_trip_across_chunks(tmp_path_factory, n, d, data):
     original = Dataset(x=x, y=y, columns={"u": u}, shadow={})
     tmp = tmp_path_factory.mktemp("csv")
     mp = pytest.MonkeyPatch()
-    mp.setattr(cli, "_CHUNK", chunk)
+    mp.setattr(_csvtext, "_step", lambda blocks: chunk)
     try:
         cli._write_dataset(str(tmp / "a.csv"), original, True)
         back = cli._read_dataset(str(tmp / "a.csv"))
@@ -612,7 +612,7 @@ def test_split_write_equals_the_serial_write(tmp_path_factory, n, d, split, chun
     )
     tmp = tmp_path_factory.mktemp("split")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_CHUNK", chunk)
+        mp.setattr(_csvtext, "_step", lambda blocks: chunk)
         serial = [
             written(tmp / "a.csv", dataset, True),
             written(tmp / "b.csv", dataset, False, x, drawn),
@@ -630,15 +630,94 @@ def test_split_write_equals_the_serial_write(tmp_path_factory, n, d, split, chun
             os.waitpid(pid, os.WNOHANG)
 
 
-def raise_in_a_child(mp):
-    parent, text = os.getpid(), cli._text
+def stepped(v: float, k: int) -> float:
+    """The float k steps above v (below for k < 0)."""
+    for _ in range(abs(k)):
+        v = float(np.nextafter(v, np.inf if k > 0 else -np.inf))
+    return v
 
-    def text_here_only(rows):
+
+int64s = st.integers(-(2**63), 2**63 - 1)
+# the kernel's digit proof, its edges and every class it leaves to repr
+kernel_floats = st.tuples(
+    st.one_of(
+        edge_floats,
+        st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),  # subnormals
+        st.integers(-1074, 1023).map(lambda k: 2.0**k),
+        st.tuples(
+            st.sampled_from([1e-4, 1e16, 2.0**53, 0.1, 1.0]), st.integers(-3, 3)
+        ).map(lambda t: stepped(*t)),
+        st.tuples(st.one_of(finite, st.floats(1e-5, 1e17)), st.integers(1, 17)).map(
+            lambda t: float(f"{t[0]:.{t[1]}g}")  # rounded to 1-17 digits
+        ),
+    ),
+    st.booleans(),
+).map(lambda t: -t[0] if t[1] else t[0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(0, 9),
+    d=st.integers(1, 3),
+    ints=st.booleans(),
+    block=st.integers(1, 4),
+    data=st.data(),
+)
+def test_writer_matches_the_reference_writer(tmp_path_factory, n, d, ints, block, data):
+    cells = st.lists(int64s if ints else kernel_floats, min_size=n * d, max_size=n * d)
+    x = np.array(data.draw(cells), dtype=np.int64 if ints else np.float64).reshape(n, d)
+    y, u = (
+        np.array(data.draw(st.lists(int64s, min_size=n, max_size=n)), dtype=np.int64)
+        for _ in range(2)
+    )
+    dataset = Dataset(x=x, y=y, columns={"u": u}, shadow={cli._SOURCE: y[::-1]})
+    drawn = np.array(
+        data.draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=2 * n if n else 0)),
+        dtype=np.int64,
+    )
+    resampled = Dataset(x=x[drawn], y=y[drawn], columns={}, shadow={})
+    tmp = tmp_path_factory.mktemp("reference")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_csvtext, "_step", lambda blocks: block)
+        for args in ((dataset, True), (dataset, False), (resampled, False, x, drawn)):
+            cli._write_dataset(str(tmp / "a.csv"), *args)
+            csv_reference.write_dataset(str(tmp / "b.csv"), *args)
+            assert (tmp / "a.csv").read_bytes() == (tmp / "b.csv").read_bytes()
+
+
+def test_kernel_writes_a_million_floats_as_repr():
+    rng = np.random.default_rng(2024)
+    # any finite double: 64-bit patterns
+    anywhere = rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64)
+    anywhere = anywhere[np.isfinite(anywhere)]
+    # doubles in the kernel's own domain, 1e-4 <= |v| < 1e16, any significand
+    exponents = rng.integers(-14, 54, 310_000)
+    significands = rng.integers(1 << 52, 1 << 53, 310_000)
+    inside = np.ldexp(significands.astype(np.float64), exponents - 52)
+    inside *= rng.choice([-1.0, 1.0], len(inside))
+    inside = inside[(np.abs(inside) >= 1e-4) & (np.abs(inside) < 1e16)]
+    # the features simulate writes in the benchmark's scenario
+    sim = simulate(SimConfig(scenario="c", n=50_000), "conf", 5).x.reshape(-1, 1)
+
+    for name, values in (("anywhere", anywhere), ("inside", inside), ("scenario c", sim)):
+        values = values.reshape(-1, 1)
+        text = "".join(_csvtext.lines([values]))
+        assert text == "".join(f"{v!r}\n" for v in values[:, 0].tolist()), name
+        if name == "scenario c":
+            fallback = len(_csvtext._floats(values.reshape(-1)).texts)
+            assert fallback <= 0.01 * len(values), fallback
+    assert len(anywhere) + len(inside) + len(sim) >= 10**6
+
+
+def raise_in_a_child(mp):
+    parent, slab = os.getpid(), _csvtext._slab
+
+    def slab_here_only(blocks, end):
         if os.getpid() != parent:
             raise RuntimeError("fault in the child")
-        return text(rows)
+        return slab(blocks, end)
 
-    mp.setattr(cli, "_text", text_here_only)
+    mp.setattr(_csvtext, "_slab", slab_here_only)
 
 
 def no_spill(mp):
@@ -975,6 +1054,23 @@ def test_bootstrap_refuses_to_overwrite_its_input(tmp_path, monkeypatch, capsys)
             assert cli.main(argv) == 1
             assert "--out must not name the --in file" in capsys.readouterr().err
             assert src.read_bytes() == before
+
+
+def test_bootstrap_refuses_a_hard_link_to_its_input(tmp_path, capsys):
+    src = simulate_csv(tmp_path, "s.csv")
+    link = tmp_path / "link.csv"
+    try:
+        os.link(src, link)
+    except (AttributeError, NotImplementedError, OSError):
+        pytest.skip("hard links are not supported here")
+    before = src.read_bytes()
+    for method in ("cb", "da"):
+        argv = ["bootstrap", "--scenario", "a", "--method", method,
+                "--in", str(src), "--out", str(link), "--seed", "1"]
+        assert cli.main(argv) == 1
+        assert "--out must not name the --in file" in capsys.readouterr().err
+        assert src.read_bytes() == before
+        assert os.path.samefile(src, link)
 
 
 def test_bootstrap_cb_exits_2_on_an_unidentifiable_scenario(
