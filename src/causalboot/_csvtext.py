@@ -279,11 +279,12 @@ def _step(blocks) -> int:
 
 def lines(blocks):
     """The text of rows, their cells the columns of each 2-D array in
-    ``blocks`` in turn, one str per block of rows."""
+    ``blocks`` in turn, as ASCII bytes, one bytes object per block of
+    rows."""
     step = _step(blocks)
     for lo in range(0, len(blocks[0]), step):
         slab, keep = _slab([b[lo : lo + step] for b in blocks], ord("\n"))
-        yield slab[keep].tobytes().decode("ascii")
+        yield slab[keep].tobytes()
 
 
 def _widest(x: np.ndarray) -> int:
@@ -299,23 +300,40 @@ def _widest(x: np.ndarray) -> int:
     return x.shape[1] * _masks(_groups(top), floats).shape[1]
 
 
+def _fixed(x: np.ndarray, which: np.ndarray, width: int) -> np.ndarray:
+    """Line i: the slab of row which[i] of x, every byte its text leaves
+    out set to 0, then zeros to ``width`` bytes."""
+    out = np.empty((len(which), width), np.uint8)
+    step = _step([x])
+    for lo in range(0, len(which), step):
+        slab, keep = _slab([x[which[lo : lo + step]]], ord(","))
+        part = out[lo : lo + step]
+        np.multiply(slab, keep, out=part[:, : slab.shape[1]])
+        part[:, slab.shape[1] :] = 0
+    return out
+
+
 def indexed_lines(x: np.ndarray, index: np.ndarray, tail: np.ndarray):
     """``lines([x[index], tail])``, formatting each distinct row of x
-    that index names once, into one byte table: a line per such row, its
-    slab with every byte the text leaves out set to 0, then zeros to the
-    widest slab of x's rows."""
-    used, inverse = np.unique(index, return_inverse=True)
-    table = np.zeros((len(used), _widest(x)), np.uint8)
-    step = _step([x])
-    for lo in range(0, len(used), step):
-        slab, keep = _slab([x[used[lo : lo + step]]], ord(","))
-        np.multiply(slab, keep, out=table[lo : lo + step, : slab.shape[1]])
+    that index names once.  A row it names more than once goes into one
+    byte table, a line per such row; a row it names once is formatted in
+    the block of output rows that uses it.  Either way the row's line is
+    its slab with every byte the text leaves out set to 0, then zeros to
+    the widest slab of x's rows, so one compress of the nonzero bytes
+    gives a block's text."""
+    used, inverse, counts = np.unique(index, return_inverse=True, return_counts=True)
+    shared = counts > 1
+    width = _widest(x)
+    table = _fixed(x, used[shared], width)
+    line = np.cumsum(shared) - 1  # a shared row's line of the table
 
     step = _step([x, tail])
     for lo in range(0, len(index), step):
         rows = inverse[lo : lo + step]
         slab, keep = _slab([tail[lo : lo + step]], ord("\n"))
-        text = np.empty((len(rows), table.shape[1] + slab.shape[1]), np.uint8)
-        np.take(table, rows, axis=0, out=text[:, : table.shape[1]])
-        np.multiply(slab, keep, out=text[:, table.shape[1] :])
-        yield text[text != 0].tobytes().decode("ascii")
+        text = np.empty((len(rows), width + slab.shape[1]), np.uint8)
+        repeated = shared[rows]
+        text[repeated, :width] = table[line[rows[repeated]]]
+        text[~repeated, :width] = _fixed(x, used[rows[~repeated]], width)
+        np.multiply(slab, keep, out=text[:, width:])
+        yield text[text != 0].tobytes()

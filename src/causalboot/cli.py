@@ -12,9 +12,12 @@ one grid cell failed.  The package's errors carry their code as
 Every number in a data CSV is written as Python writes it, a float as
 repr (the shortest text that reads back to it) and an int as str, so
 identical invocations produce byte-identical files.  The text comes from
-a numpy kernel (``_csvtext``) a block of rows at a time; the few floats
-its digit proof does not cover (zeros, magnitudes below 1e-4 or from
-1e16 on, powers of two, exact decimal ties) go through repr itself.
+a numpy kernel (``_csvtext``) a block of rows at a time, as bytes
+written to a binary file; the few floats its digit proof does not cover
+(zeros, magnitudes below 1e-4 or from 1e16 on, powers of two, exact
+decimal ties) go through repr itself.  A resample that copies input rows
+(the delta kernel, and da) draws row numbers, not rows: each output row
+is written from the features of the input row it names.
 """
 
 from __future__ import annotations
@@ -93,11 +96,6 @@ _CHUNK = 1024
 # 4,096 rows in 16 ms and 14 ms.
 _SPLIT_ROWS = 1 << 12
 
-# Shadow column the reader gives every dataset: each row's index in the
-# file.  The resamplers carry shadow columns through, so a resampled row
-# still names the input row its features came from.
-_SOURCE = "source_row"
-
 _INT64 = np.iinfo(np.int64)
 
 # The largest csv.field_size_limit() a C long holds on every platform.
@@ -115,14 +113,16 @@ def _write_dataset(
     fixed y/u/z/d order; hidden columns last, prefixed with '_'.
 
     Row i's features are x[rows[i]], by default data's own x row by row.
-    ``_csvtext`` formats the rows a block at a time: every float as repr
-    writes it, every int as str.  With an index, each distinct row of x
-    a range of output rows uses is formatted once, into one byte buffer,
-    so a resample that copies input rows formats its input's features,
-    not its output's.  From ``_SPLIT_ROWS`` rows on, ``rng._forked`` has
-    a forked process format the second half of the rows while this one
-    formats the first, or formats them all here where it cannot fork;
-    the bytes are the same either way."""
+    ``_csvtext`` formats the rows a block at a time, as ASCII bytes:
+    every float as repr writes it, every int as str.  With an index,
+    each distinct row of x a range of output rows uses is formatted
+    once: into one byte table if the range repeats it, else in the block
+    that writes it.  So a resample that copies input rows formats its
+    input's features, not its output's, and tables only the rows it
+    draws more than once.  From ``_SPLIT_ROWS`` rows on, ``rng._forked``
+    has a forked process format the second half of the rows while this
+    one formats the first, or formats them all here where it cannot
+    fork; the bytes are the same either way."""
     # imported on the first write, so the subcommands that write no data
     # CSV do not compile it
     from . import _csvtext
@@ -137,7 +137,7 @@ def _write_dataset(
         header += extras + [f"_{name}" for name in shadows]
         tail += [data.columns[c] for c in extras]
         tail += [data.shadow[c] for c in shadows]
-    tail = np.column_stack(tail).astype(np.int64)
+    tail = np.column_stack(tail).astype(np.int64, copy=False)
 
     def write(fh, lo: int, hi: int) -> None:
         """Rows lo to hi - 1."""
@@ -147,8 +147,8 @@ def _write_dataset(
             fh.writelines(_csvtext.indexed_lines(x, rows[lo:hi], tail[lo:hi]))
 
     n = data.n
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(",".join(header).encode() + b"\n")
         if n < _SPLIT_ROWS:
             write(fh, 0, n)
         else:
@@ -236,12 +236,21 @@ def _read_dataset(path: str) -> Dataset:
         if "y" not in header:
             raise EstimateError("dataset needs a y column")
 
-        # every column is read, so loadtxt itself refuses a ragged row;
-        # a shadow column's cells are kept as text
-        dtype = [
-            (h, object if h.startswith("_") else float if h in x_names else np.int64)
-            for h in header
-        ]
+        # every column is read, so loadtxt itself refuses a ragged row; a
+        # shadow column's field is a zero-width text that keeps none of
+        # its cells.  The feature fields lie side by side at the front of
+        # each record, so the table holds x and the discrete columns once
+        numbers = x_names + [h for h in header if h in _DISCRETE_COLS]
+        offset = {h: 8 * i for i, h in enumerate(numbers)}
+        dtype = np.dtype({
+            "names": header,
+            "formats": [
+                "U0" if h.startswith("_") else float if h in x_names else np.int64
+                for h in header
+            ],
+            "offsets": [offset.get(h, 8 * len(numbers)) for h in header],
+            "itemsize": 8 * len(numbers),
+        })
         suspects: list = []
         lines = _noting_suspects(fh, suspects)
         first = next(lines, None)
@@ -285,14 +294,19 @@ def _read_dataset(path: str) -> Dataset:
             if failure is not None:  # a refusal no record check places
                 raise EstimateError(f"{path}: {failure}")
 
-    x = np.column_stack([table[name] for name in x_names])
+    # x and the columns are views of the table, x the (n, d) block of its
+    # feature fields
+    features = np.dtype(
+        {"names": ["x"], "formats": [(np.float64, len(x_names))], "itemsize": dtype.itemsize}
+    )
+    x = table.view(features)["x"]
     bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
     if bad.size:
         raise EstimateError(f"row {bad[0] + 2}: features must be finite")
 
-    cols = {name: table[name].copy() for name in _DISCRETE_COLS if name in header}
+    cols = {name: table[name] for name in _DISCRETE_COLS if name in header}
     y = cols.pop("y")
-    return Dataset(x=x, y=y, columns=cols, shadow={_SOURCE: np.arange(len(y))})
+    return Dataset(x=x, y=y, columns=cols, shadow={})
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -332,15 +346,25 @@ def _cmd_bootstrap(args) -> int:
         alpha = 0.0 if args.smoothing is None else args.smoothing
         table = cb_weights(data.weight_columns(), scenario, alpha=alpha)
         kernel = KernelSpec.parse("delta" if args.kernel is None else args.kernel)
-        out = cb_resample(data, table, ResampleConfig(args.seed, kernel))
+        config = ResampleConfig(args.seed, kernel)
+        if kernel.kind != "delta":
+            _write_dataset(args.out, cb_resample(data, table, config), False)
+            return 0
+    # every output row copies the features of the input row it names, so
+    # the resample draws row numbers, with the label and the one column
+    # da reads, and the write formats each row from the input's features
+    reads = ("u",) if method is MethodId.DA else ()
+    rows = Dataset(
+        x=np.arange(data.n)[:, None],
+        y=data.y,
+        columns={c: data.columns[c] for c in reads if c in data.columns},
+        shadow={},
+    )
+    if method is MethodId.CB:
+        out = cb_resample(rows, table, config)
     else:
-        kernel = KernelSpec.delta()
-        out = da_resample(data, args.seed)
-    if kernel.kind == "delta":
-        # every output row copies the features of the input row it names
-        _write_dataset(args.out, out, False, data.x, out.shadow[_SOURCE])
-    else:
-        _write_dataset(args.out, out, False)
+        out = da_resample(rows, args.seed)
+    _write_dataset(args.out, out, False, data.x, out.x[:, 0])
     return 0
 
 

@@ -23,6 +23,7 @@ write's rows, and the experiment grid's (scenario, level) pairs).
 from __future__ import annotations
 
 import hashlib
+import io
 import math
 import os
 import shutil
@@ -110,17 +111,17 @@ def _together(first, second=None) -> None:
 
 
 def _forked(work, n: int, out) -> None:
-    """Run ``work(file, lo, hi)`` over the range 0 to ``n`` into the text
-    file ``out``: this process runs ``work(out, 0, m)``, m = ceil(n / 2),
+    """Run ``work(file, lo, hi)`` over the range 0 to ``n`` into the file
+    ``out``: this process runs ``work(out, 0, m)``, m = ceil(n / 2),
     while a child forked for the purpose runs ``work(spill, m, n)``, with
-    ``spill`` a text file that is never linked into any directory, and
-    the spill is then appended to ``out``.
+    ``spill`` a file of out's mode (text or binary) that is never linked
+    into any directory, and the spill is then appended to ``out``.
 
     Where the split cannot help or did not work (n < 2, no ``os.fork``,
     fewer than two CPUs, a spill that cannot be made, or a child that did
     not exit with status 0), this process runs what is left of the range
     itself, all of it where no child started, so ``out`` gets the same
-    text every way.  The CPUs are split as ``_together`` splits them,
+    bytes every way.  The CPUs are split as ``_together`` splits them,
     and the caller gets its whole set back before any fallback.  The
     child always leaves through ``os._exit``, so it runs no exit handler
     and flushes no inherited buffer; an exception in this process's half
@@ -135,8 +136,11 @@ def _forked(work, n: int, out) -> None:
     half = len(cpus) // 2
     spill = None
     if m < n and half and hasattr(os, "fork"):
+        text = isinstance(out, io.TextIOBase)
         try:
-            spill = tempfile.TemporaryFile("w+", newline="")
+            spill = tempfile.TemporaryFile(
+                "w+" if text else "w+b", newline="" if text else None
+            )
         except OSError:
             pass
     if spill is None:

@@ -18,7 +18,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from causalboot.cli import _DISCRETE_COLS, _SOURCE
+from causalboot.cli import _DISCRETE_COLS
 from causalboot.estimate import EstimateError
 from causalboot.simulate import Dataset
 
@@ -104,7 +104,7 @@ def read_dataset(path: str) -> Dataset:
 
     cols = {name: np.concatenate(part) for name, part in parts.items()}
     y = cols.pop("y")
-    return Dataset(x=x, y=y, columns=cols, shadow={_SOURCE: np.arange(len(y))})
+    return Dataset(x=x, y=y, columns=cols, shadow={})
 
 
 def _text(rows) -> list[str]:

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -19,7 +20,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from causalboot import _csvtext, cli
-from causalboot.bootstrap import BootstrapError, NotIdentifiedError
+from causalboot.bootstrap import (
+    BootstrapError,
+    NotIdentifiedError,
+    ResampleConfig,
+    cb_resample,
+    cb_weights,
+    da_resample,
+)
 from causalboot.errors import CausalBootError
 from causalboot.estimate import EstimateError, ZeroSupportError
 from causalboot.graph import GraphError
@@ -570,7 +578,7 @@ def test_write_read_round_trip_across_chunks(tmp_path_factory, n, d, data):
         assert back.x.shape == (n, d) and back.x.tobytes() == x.tobytes()
         assert back.y.tobytes() == y.tobytes()
         assert back.columns["u"].tobytes() == u.tobytes()
-        assert np.array_equal(back.shadow[cli._SOURCE], np.arange(n))
+        assert back.shadow == {}  # a hidden column is read as text and dropped
 
         cli._write_dataset(str(tmp / "b.csv"), back, False)
         cli._write_dataset(str(tmp / "c.csv"), original, False)
@@ -604,7 +612,7 @@ def test_split_write_equals_the_serial_write(tmp_path_factory, n, d, split, chun
     x = x.reshape(n, d)
     labels = st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n)
     y, u = (np.array(data.draw(labels), dtype=np.int64) for _ in range(2))
-    dataset = Dataset(x=x, y=y, columns={"u": u}, shadow={cli._SOURCE: np.arange(n)})
+    dataset = Dataset(x=x, y=y, columns={"u": u}, shadow={"v": np.arange(n)})
     # an index of the same length as y, so the indexed path writes n rows
     drawn = np.array(
         data.draw(st.lists(st.integers(0, max(n - 1, 0)), min_size=n, max_size=n)),
@@ -670,7 +678,7 @@ def test_writer_matches_the_reference_writer(tmp_path_factory, n, d, ints, block
         np.array(data.draw(st.lists(int64s, min_size=n, max_size=n)), dtype=np.int64)
         for _ in range(2)
     )
-    dataset = Dataset(x=x, y=y, columns={"u": u}, shadow={cli._SOURCE: y[::-1]})
+    dataset = Dataset(x=x, y=y, columns={"u": u}, shadow={"v": y[::-1]})
     drawn = np.array(
         data.draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=2 * n if n else 0)),
         dtype=np.int64,
@@ -701,7 +709,7 @@ def test_kernel_writes_a_million_floats_as_repr():
 
     for name, values in (("anywhere", anywhere), ("inside", inside), ("scenario c", sim)):
         values = values.reshape(-1, 1)
-        text = "".join(_csvtext.lines([values]))
+        text = b"".join(_csvtext.lines([values])).decode("ascii")
         assert text == "".join(f"{v!r}\n" for v in values[:, 0].tolist()), name
         if name == "scenario c":
             fallback = len(_csvtext._floats(values.reshape(-1)).texts)
@@ -742,7 +750,7 @@ def test_every_fallback_writes_the_serial_bytes(tmp_path, monkeypatch, fault, fo
     n = 9
     x = rng.standard_normal((n, 2))
     y = rng.integers(0, 2, n)
-    dataset = Dataset(x=x, y=y, columns={"u": y ^ 1}, shadow={cli._SOURCE: np.arange(n)})
+    dataset = Dataset(x=x, y=y, columns={"u": y ^ 1}, shadow={"v": np.arange(n)})
     drawn = rng.integers(0, n, n)
     serial = [
         written(tmp_path / "a.csv", dataset, True),
@@ -775,6 +783,109 @@ def test_forked_writes_match_the_pinned_digests(tmp_path, monkeypatch):
     assert len(pids) == 4
     for name, path in p.items():
         assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED[name], name
+
+
+def scenario_c_csv(tmp_path_factory, n):
+    path = tmp_path_factory.mktemp("scenario_c") / "in.csv"
+    assert cli.main(["simulate", "--scenario", "c", "--n", str(n), "--seed", "6",
+                     "--out", str(path)]) == 0
+    return path
+
+
+@pytest.fixture(scope="module")
+def thousands_of_rows(tmp_path_factory):
+    return scenario_c_csv(tmp_path_factory, 3000)
+
+
+def bootstrap(src, out, method, seed=8):
+    return cli.main(["bootstrap", "--scenario", "c", "--method", method,
+                     "--in", str(src), "--out", str(out), "--seed", str(seed)])
+
+
+@pytest.mark.parametrize("split", [1024, 1 << 16], ids=["forked", "serial"])
+@pytest.mark.parametrize("method", ["cb", "da"])
+def test_delta_bootstrap_writes_what_the_public_resamplers_draw(
+    tmp_path, monkeypatch, thousands_of_rows, method, split
+):
+    # the CLI resamples row numbers and writes the input's features
+    # through them; the public resamplers gather every column instead
+    monkeypatch.setattr(cli, "_SPLIT_ROWS", split)
+    assert bootstrap(thousands_of_rows, tmp_path / "out.csv", method) == 0
+    data = csv_reference.read_dataset(str(thousands_of_rows))
+    if method == "cb":
+        table = cb_weights(data.weight_columns(), "c")
+        drawn = cb_resample(data, table, ResampleConfig(8))
+    else:
+        drawn = da_resample(data, 8)
+    csv_reference.write_dataset(str(tmp_path / "ref.csv"), drawn, False)
+    assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def recording(mp, name, calls):
+    """Wrap cli's ``name`` to note each call's arguments and result."""
+    real = getattr(cli, name)
+
+    def noted(*args, **kwargs):
+        result = real(*args, **kwargs)
+        calls.setdefault(name, []).append((args, result))
+        return result
+
+    mp.setattr(cli, name, noted)
+
+
+@pytest.mark.parametrize("method", ["cb", "da"])
+def test_bootstrap_calls_give_what_the_traced_bench_reads(
+    tmp_path, monkeypatch, thousands_of_rows, method
+):
+    # A traced bench run wraps these names in cli (bench/workloads.py,
+    # _LAYERS), and its counters read what each call takes and returns;
+    # a counter that raises ends the run with exit 1.  The counts below
+    # are the counters' own.
+    calls = {}
+    for name in ("_read_dataset", "_write_dataset", "cb_resample", "da_resample",
+                 "cb_weights"):
+        recording(monkeypatch, name, calls)
+    out = tmp_path / "out.csv"
+    assert bootstrap(thousands_of_rows, out, method) == 0
+    [(_, read)] = calls["_read_dataset"]
+    assert read.n == 3000
+    [(args, _)] = calls["_write_dataset"]
+    lines = out.read_text().splitlines()[1:]
+    assert os.path.getsize(args[0]) == out.stat().st_size
+    assert args[1].n == len(lines)
+    if method == "da":
+        [(_, drawn)] = calls["da_resample"]
+        assert drawn.n == len(lines) and "cb_resample" not in calls
+        return
+    [(_, table)] = calls["cb_weights"]
+    assert [len(table.column(c)) for c in table.classes] == [3000] * len(table.classes)
+    [(_, drawn)] = calls["cb_resample"]
+    assert drawn.n == len(lines) and len(drawn.y) == len(lines)
+    # distinct rows drawn per class: simulate's feature rows are all
+    # distinct, so the output's feature texts count them too
+    x = drawn.x if drawn.x.ndim == 2 else drawn.x[:, None]
+    distinct = sum(len(np.unique(x[drawn.y == c, 0])) for c in np.unique(drawn.y))
+    texts = {(line.split(",")[-1], line.rsplit(",", 1)[0]) for line in lines}
+    assert distinct == len(texts)
+
+
+@pytest.fixture(scope="module")
+def fifty_thousand_rows(tmp_path_factory):
+    return scenario_c_csv(tmp_path_factory, 50_000)
+
+
+@pytest.mark.parametrize("method", ["cb", "da"])
+def test_bootstrap_memory_per_input_row(tmp_path, monkeypatch, fifty_thousand_rows, method):
+    # serial, so the whole write is traced in this process
+    monkeypatch.setattr(cli, "_SPLIT_ROWS", 1 << 62)
+    tracemalloc.start()
+    try:
+        code = bootstrap(fifty_thousand_rows, tmp_path / "out.csv", method)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 400 * 50_000, f"{peak / 50_000:.0f} bytes a row"
 
 
 @pytest.mark.parametrize(

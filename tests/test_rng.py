@@ -201,6 +201,19 @@ def test_the_callers_half_comes_before_the_childs():
 
 
 @needs_two_cpus
+def test_a_binary_file_gets_a_binary_spill():
+    parent = os.getpid()
+
+    def work(out, lo, hi):
+        who = b"caller" if os.getpid() == parent else b"child"
+        out.writelines(b"%d %s\n" % (i, who) for i in range(lo, hi))
+
+    out = io.BytesIO()
+    _forked(work, 5, out)
+    assert out.getvalue() == b"0 caller\n1 caller\n2 caller\n3 child\n4 child\n"
+
+
+@needs_two_cpus
 def test_a_failed_child_leaves_the_caller_its_half():
     parent, cpus, calls = os.getpid(), os.sched_getaffinity(0), []
 
