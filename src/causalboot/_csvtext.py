@@ -230,11 +230,11 @@ def _groups(head: int) -> int:
     return (len(str(head)) + 3) // 4
 
 
-def _slab(blocks, end: int):
+def _slab(blocks):
     """A block of rows, their cells the columns of each 2-D array in
     ``blocks`` in turn, as a uint8 slab and a bool mask of its shape:
     the bytes of the slab that the mask keeps are the rows' text, cells
-    separated by commas and each row ended by the byte ``end``.  The
+    separated by commas and each row ended by a line end.  The
     cells of one array take the same width: a sign, as many four-digit
     groups as its longest integer part needs, a point, 20 digits if it
     holds floats, a separator."""
@@ -268,7 +268,7 @@ def _slab(blocks, end: int):
             keys[at] = _TEXT_KEYS + np.array([len(text) for text in texts])
         keep[:, first : first + span] = np.take(m, keys, axis=0).reshape(rows, span)
         first += span
-    slab[:, -1] = end
+    slab[:, -1] = ord("\n")
     return slab, keep
 
 
@@ -277,63 +277,15 @@ def _step(blocks) -> int:
     return max(1, _CELLS // sum(b.shape[1] for b in blocks))
 
 
-def lines(blocks):
+def lines(blocks, rows=None):
     """The text of rows, their cells the columns of each 2-D array in
     ``blocks`` in turn, as ASCII bytes, one bytes object per block of
-    rows."""
+    rows.  With ``rows``, row i's first cells are row rows[i] of the
+    first array, gathered a block at a time."""
     step = _step(blocks)
-    for lo in range(0, len(blocks[0]), step):
-        slab, keep = _slab([b[lo : lo + step] for b in blocks], ord("\n"))
+    for lo in range(0, len(blocks[0] if rows is None else rows), step):
+        block = [b[lo : lo + step] for b in blocks]
+        if rows is not None:
+            block[0] = blocks[0][rows[lo : lo + step]]
+        slab, keep = _slab(block)
         yield slab[keep].tobytes()
-
-
-def _widest(x: np.ndarray) -> int:
-    """Bytes a row of x takes in the widest slab any block of its rows
-    does.  A float's integer part is at most |v| where the kernel writes
-    it and 1 where repr does, so where x holds a NaN, an infinity or
-    |v| >= 1e16 the bound is the kernel's widest, 16 digits."""
-    floats = not np.issubdtype(x.dtype, np.integer)
-    lo, hi = x.min(initial=0).item(), x.max(initial=0).item()
-    top = max(-lo, hi)
-    if floats:
-        top = int(top) if -1e16 < lo and hi < 1e16 else 10**16 - 1
-    return x.shape[1] * _masks(_groups(top), floats).shape[1]
-
-
-def _fixed(x: np.ndarray, which: np.ndarray, width: int) -> np.ndarray:
-    """Line i: the slab of row which[i] of x, every byte its text leaves
-    out set to 0, then zeros to ``width`` bytes."""
-    out = np.empty((len(which), width), np.uint8)
-    step = _step([x])
-    for lo in range(0, len(which), step):
-        slab, keep = _slab([x[which[lo : lo + step]]], ord(","))
-        part = out[lo : lo + step]
-        np.multiply(slab, keep, out=part[:, : slab.shape[1]])
-        part[:, slab.shape[1] :] = 0
-    return out
-
-
-def indexed_lines(x: np.ndarray, index: np.ndarray, tail: np.ndarray):
-    """``lines([x[index], tail])``, formatting each distinct row of x
-    that index names once.  A row it names more than once goes into one
-    byte table, a line per such row; a row it names once is formatted in
-    the block of output rows that uses it.  Either way the row's line is
-    its slab with every byte the text leaves out set to 0, then zeros to
-    the widest slab of x's rows, so one compress of the nonzero bytes
-    gives a block's text."""
-    used, inverse, counts = np.unique(index, return_inverse=True, return_counts=True)
-    shared = counts > 1
-    width = _widest(x)
-    table = _fixed(x, used[shared], width)
-    line = np.cumsum(shared) - 1  # a shared row's line of the table
-
-    step = _step([x, tail])
-    for lo in range(0, len(index), step):
-        rows = inverse[lo : lo + step]
-        slab, keep = _slab([tail[lo : lo + step]], ord("\n"))
-        text = np.empty((len(rows), width + slab.shape[1]), np.uint8)
-        repeated = shared[rows]
-        text[repeated, :width] = table[line[rows[repeated]]]
-        text[~repeated, :width] = _fixed(x, used[rows[~repeated]], width)
-        np.multiply(slab, keep, out=text[:, width:])
-        yield text[text != 0].tobytes()

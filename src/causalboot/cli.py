@@ -92,8 +92,9 @@ _CHUNK = 1024
 
 # Fewest rows a write splits between two processes.  A fork costs a few
 # milliseconds; on a 2-CPU machine 1,024 rows of scenario c (ten
-# features, four ints) write in about 4 ms serially and 8 ms split,
-# 4,096 rows in 16 ms and 14 ms.
+# features, four ints) write in about 4.5 ms serially and 7 ms split,
+# 2,048 rows in 9 and 10 ms, 4,096 rows in 17 and 15 ms; a resample's
+# rows written through a row index take about as long.
 _SPLIT_ROWS = 1 << 12
 
 _INT64 = np.iinfo(np.int64)
@@ -114,12 +115,10 @@ def _write_dataset(
 
     Row i's features are x[rows[i]], by default data's own x row by row.
     ``_csvtext`` formats the rows a block at a time, as ASCII bytes:
-    every float as repr writes it, every int as str.  With an index,
-    each distinct row of x a range of output rows uses is formatted
-    once: into one byte table if the range repeats it, else in the block
-    that writes it.  So a resample that copies input rows formats its
-    input's features, not its output's, and tables only the rows it
-    draws more than once.  From ``_SPLIT_ROWS`` rows on, ``rng._forked``
+    every float as repr writes it, every int as str.  With an index, it
+    gathers each block's rows of x as it formats them, so a resample
+    that copies input rows never holds its output's features.  From
+    ``_SPLIT_ROWS`` rows on, ``rng._forked``
     has a forked process format the second half of the rows while this
     one formats the first, or formats them all here where it cannot
     fork; the bytes are the same either way."""
@@ -144,7 +143,7 @@ def _write_dataset(
         if rows is None:
             fh.writelines(_csvtext.lines([x[lo:hi], tail[lo:hi]]))
         else:
-            fh.writelines(_csvtext.indexed_lines(x, rows[lo:hi], tail[lo:hi]))
+            fh.writelines(_csvtext.lines([x, tail[lo:hi]], rows[lo:hi]))
 
     n = data.n
     with open(path, "wb") as fh:

@@ -613,7 +613,7 @@ def test_split_write_equals_the_serial_write(tmp_path_factory, n, d, split, chun
     labels = st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n)
     y, u = (np.array(data.draw(labels), dtype=np.int64) for _ in range(2))
     dataset = Dataset(x=x, y=y, columns={"u": u}, shadow={"v": np.arange(n)})
-    # an index of the same length as y, so the indexed path writes n rows
+    # an index of the same length as y, so the write through it has n rows
     drawn = np.array(
         data.draw(st.lists(st.integers(0, max(n - 1, 0)), min_size=n, max_size=n)),
         dtype=np.int64,
@@ -720,10 +720,10 @@ def test_kernel_writes_a_million_floats_as_repr():
 def raise_in_a_child(mp):
     parent, slab = os.getpid(), _csvtext._slab
 
-    def slab_here_only(blocks, end):
+    def slab_here_only(blocks):
         if os.getpid() != parent:
             raise RuntimeError("fault in the child")
-        return slab(blocks, end)
+        return slab(blocks)
 
     mp.setattr(_csvtext, "_slab", slab_here_only)
 
@@ -885,7 +885,7 @@ def test_bootstrap_memory_per_input_row(tmp_path, monkeypatch, fifty_thousand_ro
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert peak <= 400 * 50_000, f"{peak / 50_000:.0f} bytes a row"
+    assert peak <= 240 * 50_000, f"{peak / 50_000:.0f} bytes a row"
 
 
 @pytest.mark.parametrize(
